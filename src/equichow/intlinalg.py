@@ -29,7 +29,10 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_vec(a: Matrix, v: Sequence[int]) -> List[int]:
-    return [sum(row[k] * v[k] for k in range(len(v))) for row in a]
+    """A * v, multiplying only the non-zero entries of v, which are few in
+    the relation columns and kernel generators solved against."""
+    support = [(k, x) for k, x in enumerate(v) if x]
+    return [sum(row[k] * x for k, x in support) for row in a]
 
 
 def from_columns(columns: Sequence[Sequence[int]], rows: int) -> Matrix:
@@ -92,8 +95,11 @@ def smith_normal_form(m: Matrix, want_inverses: bool = False) -> SmithDecomposit
     """Diagonalize an integer matrix by unimodular row/column operations.
 
     Pivot choice is the smallest nonzero absolute value of the remaining
-    block (ties broken by position), which keeps entry growth mild; a final
-    pass repairs the divisibility chain.
+    block (ties broken by position), which keeps entry growth mild.  Once a
+    pivot has cleared its row and column, an entry of the remaining block
+    that it does not divide has its row added to the pivot row, and the
+    pivot is chosen again; so the divisibility chain holds as each pivot is
+    fixed, with no pass after the loop.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
@@ -206,6 +212,10 @@ def smith_normal_form(m: Matrix, want_inverses: bool = False) -> SmithDecomposit
             if not clean:
                 move_min_pivot(t)
                 continue
+            # A unit pivot divides every entry, so the scan below could
+            # never find a stray one.
+            if abs(p) == 1:
+                break
             stray = None
             for i in range(t + 1, rows):
                 for j in range(t + 1, cols):
@@ -237,10 +247,10 @@ class IntegerSolver:
         self.cols = len(a[0]) if self.rows else 0
         self.dec = smith_normal_form(a)
 
-    def solve(self, b: Sequence[int]) -> Optional[List[int]]:
-        """One integer solution of A x = b, or None when none exists."""
+    def _diagonal_solution(self, b: Sequence[int]) -> Optional[List[int]]:
+        """y with D y = U b, or None when none exists; then x = V y."""
         d = self.dec
-        c = mat_vec(d.u, list(b))
+        c = mat_vec(d.u, b)
         y = [0] * self.cols
         for i in range(self.rows):
             if i < len(d.factors):
@@ -250,10 +260,15 @@ class IntegerSolver:
                     y[i] = c[i] // d.factors[i]
             elif c[i]:
                 return None
-        return mat_vec(d.v, y)
+        return y
+
+    def solve(self, b: Sequence[int]) -> Optional[List[int]]:
+        """One integer solution of A x = b, or None when none exists."""
+        y = self._diagonal_solution(b)
+        return None if y is None else mat_vec(self.dec.v, y)
 
     def solvable(self, b: Sequence[int]) -> bool:
-        return self.solve(b) is not None
+        return self._diagonal_solution(b) is not None
 
 
 def kernel_basis(a: Matrix) -> List[List[int]]:

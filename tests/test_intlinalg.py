@@ -1,9 +1,14 @@
 import random
 
+from sympy import Matrix as SympyMatrix
+from sympy import ZZ
+from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
+
 from equichow.intlinalg import (
     IntegerSolver,
     determinant,
     identity,
+    invariant_factors,
     kernel_basis,
     mat_mul,
     mat_vec,
@@ -118,3 +123,78 @@ def test_quotient_invariants():
     assert free == 2
     assert torsion == (2,)
     assert quotient_invariants(2, []) == (2, ())
+
+
+def _sympy_factors(m):
+    # sympy lists a zero for every missing rank; ours lists non-zero factors.
+    got = sympy_invariant_factors(SympyMatrix(m), domain=ZZ)
+    return tuple(int(f) for f in got if f)
+
+
+KINDS = ("dense", "sparse", "even", "even-diagonal")
+
+
+def _matrix_of_kind(rng, kind, rows, cols):
+    if kind == "sparse":
+        # 0/±1 entries: almost every pivot is a unit.
+        return [[rng.choice((-1, 0, 0, 0, 1)) for _ in range(cols)] for _ in range(rows)]
+    if kind == "even":
+        # No unit pivot, so the divisibility scan always runs.
+        return [[2 * rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
+    if kind == "even-diagonal":
+        # Scattered even entries such as 4 and 6: the pivot 4 does not
+        # divide 6, so the stray-row repair has to run.
+        m = [[0] * cols for _ in range(rows)]
+        k = min(rows, cols)
+        for i, j in zip(rng.sample(range(rows), k), rng.sample(range(cols), k)):
+            m[i][j] = rng.choice((-2, 2)) * rng.choice((1, 2, 3, 5, 6, 9))
+        return m
+    return _random_matrix(rng, rows, cols)
+
+
+def test_invariant_factors_match_sympy():
+    rng = random.Random(4242)
+    for kind in KINDS:
+        for _ in range(15):
+            m = _matrix_of_kind(rng, kind, rng.randint(1, 7), rng.randint(1, 7))
+            assert invariant_factors(m) == _sympy_factors(m), m
+
+
+def test_solvable_agrees_with_solve():
+    rng = random.Random(515)
+    for kind in KINDS:
+        for _ in range(15):
+            rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+            m = _matrix_of_kind(rng, kind, rows, cols)
+            solver = IntegerSolver(m)
+            image = mat_vec(m, [rng.randint(-3, 3) for _ in range(cols)])
+            stray = [rng.randint(-3, 3) for _ in range(rows)]
+            for b in (image, stray, [0] * rows):
+                x = solver.solve(b)
+                assert solver.solvable(b) == (x is not None)
+                if x is not None:
+                    assert mat_vec(m, x) == b
+            assert solver.solvable(image)
+
+
+def _dense_mat_vec(a, v):
+    out = []
+    for row in a:
+        total = 0
+        for k in range(len(v)):
+            total += row[k] * v[k]
+        out.append(total)
+    return out
+
+
+def test_mat_vec_on_sparse_and_zero_vectors():
+    rng = random.Random(99)
+    for _ in range(20):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        a = _random_matrix(rng, rows, cols)
+        sparse = [0] * cols
+        sparse[rng.randrange(cols)] = rng.randint(-5, 5)
+        for v in (sparse, [0] * cols, [rng.randint(-5, 5) for _ in range(cols)]):
+            assert mat_vec(a, v) == _dense_mat_vec(a, v)
+    assert mat_vec([[1, 2], [3, 4]], [0, 0]) == [0, 0]
+    assert mat_vec([], [1, 2]) == []

@@ -29,6 +29,20 @@ def test_step_patching_small_bound(fx):
     assert report.verdict == "match"
 
 
+def test_step_patching_invariants_to_degree_10(fx):
+    # Free rank and 2-torsion of the degree-n piece, n = 0..10; corner and
+    # fiber agree and the corner map is onto in every degree.
+    free = (1, 2, 4, 6, 9, 12, 16, 20, 25, 30, 36)
+    twos = (0, 0, 1, 2, 4, 6, 9, 12, 16, 20, 25)
+    expected = []
+    for n, (f, k) in enumerate(zip(free, twos)):
+        group = f"(free {f}, torsion {[2] * k})"
+        expected.append(f"deg {n}: ok corner={group} fiber={group} surjective=True")
+    report = step_patching(fx, 10)
+    assert report.verdict == "match"
+    assert report.details == tuple(expected)
+
+
 def test_step_patching_negative_control():
     tp = Fixtures.default().total.table
     e, l1, d1 = (Poly.var(tp, n) for n in ("e", "l1", "d1"))
