@@ -18,7 +18,12 @@ import sys
 from typing import Optional, Sequence
 
 from .groebner import MonomialOrder, normal_form, strong_groebner
-from .jobfile import parse_ideal_job, parse_push_job, parse_square_job
+from .jobfile import (
+    MAX_ORACLE_TRIALS,
+    parse_ideal_job,
+    parse_push_job,
+    parse_square_job,
+)
 from .localization import DenominatorResidue, pushforward, specialize_oracle
 from .pipeline import Fixtures, run_all
 from .poly import PolyError
@@ -37,6 +42,13 @@ def _nonnegative(text: str) -> int:
     return value
 
 
+def _trials(text: str) -> int:
+    value = _nonnegative(text)
+    if value > MAX_ORACLE_TRIALS:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_ORACLE_TRIALS}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="equichow",
@@ -46,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="run the full derivation")
     p.add_argument("--degree-bound", type=_nonnegative, default=8)
-    p.add_argument("--oracle-trials", type=_nonnegative, default=20)
+    p.add_argument("--oracle-trials", type=_trials, default=20)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--report", help="write the text report to this path")
     p.add_argument("--machine-report", help="write the machine report to this path")
@@ -54,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("push", help="localization pushforward from a job file")
     p.add_argument("job", help="path to the job file")
-    p.add_argument("--oracle-trials", type=_nonnegative, default=None)
+    p.add_argument("--oracle-trials", type=_trials, default=None)
     p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("nf", help="normal form modulo an ideal file")

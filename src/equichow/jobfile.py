@@ -9,10 +9,15 @@ Three small section-based formats share one scanner:
 Blank lines and '#' comments are ignored.  Parsing either succeeds or
 raises ParseError with the offending line number; parse -> render -> parse
 is the identity on the parsed values.
+
+A push job's work grows with the target dimension, the number of fixed
+points of the source and of the target, and the oracle trials, so each has
+a fixed cap below.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -20,6 +25,10 @@ from .localization import MapDescriptor, SpaceDescriptor, SpaceFactor
 from .poly import Poly, PolyError, VarTable
 from .presentation import CartesianSquareSpec, RingHom, RingPresentation
 from .textio import ParseError, parse_poly
+
+MAX_TARGET_DIMENSION = 16
+MAX_FIXED_POINTS = 64
+MAX_ORACLE_TRIALS = 1000
 
 
 @dataclass
@@ -117,7 +126,7 @@ def _parse_options(entries: Sequence[Tuple[int, str]]) -> JobOptions:
                     raise ValueError
             elif key == "oracle_trials":
                 opts.oracle_trials = int(value)
-                if opts.oracle_trials < 0:
+                if not 0 <= opts.oracle_trials <= MAX_ORACLE_TRIALS:
                     raise ValueError
             elif key == "seed":
                 opts.seed = int(value)
@@ -202,6 +211,11 @@ def parse_push_job(text: str) -> PushJob:
             mapping = MapDescriptor.multiplication(space, exponents, target_h or "h")
     except PolyError as exc:
         raise ParseError(str(exc)) from None
+    if mapping.target.dimension > MAX_TARGET_DIMENSION:
+        raise ParseError(f"target dimension above {MAX_TARGET_DIMENSION}")
+    for side in (mapping.source, mapping.target):
+        if math.prod(f.d + 1 for f in side.factors) > MAX_FIXED_POINTS:
+            raise ParseError(f"more than {MAX_FIXED_POINTS} fixed points")
     return PushJob(table, space, mapping, cls, options, product, exponents, target_h)
 
 

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .poly import (
     NotDivisible,
@@ -71,6 +71,18 @@ class SpaceFactor:
         return Poly.var(self.table, self.hvar)
 
 
+def _check_weight_variables(factors: Sequence[SpaceFactor], hvars: Iterable[str]):
+    """Weights are torus characters: they may not involve a hyperplane class."""
+    hvars = set(hvars)
+    for f in factors:
+        for w in (f.w0, f.w1):
+            for name in w.variables_used():
+                if name in hvars:
+                    raise DescriptorError(
+                        f"weight may not involve the hyperplane variable {name!r}"
+                    )
+
+
 class SpaceDescriptor:
     """A product of factors over one variable table with distinct h-vars."""
 
@@ -86,6 +98,7 @@ class SpaceDescriptor:
             hvars.append(f.hvar)
         if len(set(hvars)) != len(hvars):
             raise DescriptorError("hyperplane variables must be distinct")
+        _check_weight_variables(factors, hvars)
         self.factors = factors
         self.table = table
         self.hvars = tuple(hvars)
@@ -189,12 +202,6 @@ class Denominator:
         if self.forms:
             return self.expand()
         return Poly.const(table, self.const)
-
-    def evaluate(self, values: Mapping[str, object]):
-        total = self.const
-        for form, mult in self.forms:
-            total = total * form.evaluate(values) ** mult
-        return total
 
     def lcm(self, other: "Denominator") -> "Denominator":
         const = abs(self.const * other.const) // math.gcd(self.const, other.const)
@@ -311,6 +318,7 @@ class MapDescriptor:
         if sorted(covered) != list(range(len(source.factors))):
             raise DescriptorError("blocks must cover every source factor once")
         self.target = SpaceDescriptor([b.target for b in self.blocks])
+        _check_weight_variables(source.factors, self.target.hvars)
 
     @staticmethod
     def multiplication(
@@ -396,6 +404,12 @@ def specialize_oracle(
     target fixed point, sets the target hyperplane values there, and
     compares the exact rational localization sum with the symbolic result
     evaluated at the same point.
+
+    The sum is evaluated in integers from the descriptor alone: the point
+    classes, Euler classes and hyperplane restrictions are products of
+    linear forms in the weights, so each is computed from the integer
+    weights of the trial instead of through the symbolic `point_class` and
+    `tangent_euler` that `pushforward` uses.
     """
     if symbolic is None:
         symbolic = pushforward(mapping, cls)
@@ -406,32 +420,48 @@ def specialize_oracle(
         for n in source.table.names
         if n not in source.hvars and n not in target.hvars
     ]
+    # Per fixed point: its image in the target and the sign-and-factorial
+    # constant of its Euler class, prod (-1)^i * i! * (d-i)!.
+    points = []
+    for fp in enumerate_fixed_points(source):
+        const = 1
+        for i, f in zip(fp, source.factors):
+            const *= (-1) ** i * math.factorial(i) * math.factorial(f.d - i)
+        points.append((fp, map_image_fixed_point(mapping, fp), const))
     for _ in range(trials):
         while True:
             values: Dict[str, object] = {
                 n: rng.randint(-12, 12) for n in base_names
             }
-            if all(
-                f.w0.evaluate(values) != f.w1.evaluate(values)
+            src_w = [
+                (f.w0.evaluate(values), f.w1.evaluate(values))
                 for f in source.factors
-            ):
+            ]
+            if all(w0 != w1 for w0, w1 in src_w):
                 break
+        tgt_w = [
+            (f.w0.evaluate(values), f.w1.evaluate(values)) for f in target.factors
+        ]
         target_point = tuple(rng.randint(0, f.d) for f in target.factors)
-        for k, f in enumerate(target.factors):
-            i = target_point[k]
-            values[f.hvar] = f.w0.evaluate(values) * i + f.w1.evaluate(values) * (
-                f.d - i
-            )
+        for f, (w0, w1), i in zip(target.factors, tgt_w, target_point):
+            values[f.hvar] = w0 * i + w1 * (f.d - i)
+        euler_forms = 1
+        for f, (w0, w1) in zip(source.factors, src_w):
+            euler_forms *= (w1 - w0) ** f.d
         lhs = Fraction(0)
-        for fp in enumerate_fixed_points(source):
+        for fp, image, const in points:
+            point_value = 1
+            for f, (w0, w1), q in zip(target.factors, tgt_w, image):
+                h = values[f.hvar]
+                for j in range(f.d + 1):
+                    if j != q:
+                        point_value *= h - j * w0 - (f.d - j) * w1
+            if not point_value:
+                continue
             sub = dict(values)
-            for j, f in enumerate(source.factors):
-                sub[f.hvar] = restrict_hyperplane(source, fp, j).evaluate(values)
-            euler = tangent_euler(source, fp)
-            numer = cls.evaluate(sub) * point_class(
-                target, map_image_fixed_point(mapping, fp)
-            ).evaluate(values)
-            lhs += Fraction(numer, euler.denominator.evaluate(values))
+            for f, (w0, w1), i in zip(source.factors, src_w, fp):
+                sub[f.hvar] = w0 * i + w1 * (f.d - i)
+            lhs += Fraction(cls.evaluate(sub) * point_value, const * euler_forms)
         rhs = symbolic.evaluate(values)
         if lhs != rhs:
             return False

@@ -6,7 +6,9 @@ The grammar is the mirror image of Poly.render():
     term   := factor ('*' factor)*
     factor := INT | NAME ['^' INT]
 
-so parse(render(p)) == p for every polynomial.
+so parse(render(p)) == p for every polynomial.  No variable may carry an
+exponent above MAX_EXPONENT in any term, which bounds the work a parsed
+polynomial can ask of the engine.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import re
 from typing import List, Tuple
 
 from .poly import Poly, VarTable
+
+MAX_EXPONENT = 32
 
 
 class ParseError(Exception):
@@ -53,6 +57,13 @@ def _tokenize(text: str) -> List[Tuple[str, str, int]]:
     return tokens
 
 
+def _integer(digits: str, position: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts
+        raise ParseError("integer literal too long", position) from None
+
+
 def parse_poly(text: str, table: VarTable) -> Poly:
     tokens = _tokenize(text)
     if not tokens:
@@ -67,7 +78,7 @@ def parse_poly(text: str, table: VarTable) -> Poly:
         kind, value, where = peek()
         if kind == "int":
             pos += 1
-            return Poly.const(table, int(value))
+            return Poly.const(table, _integer(value, where))
         if kind == "name":
             if value not in table.names:
                 raise ParseError(f"unknown variable {value!r}", where)
@@ -78,17 +89,20 @@ def parse_poly(text: str, table: VarTable) -> Poly:
                 k, v, w = peek()
                 if k != "int":
                     raise ParseError("expected an integer exponent", w)
-                exp = int(v)
+                exp = _integer(v, w)
                 pos += 1
             return Poly.var(table, value, exp)
         raise ParseError("expected a coefficient or variable", where)
 
     def term() -> Poly:
         nonlocal pos
+        where = peek()[2]
         out = factor()
         while peek()[0] == "mul":
             pos += 1
             out = out * factor()
+        if any(e > MAX_EXPONENT for mono in out.terms for e in mono):
+            raise ParseError(f"exponent above {MAX_EXPONENT}", where)
         return out
 
     total = Poly.zero(table)

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from equichow.cli import main
+from equichow.jobfile import MAX_ORACLE_TRIALS
 
 JOBS = os.path.join(os.path.dirname(__file__), "..", "jobs")
 
@@ -46,6 +47,76 @@ def test_push_rejects_equal_weights(tmp_path, capsys):
     code, _, err = run_cli(["push", str(job)], capsys)
     assert code == 2
     assert "error" in err
+
+
+def push_job(factor="factor d=1 w0=g1 w1=g2 h=h1", cls="1", options=""):
+    return (
+        "[vars]\nh 1\ng1 1\ng2 1\nh1 1\n"
+        f"[space]\n{factor}\n"
+        "[map]\nexponents = 3\ntarget_h = h\n"
+        f"[class]\n{cls}\n[options]\noracle_trials = 5\n{options}"
+    )
+
+
+@pytest.mark.parametrize(
+    "factor",
+    [
+        "factor d=1 w0=h w1=g2 h=h1",
+        "factor d=1 w0=h1 w1=g2 h=h1",
+        "factor d=1 w0=h1 w1=2*h1 h=h1",
+    ],
+    ids=["target-hvar", "own-hvar", "only-hvars"],
+)
+def test_push_rejects_hyperplane_variable_in_weight(tmp_path, capsys, factor):
+    job = tmp_path / "bad.job"
+    job.write_text(push_job(factor=factor))
+    code, out, err = run_cli(["push", str(job)], capsys)
+    assert (code, out) == (2, "")
+    assert "hyperplane variable" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        push_job(cls="h1^100000000"),
+        push_job(cls="h1^20*h1^20"),
+        push_job(factor="factor d=400 w0=g1 w1=g2 h=h1"),
+        push_job(options="oracle_trials = 100000000\n"),
+    ],
+    ids=["exponent", "exponent-product", "dimension", "trials"],
+)
+def test_push_rejects_oversized_job(tmp_path, capsys, text):
+    job = tmp_path / "big.job"
+    job.write_text(text)
+    code, out, err = run_cli(["push", str(job)], capsys)
+    assert (code, out) == (2, "")
+    assert "error" in err
+
+
+def test_push_rejects_too_many_fixed_points(tmp_path, capsys):
+    # 7 factors of degree 1: target degree 7 but 2^7 source fixed points
+    names = [f"u{k}" for k in range(1, 8)]
+    job = tmp_path / "many.job"
+    job.write_text(
+        "[vars]\nh 1\ng1 1\ng2 1\n"
+        + "".join(f"{n} 1\n" for n in names)
+        + "[space]\n"
+        + "".join(f"factor d=1 w0=g1 w1=g2 h={n}\n" for n in names)
+        + "[map]\nexponents = " + " ".join("1" for _ in names) + "\n[class]\n1\n"
+    )
+    code, out, err = run_cli(["push", str(job)], capsys)
+    assert (code, out) == (2, "")
+    assert "fixed points" in err
+
+
+def test_oracle_trials_flag_is_capped(capsys):
+    job = os.path.join(JOBS, "cubing.job")
+    with pytest.raises(SystemExit) as info:
+        main(["push", job, "--oracle-trials", str(MAX_ORACLE_TRIALS + 1)])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"must be <= {MAX_ORACLE_TRIALS}" in captured.err
 
 
 def test_push_missing_file(capsys):

@@ -246,6 +246,47 @@ def test_oracle_rejects_corrupted_value():
     )
 
 
+def three_factor_product():
+    t = VarTable(
+        [("g1", 1), ("g2", 1), ("g3", 1)]
+        + [(f"u{k}", 1) for k in (1, 2, 3)]
+        + [(f"h{k}", 1) for k in (1, 2, 3)]
+    )
+    g1, g2, g3 = (Poly.var(t, n) for n in ("g1", "g2", "g3"))
+    src = SpaceDescriptor(
+        [
+            SpaceFactor(1, g1, g2, "u1"),
+            SpaceFactor(2, g2, Poly.zero(t), "u2"),
+            SpaceFactor(1, g1 + g2, g3, "u3"),
+        ]
+    )
+    return t, MapDescriptor.product(src, [2, 1, 3])
+
+
+def test_oracle_accepts_product_maps():
+    t, product = three_factor_product()
+    u1, u2, u3, g3 = (Poly.var(t, n) for n in ("u1", "u2", "u3", "g3"))
+    for cls in (Poly.const(t, 1), u1 * u2**2 + g3 * u3, u1 * u2 * u3):
+        assert specialize_oracle(product, cls, trials=10, seed=3)
+    two = MapDescriptor.product(
+        SpaceDescriptor(product.source.factors[:2]), [3, 2], ["h1", "h2"]
+    )
+    assert specialize_oracle(two, u1 * u2, trials=10, seed=4)
+
+
+def test_oracle_rejects_corruption_of_the_right_degree():
+    t, product = three_factor_product()
+    u2 = Poly.var(t, "u2")
+    cases = [(mixed_map(), H1 * H1, G1), (product, u2, Poly.var(t, "g1"))]
+    for mapping, cls, g in cases:
+        good = pushforward(mapping, cls)
+        corrupted = good + g ** good.homogeneous_grade()
+        assert specialize_oracle(mapping, cls, trials=20, seed=0, symbolic=good)
+        assert not specialize_oracle(
+            mapping, cls, trials=20, seed=0, symbolic=corrupted
+        )
+
+
 def test_oracle_handles_zero_weight():
     t = VarTable([("d", 1), ("u1", 1), ("h", 1)])
     d = Poly.var(t, "d")

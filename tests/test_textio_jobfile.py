@@ -8,6 +8,7 @@ from equichow.jobfile import (
     parse_push_job,
     parse_square_job,
 )
+from equichow.textio import MAX_EXPONENT
 from conftest import random_poly
 
 TABLE = VarTable([("l1", 1), ("l2", 2), ("d1", 1)])
@@ -43,6 +44,17 @@ def test_parse_errors_are_positional():
         parse_poly("", TABLE)
     with pytest.raises(ParseError):
         parse_poly("l1 @ l2", TABLE)
+
+
+def test_parse_caps_exponents_and_literals():
+    top = Poly.var(TABLE, "l1", MAX_EXPONENT)
+    assert parse_poly(f"l1^{MAX_EXPONENT}", TABLE) == top
+    with pytest.raises(ParseError):
+        parse_poly(f"l1^{MAX_EXPONENT + 1}", TABLE)
+    with pytest.raises(ParseError):
+        parse_poly(f"d1*l1^{MAX_EXPONENT}*l1", TABLE)
+    with pytest.raises(ParseError):
+        parse_poly("1" * 5000 + "*l1", TABLE)
 
 
 PUSH_JOB = """
