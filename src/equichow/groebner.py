@@ -11,8 +11,11 @@ and membership decidable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from heapq import heapify, heappop, heappush
+from math import lcm
+from operator import add, le, sub
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .poly import Monomial, Poly, PolyError, TableMismatch, VarTable
 
@@ -59,36 +62,41 @@ class MonomialOrder:
         return grevlex_key
 
 
-def leading_term(p: Poly, order: MonomialOrder) -> Tuple[Monomial, int]:
+Lead = Tuple[Monomial, int, Poly]
+"""A basis element with its leading monomial and leading coefficient,
+negated where needed so that the coefficient is positive."""
+
+
+def _lead(p: Poly, key: Callable[[Monomial], tuple]) -> Lead:
     if p.is_zero():
         raise PolyError("zero polynomial has no leading term")
-    key = order.key(p.table)
     mono = max(p.terms, key=key)
-    return mono, p.terms[mono]
+    coeff = p.terms[mono]
+    return (mono, coeff, p) if coeff > 0 else (mono, -coeff, -p)
+
+
+class _KeyCache(dict):
+    """Order keys of the monomials met during one call, computed once each."""
+
+    def __init__(self, key: Callable[[Monomial], tuple]):
+        super().__init__()
+        self.key = key
+
+    def __missing__(self, mono: Monomial) -> tuple:
+        value = self[mono] = self.key(mono)
+        return value
 
 
 def _mono_divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _mono_sub(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def _shift(p: Poly, mono: Monomial, coeff: int) -> Poly:
-    return Poly(
-        p.table,
-        {tuple(a + b for a, b in zip(m, mono)): c * coeff for m, c in p.terms.items()},
-    )
-
-
-def _positive_lead(p: Poly, order: MonomialOrder) -> Poly:
-    _, lc = leading_term(p, order)
-    return -p if lc < 0 else p
+    return tuple(map(max, a, b))
 
 
 @dataclass(frozen=True)
@@ -104,23 +112,35 @@ class IdealBasis:
     def table(self) -> VarTable:
         return self.polys[0].table
 
+    @cached_property
+    def _division(self) -> Tuple[Callable[[Monomial], tuple], Tuple[Lead, ...]]:
+        """The order key and the positive leads, computed once per basis."""
+        key = self.order.key(self.table)
+        return key, tuple(_lead(g, key) for g in self.polys)
 
-def spolynomial(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
+
+def _combination(f: Lead, a: int, g: Lead, b: int) -> Poly:
+    """a*(m/LM f)*f + b*(m/LM g)*g for m = lcm(LM f, LM g)."""
+    m = _mono_lcm(f[0], g[0])
+    terms: Dict[Monomial, int] = {}
+    for (lm, _, p), c in ((f, a), (g, b)):
+        shift = _mono_sub(m, lm)
+        for mono, coeff in p.terms.items():
+            k = tuple(map(add, mono, shift))
+            terms[k] = terms.get(k, 0) + c * coeff
+    return Poly(f[2].table, terms)
+
+
+def spolynomial(f: Lead, g: Lead) -> Poly:
     """Cancel the leading terms using lcm of coefficients and monomials."""
-    mf, cf = leading_term(f, order)
-    mg, cg = leading_term(g, order)
-    m = _mono_lcm(mf, mg)
-    c = cf * cg // gcd(cf, cg)
-    return _shift(f, _mono_sub(m, mf), c // cf) - _shift(g, _mono_sub(m, mg), c // cg)
+    c = lcm(f[1], g[1])
+    return _combination(f, c // f[1], g, -(c // g[1]))
 
 
-def gpolynomial(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
+def gpolynomial(f: Lead, g: Lead) -> Poly:
     """Combine the leading terms into gcd(lc f, lc g) times the lcm monomial."""
-    mf, cf = leading_term(f, order)
-    mg, cg = leading_term(g, order)
-    m = _mono_lcm(mf, mg)
-    s, t = _bezout(cf, cg)
-    return _shift(f, _mono_sub(m, mf), s) + _shift(g, _mono_sub(m, mg), t)
+    s, t = _bezout(f[1], g[1])
+    return _combination(f, s, g, t)
 
 
 def _bezout(a: int, b: int) -> Tuple[int, int]:
@@ -137,35 +157,33 @@ def _bezout(a: int, b: int) -> Tuple[int, int]:
     return old_s, old_t
 
 
-def _reduce(p: Poly, basis: Sequence[Poly], order: MonomialOrder) -> Poly:
+def _reduce(p: Poly, leads: Sequence[Lead], key: Callable[[Monomial], tuple]) -> Poly:
     """Full division remainder: every coefficient of the result is the
-    canonical Euclidean remainder modulo the applicable leading coefficients."""
-    if not basis:
+    canonical Euclidean remainder modulo the applicable leading coefficients.
+    Each term is divided by the dividing lead of smallest coefficient, the
+    first one on a tie."""
+    if not leads:
         return p
-    table = p.table
-    key = order.key(table)
-    normalized = [_positive_lead(g, order) for g in basis]
-    leads = [(leading_term(g, order), g) for g in normalized]
     work = dict(p.terms)
     out: Dict[Monomial, int] = {}
     while work:
         mono = max(work, key=key)
         coeff = work.pop(mono)
-        best: Optional[Tuple[int, Poly, Monomial]] = None
-        for (gm, gc), g in leads:
-            if _mono_divides(gm, mono) and (best is None or gc < best[0]):
-                best = (gc, g, gm)
+        best: Optional[Lead] = None
+        for lead in leads:
+            if (best is None or lead[1] < best[1]) and all(map(le, lead[0], mono)):
+                best = lead
         if best is None:
             out[mono] = coeff
             continue
-        gc, g, gm = best
+        gm, gc, g = best
         q, r = divmod(coeff, gc)
         if q:
             shift = _mono_sub(mono, gm)
             for m2, c2 in g.terms.items():
                 if m2 == gm:
                     continue
-                k = tuple(a + b for a, b in zip(shift, m2))
+                k = tuple(map(add, shift, m2))
                 val = work.get(k, 0) - q * c2
                 if val:
                     work[k] = val
@@ -173,14 +191,17 @@ def _reduce(p: Poly, basis: Sequence[Poly], order: MonomialOrder) -> Poly:
                     del work[k]
         if r:
             out[mono] = r
-    return Poly(table, out)
+    return Poly(p.table, out)
 
 
 def strong_groebner(gens: Sequence[Poly], order: MonomialOrder) -> IdealBasis:
     """Complete `gens` to a strong Groebner basis over Z.
 
-    Deterministic for a fixed input sequence and order.  The empty input
-    yields the zero ideal (an empty basis).
+    Pairs are taken in order of the grade of the lcm of their leading
+    monomials (Buchberger's normal strategy), oldest first on a tie.  The
+    result is the reduced basis sorted by leading term, so it depends only
+    on the ideal and the order, not on the order of `gens`.  The empty
+    input yields the zero ideal (an empty basis).
     """
     polys = [g for g in gens if not g.is_zero()]
     if not polys:
@@ -189,63 +210,60 @@ def strong_groebner(gens: Sequence[Poly], order: MonomialOrder) -> IdealBasis:
     for g in polys:
         if g.table != table:
             raise TableMismatch("generators use different variable tables")
+    key = _KeyCache(order.key(table)).__getitem__
 
-    basis: List[Poly] = []
+    basis: List[Lead] = []
     for g in polys:
-        g = _positive_lead(g, order)
-        if g not in basis:
-            basis.append(g)
+        lead = _lead(g, key)
+        if all(lead[2] != b[2] for b in basis):
+            basis.append(lead)
 
-    pairs: List[Tuple[int, int]] = [
-        (i, j) for j in range(len(basis)) for i in range(j)
-    ]
-    pos = 0
-    while pos < len(pairs):
-        i, j = pairs[pos]
-        pos += 1
+    def pair(i: int, j: int) -> Tuple[int, int, int]:
+        return table.grade(_mono_lcm(basis[i][0], basis[j][0])), j, i
+
+    pairs = [pair(i, j) for j in range(len(basis)) for i in range(j)]
+    heapify(pairs)
+    while pairs:
+        _, j, i = heappop(pairs)
         f, g = basis[i], basis[j]
-        _, cf = leading_term(f, order)
-        _, cg = leading_term(g, order)
-        candidates = [spolynomial(f, g, order)]
-        if cf % cg and cg % cf:
-            candidates.append(gpolynomial(f, g, order))
+        candidates = [spolynomial(f, g)]
+        if f[1] % g[1] and g[1] % f[1]:
+            candidates.append(gpolynomial(f, g))
         for cand in candidates:
-            rem = _reduce(cand, basis, order)
+            rem = _reduce(cand, basis, key)
             if rem.is_zero():
                 continue
-            rem = _positive_lead(rem, order)
-            basis.append(rem)
+            basis.append(_lead(rem, key))
             new = len(basis) - 1
-            pairs.extend((k, new) for k in range(new))
+            for k in range(new):
+                heappush(pairs, pair(k, new))
 
-    return IdealBasis(tuple(_minimize(basis, order)), order, True)
+    reduced = _minimize(basis, key)
+    reduced.sort(key=lambda lead: (key(lead[0]), lead[1]))
+    return IdealBasis(tuple(p for _, _, p in reduced), order, True)
 
 
-def _minimize(basis: List[Poly], order: MonomialOrder) -> List[Poly]:
+def _minimize(basis: List[Lead], key: Callable[[Monomial], tuple]) -> List[Lead]:
     """Drop generators whose leading term is a term-multiple of another's,
     then reduce each tail; both steps preserve strongness and the ideal."""
-    kept: List[Poly] = []
-    leads = [leading_term(g, order) for g in basis]
-    for idx, g in enumerate(basis):
-        gm, gc = leads[idx]
+    kept: List[Lead] = []
+    for idx, (gm, gc, g) in enumerate(basis):
         redundant = False
-        for jdx, h in enumerate(basis):
+        for jdx, (hm, hc, _) in enumerate(basis):
             if jdx == idx:
                 continue
-            hm, hc = leads[jdx]
             if _mono_divides(hm, gm) and gc % hc == 0:
                 if (hm, hc) == (gm, gc) and jdx > idx:
                     continue
                 redundant = True
                 break
         if not redundant:
-            kept.append(g)
+            kept.append((gm, gc, g))
     reduced = []
-    for idx, g in enumerate(kept):
+    for idx, (gm, gc, g) in enumerate(kept):
         others = kept[:idx] + kept[idx + 1 :]
-        gm, gc = leading_term(g, order)
-        tail = _reduce(g - Poly(g.table, {gm: gc}), others, order)
-        reduced.append(Poly(g.table, {**tail.terms, gm: gc}))
+        tail = _reduce(g - Poly(g.table, {gm: gc}), others, key)
+        reduced.append((gm, gc, Poly(g.table, {**tail.terms, gm: gc})))
     return reduced
 
 
@@ -260,19 +278,21 @@ def normal_form(p: Poly, basis: IdealBasis) -> Poly:
         return p
     if p.table != basis.table:
         raise TableMismatch("polynomial and basis use different tables")
-    return _reduce(p, basis.polys, basis.order)
+    key, leads = basis._division
+    return _reduce(p, leads, _KeyCache(key).__getitem__)
 
 
 def verify_strong(basis: IdealBasis) -> bool:
     """Check the defining property: every S- and G-polynomial reduces to 0."""
-    polys = basis.polys
-    for j in range(len(polys)):
+    if not basis.polys:
+        return True
+    key, leads = basis._division
+    key = _KeyCache(key).__getitem__
+    for j in range(len(leads)):
         for i in range(j):
-            s = _reduce(spolynomial(polys[i], polys[j], basis.order), polys, basis.order)
-            if not s.is_zero():
+            if not _reduce(spolynomial(leads[i], leads[j]), leads, key).is_zero():
                 return False
-            g = _reduce(gpolynomial(polys[i], polys[j], basis.order), polys, basis.order)
-            if not g.is_zero():
+            if not _reduce(gpolynomial(leads[i], leads[j]), leads, key).is_zero():
                 return False
     return True
 

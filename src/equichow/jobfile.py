@@ -98,7 +98,13 @@ def _parse_vars(entries: Sequence[Tuple[int, str]]) -> VarTable:
         parts = line.split()
         if len(parts) != 2 or not parts[1].isdigit():
             raise ParseError(f"line {lineno}: expected '<name> <degree>'")
-        pairs.append((parts[0], int(parts[1])))
+        try:
+            # isdigit() also accepts digits that int() refuses, such as
+            # superscripts, and int() refuses over 4300 digits
+            degree = int(parts[1])
+        except ValueError:
+            raise ParseError(f"line {lineno}: expected '<name> <degree>'") from None
+        pairs.append((parts[0], degree))
     try:
         return VarTable(pairs)
     except PolyError as exc:

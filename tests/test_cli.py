@@ -145,6 +145,36 @@ def test_nf_parse_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("degree", ["\u00b2", "1" * 5000], ids=["superscript", "5000-digits"])
+def test_nf_rejects_degree_int_refuses(tmp_path, capsys, degree):
+    gens = tmp_path / "bad.gens"
+    gens.write_text(f"[vars]\nx {degree}\n[ideal]\ngen = x\n", encoding="utf-8")
+    code, out, err = run_cli(["nf", "--gens", str(gens), "x"], capsys)
+    assert (code, out) == (2, "")
+    assert "error" in err
+
+
+def test_nf_finishes_on_inhomogeneous_ideal(tmp_path):
+    """Completing this ideal in pair-arrival order grew a basis of hundreds
+    of elements with coefficients of thousands of bits; taking pairs by
+    lcm degree finishes at once."""
+    gens = tmp_path / "inhomogeneous.gens"
+    gens.write_text(
+        "[vars]\nx 1\ny 1\n[ideal]\n"
+        "gen = -4*x^2 - 2*y^2 - 4*x - 3*y - 3\n"
+        "gen = -3*x*y + 2*y\n"
+        "gen = 3*x^2 - 3*x + 3*y - 2\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "equichow", "nf", "--gens", str(gens), "x^3"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "171267"
+
+
 def test_fiber_check_passes(capsys):
     job = os.path.join(JOBS, "patch_square.job")
     code, out, _ = run_cli(["fiber-check", job, "--degree-bound", "3"], capsys)

@@ -1,6 +1,9 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equichow import (
     MonomialOrder,
@@ -14,6 +17,7 @@ from equichow import (
 )
 from equichow.groebner import IdealBasis, verify_strong
 from equichow.intlinalg import IntegerSolver, from_columns
+from equichow.pipeline import double_triple_value, eliminated_node_ideal
 from conftest import random_homogeneous
 
 
@@ -224,3 +228,70 @@ def test_basis_generates_same_ideal_cross_checked(ambient_table):
         for b in basis.polys:
             if b.homogeneous_grade() is not None and b.max_grade() <= 4:
                 assert _naive_membership(b, gens)
+
+
+XY = VarTable([("x", 1), ("y", 1)])
+XY_MONOS = [m for d in range(3) for m in XY.monomials_of_grade(d)]
+
+
+def test_inhomogeneous_basis_is_pinned():
+    """An ideal whose completion in pair-arrival order ran for minutes."""
+    x, y = v(XY, "x"), v(XY, "y")
+    gens = [
+        -4 * x**2 - 2 * y**2 - 4 * x - 3 * y - 3,
+        -3 * x * y + 2 * y,
+        3 * x**2 - 3 * x + 3 * y - 2,
+    ]
+    basis = strong_groebner(gens, MonomialOrder.grevlex(XY))
+    one = Poly.const(XY, 1)
+    assert basis.polys == (296411 * one, x + 233277, y + 98908)
+    assert normal_form(x**3, basis) == 171267 * one
+
+
+def test_normal_form_normalizes_caller_basis_leads(involution_ideal, boundary_table):
+    order = MonomialOrder.grevlex(boundary_table)
+    basis = strong_groebner(involution_ideal, order)
+    negated = IdealBasis(tuple(-g for g in basis.polys), order, True)
+    x, l1 = v(boundary_table, "x"), v(boundary_table, "l1")
+    for p in (x**3, 3 * x**2 + l1, 5 * x - 7):
+        assert normal_form(p, negated) == normal_form(p, basis)
+
+
+def test_basis_does_not_depend_on_generator_order(fixtures):
+    relations = list(eliminated_node_ideal(fixtures)) + [
+        fixtures.triple_root_class,
+        fixtures.residual_class,
+        double_triple_value(fixtures),
+    ]
+    assert len(relations) == 6
+    order = MonomialOrder.grevlex(fixtures.ambient)
+    want = strong_groebner(fixtures.final_ideal, order).polys
+    orderings = random.Random(6).sample(list(itertools.permutations(range(6))), 12)
+    for perm in orderings:
+        assert strong_groebner([relations[i] for i in perm], order).polys == want
+
+
+coefficients = st.integers(-4, 4)
+xy_polys = st.lists(coefficients, min_size=len(XY_MONOS), max_size=len(XY_MONOS)).map(
+    lambda cs: Poly(XY, dict(zip(XY_MONOS, cs)))
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    gens=st.lists(xy_polys, min_size=1, max_size=3),
+    p=xy_polys,
+    multipliers=st.lists(xy_polys, min_size=3, max_size=3),
+)
+def test_random_ideal_properties(gens, p, multipliers):
+    basis = strong_groebner(gens, MonomialOrder.grevlex(XY))
+    assert verify_strong(basis)
+    for g in gens:
+        assert normal_form(g, basis).is_zero()
+    nf = normal_form(p, basis)
+    assert normal_form(nf, basis) == nf
+    member = Poly.zero(XY)
+    for g, m in zip(gens, multipliers):
+        member = member + m * g
+    assert normal_form(member, basis).is_zero()
+    assert normal_form(p + member, basis) == nf

@@ -141,6 +141,12 @@ gen = x^2 + l1*x
     assert again.generators == job.generators
 
 
+@pytest.mark.parametrize("degree", ["\u00b2", "1" * 5000], ids=["superscript", "5000-digits"])
+def test_ideal_job_rejects_degree_int_refuses(degree):
+    with pytest.raises(ParseError):
+        parse_ideal_job(f"[vars]\nx {degree}\n[ideal]\ngen = x\n")
+
+
 def test_square_job(tmp_path):
     with open("jobs/patch_square.job", "r", encoding="utf-8") as fh:
         job = parse_square_job(fh.read())
