@@ -3,17 +3,14 @@ for deriving the integral Chow ring presentation of the moduli of stable
 genus-two curves."""
 
 from .groebner import (
-    IdealBasis,
     MonomialOrder,
     ideal_contains,
     ideal_equal,
     normal_form,
     strong_groebner,
 )
-from .intlinalg import SmithDecomposition, smith_normal_form
 from .localization import (
     DenominatorResidue,
-    LocalizedElement,
     MapDescriptor,
     SpaceDescriptor,
     SpaceFactor,
@@ -25,7 +22,6 @@ from .localization import (
     specialize_oracle,
     tangent_euler,
 )
-from .pipeline import Fixtures, PipelineReport, StepReport, run_all
 from .poly import (
     GradeMismatch,
     NotDivisible,
@@ -38,15 +34,10 @@ from .poly import (
     to_elementary_symmetric,
 )
 from .presentation import (
-    CartesianSquareSpec,
-    CharacterBasis,
-    GradedPieceReport,
     RingHom,
     RingPresentation,
     c1_of_character,
     graded_piece_invariants,
-    gysin_boundary_to_total,
-    hom_apply,
     nonzerodivisor_up_to,
     verify_cartesian,
 )
@@ -55,36 +46,25 @@ from .textio import ParseError, parse_poly
 __version__ = "0.1.0"
 
 __all__ = [
-    "CartesianSquareSpec",
-    "CharacterBasis",
     "DenominatorResidue",
-    "Fixtures",
     "GradeMismatch",
-    "GradedPieceReport",
-    "IdealBasis",
-    "LocalizedElement",
     "MapDescriptor",
     "MonomialOrder",
     "NotDivisible",
     "NotSymmetric",
     "ParseError",
-    "PipelineReport",
     "Poly",
     "PolyError",
     "RingHom",
     "RingPresentation",
-    "SmithDecomposition",
     "SpaceDescriptor",
     "SpaceFactor",
-    "StepReport",
     "TableMismatch",
     "VarTable",
     "c1_of_character",
     "enumerate_fixed_points",
     "exact_divide",
     "graded_piece_invariants",
-    "gysin_boundary_to_total",
-    "hom_apply",
     "ideal_contains",
     "ideal_equal",
     "map_image_fixed_point",
@@ -94,8 +74,6 @@ __all__ = [
     "point_class",
     "pushforward",
     "restrict_hyperplane",
-    "run_all",
-    "smith_normal_form",
     "specialize_oracle",
     "strong_groebner",
     "tangent_euler",

@@ -1,9 +1,8 @@
-"""Exact integer linear algebra: Smith normal form, solving, lattices.
+"""Exact integer linear algebra: Smith normal form, kernels, lattices.
 
 Matrices are plain lists of rows of Python ints, so nothing ever overflows
 or rounds.  The Smith routine tracks the unimodular row/column transforms
-(and, on request, their inverses) by applying every elementary operation to
-the bookkeeping matrices as well.
+by applying every elementary operation to the bookkeeping matrices as well.
 """
 
 from __future__ import annotations
@@ -67,17 +66,13 @@ def determinant(a: Matrix) -> int:
 class SmithDecomposition:
     """D = U * M * V with U, V unimodular and D diagonal, d1 | d2 | ...
 
-    `factors` lists the nonzero diagonal entries (all positive).  `uinv`
-    and `vinv` are filled only when the decomposition was computed with
-    `want_inverses=True`.
+    `factors` lists the nonzero diagonal entries (all positive).
     """
 
     factors: Tuple[int, ...]
     u: Matrix
     v: Matrix
     shape: Tuple[int, int]
-    uinv: Optional[Matrix] = None
-    vinv: Optional[Matrix] = None
 
     @property
     def rank(self) -> int:
@@ -91,7 +86,7 @@ class SmithDecomposition:
         return d
 
 
-def smith_normal_form(m: Matrix, want_inverses: bool = False) -> SmithDecomposition:
+def smith_normal_form(m: Matrix) -> SmithDecomposition:
     """Diagonalize an integer matrix by unimodular row/column operations.
 
     Pivot choice is the smallest nonzero absolute value of the remaining
@@ -106,17 +101,12 @@ def smith_normal_form(m: Matrix, want_inverses: bool = False) -> SmithDecomposit
     a = [row[:] for row in m]
     u = identity(rows)
     v = identity(cols)
-    uinv = identity(rows) if want_inverses else None
-    vinv = identity(cols) if want_inverses else None
 
     def swap_rows(i, j):
         if i == j:
             return
         a[i], a[j] = a[j], a[i]
         u[i], u[j] = u[j], u[i]
-        if uinv is not None:
-            for r in range(rows):
-                uinv[r][i], uinv[r][j] = uinv[r][j], uinv[r][i]
 
     def swap_cols(i, j):
         if i == j:
@@ -125,8 +115,6 @@ def smith_normal_form(m: Matrix, want_inverses: bool = False) -> SmithDecomposit
             a[r][i], a[r][j] = a[r][j], a[r][i]
         for r in range(cols):
             v[r][i], v[r][j] = v[r][j], v[r][i]
-        if vinv is not None:
-            vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def add_row(src, dst, q):
         # row dst += q * row src
@@ -138,9 +126,6 @@ def smith_normal_form(m: Matrix, want_inverses: bool = False) -> SmithDecomposit
         urow, usrc = u[dst], u[src]
         for k in range(rows):
             urow[k] += q * usrc[k]
-        if uinv is not None:
-            for r in range(rows):
-                uinv[r][src] -= q * uinv[r][dst]
 
     def add_col(src, dst, q):
         # col dst += q * col src
@@ -150,17 +135,10 @@ def smith_normal_form(m: Matrix, want_inverses: bool = False) -> SmithDecomposit
             a[r][dst] += q * a[r][src]
         for r in range(cols):
             v[r][dst] += q * v[r][src]
-        if vinv is not None:
-            vrow, vdst = vinv[src], vinv[dst]
-            for k in range(cols):
-                vrow[k] -= q * vdst[k]
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
         u[i] = [-x for x in u[i]]
-        if uinv is not None:
-            for r in range(rows):
-                uinv[r][i] = -uinv[r][i]
 
     def balanced_quotient(value, pivot):
         q, r = divmod(value, pivot)
@@ -232,43 +210,11 @@ def smith_normal_form(m: Matrix, want_inverses: bool = False) -> SmithDecomposit
         t += 1
 
     factors = tuple(a[i][i] for i in range(t) if a[i][i])
-    return SmithDecomposition(factors, u, v, (rows, cols), uinv, vinv)
+    return SmithDecomposition(factors, u, v, (rows, cols))
 
 
 def invariant_factors(m: Matrix) -> Tuple[int, ...]:
     return smith_normal_form(m).factors
-
-
-class IntegerSolver:
-    """Repeated exact solving of A x = b from a single decomposition."""
-
-    def __init__(self, a: Matrix):
-        self.rows = len(a)
-        self.cols = len(a[0]) if self.rows else 0
-        self.dec = smith_normal_form(a)
-
-    def _diagonal_solution(self, b: Sequence[int]) -> Optional[List[int]]:
-        """y with D y = U b, or None when none exists; then x = V y."""
-        d = self.dec
-        c = mat_vec(d.u, b)
-        y = [0] * self.cols
-        for i in range(self.rows):
-            if i < len(d.factors):
-                if c[i] % d.factors[i]:
-                    return None
-                if i < self.cols:
-                    y[i] = c[i] // d.factors[i]
-            elif c[i]:
-                return None
-        return y
-
-    def solve(self, b: Sequence[int]) -> Optional[List[int]]:
-        """One integer solution of A x = b, or None when none exists."""
-        y = self._diagonal_solution(b)
-        return None if y is None else mat_vec(self.dec.v, y)
-
-    def solvable(self, b: Sequence[int]) -> bool:
-        return self._diagonal_solution(b) is not None
 
 
 def kernel_basis(a: Matrix) -> List[List[int]]:
@@ -283,17 +229,34 @@ def kernel_basis(a: Matrix) -> List[List[int]]:
     return [[dec.v[i][j] for i in range(cols)] for j in range(dec.rank, cols)]
 
 
-def column_lattice_basis(columns: Sequence[Sequence[int]], dim: int) -> List[List[int]]:
-    """A basis of the lattice spanned by the given vectors in Z^dim."""
-    live = [c for c in columns if any(c)]
-    if not live:
-        return []
-    a = from_columns(live, dim)
-    dec = smith_normal_form(a, want_inverses=True)
-    basis = []
-    for i, f in enumerate(dec.factors):
-        basis.append([dec.uinv[r][i] * f for r in range(dim)])
-    return basis
+class Lattice:
+    """The sublattice of Z^dim spanned by integer columns.
+
+    With M the matrix of the non-zero columns and U M V = D its Smith
+    decomposition, the first `rank` columns of M V are a basis of the
+    lattice (the later ones are zero), and `coordinates` works in that basis.
+    """
+
+    def __init__(self, columns: Sequence[Sequence[int]], dim: int):
+        live = [c for c in columns if any(c)]
+        self.dec = smith_normal_form(from_columns(live, dim))
+        self.rank = self.dec.rank
+
+    def coordinates(self, v: Sequence[int]) -> Optional[List[int]]:
+        """y = D^-1 U v truncated to the rank, so that v is (M V) y over the
+        first `rank` columns of M V; None when v is not in the lattice."""
+        factors = self.dec.factors
+        y = []
+        for i, c in enumerate(mat_vec(self.dec.u, v)):
+            if i >= len(factors):
+                if c:
+                    return None
+                continue
+            q, r = divmod(c, factors[i])
+            if r:
+                return None
+            y.append(q)
+        return y
 
 
 def quotient_invariants(

@@ -222,6 +222,15 @@ def parse_push_job(text: str) -> PushJob:
     for side in (mapping.source, mapping.target):
         if math.prod(f.d + 1 for f in side.factors) > MAX_FIXED_POINTS:
             raise ParseError(f"more than {MAX_FIXED_POINTS} fixed points")
+    # A term of higher degree in the hyperplane classes vanishes on the
+    # source, and the pushforward's work grows with that degree.
+    h_index = [table.index(h) for h in space.hvars]
+    for mono in cls.terms:
+        if sum(mono[i] for i in h_index) > space.dimension:
+            raise ParseError(
+                f"class term of degree above the source dimension {space.dimension}"
+                f" in {', '.join(space.hvars)}"
+            )
     return PushJob(table, space, mapping, cls, options, product, exponents, target_h)
 
 

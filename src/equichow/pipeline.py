@@ -18,6 +18,7 @@ computable restrictions and labels the rest informational.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -604,7 +605,15 @@ def run_all(
         try:
             result = fn(*args)
         except Exception as exc:  # a failed step must not kill the report
-            result = StepReport(name, MISMATCH, f"error: {exc}", "no error")
+            site = exc.__traceback__
+            while site.tb_next is not None:
+                site = site.tb_next
+            code = site.tb_frame.f_code
+            raised = (
+                f"{type(exc).__name__} at {os.path.basename(code.co_filename)}:"
+                f"{site.tb_lineno} in {code.co_name}"
+            )
+            result = StepReport(name, MISMATCH, f"error: {exc}", "no error", (raised,))
         elapsed = time.perf_counter() - start
         if isinstance(result, StepReport):
             result = [result]

@@ -12,16 +12,11 @@ pushforward between the two boundary presentations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .groebner import IdealBasis, MonomialOrder, normal_form, strong_groebner
-from .intlinalg import (
-    IntegerSolver,
-    column_lattice_basis,
-    from_columns,
-    preimage_generators,
-    quotient_invariants,
-)
+from .intlinalg import Lattice, from_columns, preimage_generators, quotient_invariants
 from .poly import GradeMismatch, Poly, PolyError, VarTable
 
 
@@ -61,31 +56,45 @@ class RingPresentation:
     def contains(self, p: Poly) -> bool:
         return self.normal_form(p).is_zero()
 
-    def relation_columns(self, n: int) -> List[List[int]]:
-        """Degree-n integer span of the ideal: one column per relation times
-        monomial product, in the degree-n monomial basis."""
-        monos = self.table.monomials_of_grade(n)
-        index = {m: i for i, m in enumerate(monos)}
-        columns = []
-        for rel in self.relations:
-            g = rel.homogeneous_grade()
-            for m in self.table.monomials_of_grade(n - g):
-                shifted = rel * Poly(self.table, {m: 1})
-                col = [0] * len(monos)
-                for mono, coeff in shifted.terms.items():
-                    col[index[mono]] = coeff
-                columns.append(col)
-        return columns
+    def piece(self, n: int) -> GradedPiece:
+        return GradedPiece(self, n)
 
-    def poly_vector(self, p: Poly, n: int) -> List[int]:
-        monos = self.table.monomials_of_grade(n)
-        vec = [0] * len(monos)
-        index = {m: i for i, m in enumerate(monos)}
+
+class GradedPiece:
+    """The degree-n piece of a presentation over its monomial basis."""
+
+    def __init__(self, pres: RingPresentation, n: int):
+        self.pres = pres
+        self.degree = n
+        self.monomials = pres.table.monomials_of_grade(n)
+        self._index = {m: i for i, m in enumerate(self.monomials)}
+
+    @cached_property
+    def relations(self) -> List[List[int]]:
+        """Columns spanning the ideal in degree n: one per relation times
+        monomial of the complementary degree."""
+        table = self.pres.table
+        return [
+            self.vector(rel * Poly(table, {m: 1}))
+            for rel in self.pres.relations
+            for m in table.monomials_of_grade(self.degree - rel.homogeneous_grade())
+        ]
+
+    def vector(self, p: Poly) -> List[int]:
+        vec = [0] * len(self.monomials)
         for mono, coeff in p.terms.items():
-            if self.table.grade(mono) != n:
-                raise GradeMismatch("vectorizing an inhomogeneous polynomial")
-            vec[index[mono]] = coeff
+            i = self._index.get(mono)
+            if i is None:
+                raise GradeMismatch(f"vectorizing a term outside degree {self.degree}")
+            vec[i] = coeff
         return vec
+
+    def image_columns(
+        self, source: GradedPiece, fn: Callable[[Poly], Poly]
+    ) -> List[List[int]]:
+        """The columns vector(fn(m)) for the monomials m of `source`."""
+        table = source.pres.table
+        return [self.vector(fn(Poly(table, {m: 1}))) for m in source.monomials]
 
 
 @dataclass(frozen=True)
@@ -104,9 +113,9 @@ class GradedPieceReport:
 
 def graded_piece_invariants(pres: RingPresentation, n: int) -> GradedPieceReport:
     """Degree-n piece of the presentation as a finitely generated group."""
-    monos = pres.table.monomials_of_grade(n)
-    free, torsion = quotient_invariants(len(monos), pres.relation_columns(n))
-    return GradedPieceReport(n, free, torsion, monos)
+    piece = pres.piece(n)
+    free, torsion = quotient_invariants(len(piece.monomials), piece.relations)
+    return GradedPieceReport(n, free, torsion, piece.monomials)
 
 
 class RingHom:
@@ -165,10 +174,6 @@ class RingHom:
         if p.table != self.source.table:
             raise PolyError("polynomial is not over the source table")
         return self.target.normal_form(self._raw_apply(p))
-
-
-def hom_apply(hom: RingHom, p: Poly) -> Poly:
-    return hom.apply(p)
 
 
 @dataclass
@@ -256,63 +261,44 @@ def verify_cartesian(square: CartesianSquareSpec, degree_bound: int) -> Cartesia
     return CartesianReport(checks)
 
 
-def _map_columns(hom: RingHom, n: int) -> List[List[int]]:
-    cols = []
-    for mono in hom.source.table.monomials_of_grade(n):
-        image = hom.apply(Poly(hom.source.table, {mono: 1}))
-        cols.append(hom.target.poly_vector(image, n))
-    return cols
-
-
 def _check_degree(square: CartesianSquareSpec, n: int) -> DegreeCheck:
-    a, b, c, d = square.a, square.b, square.c, square.d
-    mon_b = len(b.table.monomials_of_grade(n))
-    mon_c = len(c.table.monomials_of_grade(n))
-    mon_d = len(d.table.monomials_of_grade(n))
+    pa, pb, pc, pd = (ring.piece(n) for ring in (square.a, square.b, square.c, square.d))
+    mon_b, mon_c = len(pb.monomials), len(pc.monomials)
     dim = mon_b + mon_c
 
     # Difference map B_n + C_n -> D_n as a matrix over the monomial bases.
-    cols_bd = _map_columns(square.bd, n)
-    cols_cd = _map_columns(square.cd, n)
-    diff = from_columns(
-        cols_bd + [[-x for x in col] for col in cols_cd], mon_d
+    cols_bd = pd.image_columns(pb, square.bd.apply)
+    cols_cd = pd.image_columns(pc, square.cd.apply)
+    diff = from_columns(cols_bd + [[-x for x in col] for col in cols_cd], len(pd.monomials))
+    fiber_lattice = Lattice(preimage_generators(diff, pd.relations, dim), dim)
+
+    def coords(columns: List[List[int]]) -> List[List[int]]:
+        out = []
+        for col in columns:
+            y = fiber_lattice.coordinates(col)
+            if y is None:
+                raise PolyError("a column escapes the fiber lattice")
+            out.append(y)
+        return out
+
+    sub = coords(
+        [col + [0] * mon_c for col in pb.relations]
+        + [[0] * mon_b + col for col in pc.relations]
     )
+    fiber = quotient_invariants(fiber_lattice.rank, sub)
 
-    rd = d.relation_columns(n)
-    lattice_gens = preimage_generators(diff, rd, dim)
-
-    rb = b.relation_columns(n)
-    rc = c.relation_columns(n)
-    sub = [col + [0] * mon_c for col in rb] + [[0] * mon_b + col for col in rc]
-
-    basis = column_lattice_basis(lattice_gens, dim)
-    fiber: Tuple[int, Tuple[int, ...]]
-    if basis:
-        coords = IntegerSolver(from_columns(basis, dim))
-        sub_coords = []
-        for s in sub:
-            x = coords.solve(s)
-            if x is None:
-                raise PolyError("relation column escapes the fiber lattice")
-            sub_coords.append(x)
-        fiber = quotient_invariants(len(basis), sub_coords)
-    else:
-        fiber = (0, ())
-
-    corner_report = graded_piece_invariants(a, n)
+    corner_report = graded_piece_invariants(square.a, n)
     corner = (corner_report.free_rank, corner_report.torsion)
 
-    # Surjectivity of A_n onto the fiber product.
-    cols_ab = _map_columns(square.ab, n)
-    cols_ac = _map_columns(square.ac, n)
-    psi = [ab_col + ac_col for ab_col, ac_col in zip(cols_ab, cols_ac)]
-    onto_matrix = from_columns(psi + sub, dim)
-    solver = IntegerSolver(onto_matrix) if dim else None
-    surjective = True
-    for vec in basis:
-        if solver is None or not solver.solvable(vec):
-            surjective = False
-            break
+    # A_n maps onto the fiber product iff its images and the relations of
+    # B_n + C_n span the fiber lattice.
+    images = [
+        ab_col + ac_col
+        for ab_col, ac_col in zip(
+            pb.image_columns(pa, square.ab.apply), pc.image_columns(pa, square.ac.apply)
+        )
+    ]
+    surjective = quotient_invariants(fiber_lattice.rank, sub + coords(images)) == (0, ())
 
     passed = corner == fiber and surjective
     return DegreeCheck(n, passed, corner, fiber, surjective)
@@ -329,30 +315,20 @@ def nonzerodivisor_up_to(
     if elt.is_zero():
         return False
     for n in range(degree_bound + 1):
-        monos = pres.table.monomials_of_grade(n)
-        if not monos:
+        piece = pres.piece(n)
+        if not piece.monomials:
             continue
-        target = pres.table.monomials_of_grade(n + g)
-        cols = []
-        for mono in monos:
-            product = pres.normal_form(elt * Poly(pres.table, {mono: 1}))
-            cols.append(pres.poly_vector(product, n + g))
-        mult = from_columns(cols, len(target))
-        kernel_gens = preimage_generators(
-            mult, pres.relation_columns(n + g), len(monos)
+        target = pres.piece(n + g)
+        mult = from_columns(
+            target.image_columns(piece, lambda m: pres.normal_form(elt * m)),
+            len(target.monomials),
         )
+        kernel_gens = preimage_generators(mult, target.relations, len(piece.monomials))
         if not kernel_gens:
             continue
-        rn = pres.relation_columns(n)
-        live = [c for c in rn if any(c)]
-        if not live:
-            if any(any(v) for v in kernel_gens):
-                return False
-            continue
-        solver = IntegerSolver(from_columns(live, len(monos)))
-        for vec in kernel_gens:
-            if not solver.solvable(vec):
-                return False
+        relations = Lattice(piece.relations, len(piece.monomials))
+        if any(relations.coordinates(k) is None for k in kernel_gens):
+            return False
     return True
 
 

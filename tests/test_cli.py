@@ -8,12 +8,25 @@ from equichow.cli import main
 from equichow.jobfile import MAX_ORACLE_TRIALS
 
 JOBS = os.path.join(os.path.dirname(__file__), "..", "jobs")
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
 def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(args, **kwargs):
+    """`python -m equichow ARGS` in a child process that imports this checkout."""
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "equichow", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        **kwargs,
+    )
 
 
 def test_push_golden_output(capsys):
@@ -109,6 +122,47 @@ def test_push_rejects_too_many_fixed_points(tmp_path, capsys):
     assert "fixed points" in err
 
 
+def product_cubing_job(cls):
+    # three P^1 factors cubed factorwise: source dimension 3
+    return (
+        "[vars]\ng1 1\ng2 1\ng3 1\nu1 1\nu2 1\nu3 1\nh1 1\nh2 1\nh3 1\n"
+        "[space]\nfactor d=1 w0=g2 w1=g3 h=u1\n"
+        "factor d=1 w0=g3 w1=g1 h=u2\nfactor d=1 w0=g1 w1=g2 h=u3\n"
+        "[map]\nproduct\nexponents = 3 3 3\n"
+        f"[class]\n{cls}\n[options]\noracle_trials = 5\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        push_job(cls="h1^2 + g1"),
+        product_cubing_job("u1^8*u2^8*u3^8"),
+        product_cubing_job("u1^2*u2*u3"),
+    ],
+    ids=["one-factor", "product", "product-just-above"],
+)
+def test_push_rejects_class_above_source_dimension(tmp_path, capsys, text):
+    job = tmp_path / "deep.job"
+    job.write_text(text)
+    code, out, err = run_cli(["push", str(job)], capsys)
+    assert (code, out) == (2, "")
+    assert "above the source dimension" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [push_job(cls="h1 + g1^5"), product_cubing_job("u1*u2*u3 + g1^2*u3")],
+    ids=["one-factor", "product"],
+)
+def test_push_accepts_class_at_source_dimension(tmp_path, capsys, text):
+    job = tmp_path / "top.job"
+    job.write_text(text)
+    code, out, _ = run_cli(["push", str(job)], capsys)
+    assert code == 0
+    assert out.splitlines()[-1].startswith("oracle: pass (5 trials")
+
+
 def test_oracle_trials_flag_is_capped(capsys):
     job = os.path.join(JOBS, "cubing.job")
     with pytest.raises(SystemExit) as info:
@@ -165,12 +219,7 @@ def test_nf_finishes_on_inhomogeneous_ideal(tmp_path):
         "gen = -3*x*y + 2*y\n"
         "gen = 3*x^2 - 3*x + 3*y - 2\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-m", "equichow", "nf", "--gens", str(gens), "x^3"],
-        capture_output=True,
-        text=True,
-        timeout=30,
-    )
+    proc = run_module(["nf", "--gens", str(gens), "x^3"], timeout=30)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "171267"
 
@@ -284,11 +333,6 @@ def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
 
 
 def test_console_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "equichow", "nf", "--gens",
-         os.path.join(JOBS, "involution_ideal.gens"), "x^2"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module(["nf", "--gens", os.path.join(JOBS, "involution_ideal.gens"), "x^2"])
     assert proc.returncode == 0
     assert proc.stdout.strip() == "l1*x"

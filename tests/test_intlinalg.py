@@ -5,8 +5,9 @@ from sympy import ZZ
 from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
 
 from equichow.intlinalg import (
-    IntegerSolver,
+    Lattice,
     determinant,
+    from_columns,
     identity,
     invariant_factors,
     kernel_basis,
@@ -42,12 +43,10 @@ def test_decomposition_reassembles():
     for _ in range(25):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         m = _random_matrix(rng, rows, cols)
-        dec = smith_normal_form(m, want_inverses=True)
+        dec = smith_normal_form(m)
         assert mat_mul(mat_mul(dec.u, m), dec.v) == dec.diagonal_matrix()
         assert abs(determinant(dec.u)) == 1
         assert abs(determinant(dec.v)) == 1
-        assert mat_mul(dec.u, dec.uinv) == identity(rows)
-        assert mat_mul(dec.vinv, dec.v) == identity(cols)
         for i in range(len(dec.factors) - 1):
             assert dec.factors[i + 1] % dec.factors[i] == 0
 
@@ -76,23 +75,42 @@ def test_invariant_factors_unchanged_by_unimodular_transforms():
         assert smith_normal_form(transformed).factors == base
 
 
+def _columns(m):
+    return [list(col) for col in zip(*m)]
+
+
+def _reassemble(m, lattice, y):
+    """(M V)[:, :rank] y with M the non-zero columns of m: the vector whose
+    lattice coordinates are y."""
+    live = [c for c in _columns(m) if any(c)]
+    if not live:
+        return [0] * len(m)
+    basis = mat_mul(from_columns(live, len(m)), lattice.dec.v)
+    return [sum(row[i] * y[i] for i in range(lattice.rank)) for row in basis]
+
+
 def test_solver_finds_integer_solutions():
     rng = random.Random(13)
-    for _ in range(25):
-        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
-        m = _random_matrix(rng, rows, cols)
-        x = [rng.randint(-5, 5) for _ in range(cols)]
-        b = mat_vec(m, x)
-        solver = IntegerSolver(m)
-        got = solver.solve(b)
-        assert got is not None
-        assert mat_vec(m, got) == b
+    for kind in KINDS:
+        for _ in range(15):
+            rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+            m = _matrix_of_kind(rng, kind, rows, cols)
+            lattice = Lattice(_columns(m), rows)
+            b = mat_vec(m, [rng.randint(-5, 5) for _ in range(cols)])
+            y = lattice.coordinates(b)
+            assert y is not None and len(y) == lattice.rank
+            assert _reassemble(m, lattice, y) == b
 
 
 def test_solver_detects_unsolvable():
-    solver = IntegerSolver([[2, 0], [0, 2]])
-    assert solver.solve([1, 0]) is None
-    assert solver.solve([2, -4]) == [1, -2]
+    lattice = Lattice([[2, 0], [0, 2]], 2)
+    assert lattice.rank == 2
+    assert lattice.coordinates([1, 0]) is None
+    assert lattice.coordinates([2, -4]) == [1, -2]
+    empty = Lattice([[0, 0]], 2)
+    assert empty.rank == 0
+    assert empty.coordinates([0, 0]) == []
+    assert empty.coordinates([0, 1]) is None
 
 
 def test_kernel_vectors_annihilate():
@@ -161,20 +179,29 @@ def test_invariant_factors_match_sympy():
 
 
 def test_solvable_agrees_with_solve():
+    """Membership agrees with an independent test: b lies in the lattice
+    iff adding it as a column leaves the quotient invariants unchanged."""
     rng = random.Random(515)
+    hits = misses = 0
     for kind in KINDS:
         for _ in range(15):
             rows, cols = rng.randint(1, 5), rng.randint(1, 5)
             m = _matrix_of_kind(rng, kind, rows, cols)
-            solver = IntegerSolver(m)
+            columns = _columns(m)
+            lattice = Lattice(columns, rows)
             image = mat_vec(m, [rng.randint(-3, 3) for _ in range(cols)])
             stray = [rng.randint(-3, 3) for _ in range(rows)]
             for b in (image, stray, [0] * rows):
-                x = solver.solve(b)
-                assert solver.solvable(b) == (x is not None)
-                if x is not None:
-                    assert mat_vec(m, x) == b
-            assert solver.solvable(image)
+                y = lattice.coordinates(b)
+                inside = quotient_invariants(rows, columns) == quotient_invariants(
+                    rows, columns + [b]
+                )
+                assert (y is not None) == inside
+                if y is not None:
+                    assert _reassemble(m, lattice, y) == b
+                hits += inside
+                misses += not inside
+    assert hits and misses
 
 
 def _dense_mat_vec(a, v):

@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import pytest
 
 from equichow import Poly
@@ -181,6 +184,21 @@ def test_run_all_with_corrupted_final_ideal():
     assert report.overall == "mismatch"
     final = [s for s in report.steps if s.name == "final-presentation"][0]
     assert final.verdict == "mismatch"
+
+
+def test_failed_step_records_exception_type_and_raise_site():
+    broken = replace(Fixtures.default(), boundary_weight_rules=(("g1", "b +"),))
+    report = run_all(degree_bound=1, oracle_trials=2, seed=0, fixtures=broken)
+    step = [s for s in report.steps if s.name == "double-triple-class"][0]
+    assert step.verdict == "mismatch"
+    assert step.machine_line().split("\t")[2:] == [
+        "error: expected a coefficient or variable (column 4)",
+        "no error",
+    ]
+    (raised,) = step.details
+    assert re.fullmatch(r"ParseError at textio\.py:\d+ in factor", raised)
+    assert f"  note: {raised}\n" in report.render_text()
+    assert "ParseError" not in report.render_machine()
 
 
 def test_machine_report_shape():

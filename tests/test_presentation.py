@@ -10,7 +10,6 @@ from equichow import (
     VarTable,
     c1_of_character,
     graded_piece_invariants,
-    hom_apply,
     nonzerodivisor_up_to,
     verify_cartesian,
 )
@@ -69,7 +68,7 @@ def test_hom_restriction_kills_boundary_classes(fixtures):
         },
     )
     d1, l1, e = v(tp, "d1"), v(tp, "l1"), v(tp, "e")
-    assert hom_apply(hom, e + d1 * (l1 + d1)).is_zero()
+    assert hom.apply(e + d1 * (l1 + d1)).is_zero()
 
 
 def test_hom_pullback_of_pushforward_class(fixtures):
@@ -84,7 +83,7 @@ def test_hom_pullback_of_pushforward_class(fixtures):
             "e": v(tb, "d1") * v(tb, "x"),
         },
     )
-    assert hom_apply(hom, v(fixtures.total.table, "e")) == v(tb, "d1") * v(tb, "x")
+    assert hom.apply(v(fixtures.total.table, "e")) == v(tb, "d1") * v(tb, "x")
 
 
 def test_identity_hom(fixtures, rng):
@@ -95,7 +94,7 @@ def test_identity_hom(fixtures, rng):
         {n: v(tb, n) for n in tb.names},
     )
     p = random_homogeneous(tb, rng, 3)
-    assert hom_apply(hom, p) == fixtures.boundary.normal_form(p)
+    assert hom.apply(p) == fixtures.boundary.normal_form(p)
 
 
 def test_hom_rejects_ill_defined_map(fixtures):
@@ -160,6 +159,21 @@ def test_cartesian_free_corner_fails(fixtures):
     free = Fixtures.default(candidate_relations=[])
     report = verify_cartesian(free.patch_square(), 2)
     assert report.first_failure() == 2
+
+
+def test_cartesian_doubling_square_is_not_surjective():
+    """A = B = C = D = Z[s] or Z[t] with s -> 2t on both sides: the corner
+    and the fiber product Z[t] have equal invariants in every degree, but
+    s^n only reaches 2^n t^n, so only surjectivity can fail."""
+    zs = RingPresentation(VarTable([("s", 1)]))
+    zt = RingPresentation(VarTable([("t", 1)]))
+    double = RingHom(zs, zt, {"s": 2 * v(zt.table, "t")})
+    ident = RingHom(zt, zt, {"t": v(zt.table, "t")})
+    square = CartesianSquareSpec(zs, zt, zt, zt, double, double, ident, ident)
+    report = verify_cartesian(square, 2)
+    assert [c.corner_invariants == c.fiber_invariants for c in report.checks] == [True] * 3
+    assert [c.surjective for c in report.checks] == [True, False, False]
+    assert report.first_failure() == 1
 
 
 def test_cartesian_trivial_square(fixtures):
