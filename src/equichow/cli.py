@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 
 from .groebner import MonomialOrder, normal_form, strong_groebner
 from .jobfile import (
+    MAX_DEGREE_BOUND,
     MAX_ORACLE_TRIALS,
     parse_ideal_job,
     parse_push_job,
@@ -42,11 +43,19 @@ def _nonnegative(text: str) -> int:
     return value
 
 
-def _trials(text: str) -> int:
+def _at_most(text: str, cap: int) -> int:
     value = _nonnegative(text)
-    if value > MAX_ORACLE_TRIALS:
-        raise argparse.ArgumentTypeError(f"must be <= {MAX_ORACLE_TRIALS}")
+    if value > cap:
+        raise argparse.ArgumentTypeError(f"must be <= {cap}")
     return value
+
+
+def _trials(text: str) -> int:
+    return _at_most(text, MAX_ORACLE_TRIALS)
+
+
+def _degree_bound(text: str) -> int:
+    return _at_most(text, MAX_DEGREE_BOUND)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pipeline", help="run the full derivation")
-    p.add_argument("--degree-bound", type=_nonnegative, default=8)
+    p.add_argument("--degree-bound", type=_degree_bound, default=8)
     p.add_argument("--oracle-trials", type=_trials, default=20)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--report", help="write the text report to this path")
@@ -75,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fiber-check", help="verify a cartesian square job")
     p.add_argument("job", help="path to the square file")
-    p.add_argument("--degree-bound", type=_nonnegative, default=None)
+    p.add_argument("--degree-bound", type=_degree_bound, default=None)
     return parser
 
 

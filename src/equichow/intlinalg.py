@@ -17,16 +17,6 @@ def identity(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if not a or not b:
-        return [[0] * (len(b[0]) if b else 0) for _ in a]
-    cols = len(b[0])
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols)]
-        for i in range(len(a))
-    ]
-
-
 def mat_vec(a: Matrix, v: Sequence[int]) -> List[int]:
     """A * v, multiplying only the non-zero entries of v, which are few in
     the relation columns and kernel generators solved against."""
@@ -36,30 +26,6 @@ def mat_vec(a: Matrix, v: Sequence[int]) -> List[int]:
 
 def from_columns(columns: Sequence[Sequence[int]], rows: int) -> Matrix:
     return [[col[i] for col in columns] for i in range(rows)]
-
-
-def determinant(a: Matrix) -> int:
-    """Fraction-free Bareiss determinant (square matrices only)."""
-    n = len(a)
-    if n == 0:
-        return 1
-    m = [row[:] for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[-1][-1]
 
 
 @dataclass
@@ -77,13 +43,6 @@ class SmithDecomposition:
     @property
     def rank(self) -> int:
         return len(self.factors)
-
-    def diagonal_matrix(self) -> Matrix:
-        rows, cols = self.shape
-        d = [[0] * cols for _ in range(rows)]
-        for i, f in enumerate(self.factors):
-            d[i][i] = f
-        return d
 
 
 def smith_normal_form(m: Matrix) -> SmithDecomposition:

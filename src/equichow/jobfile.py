@@ -11,8 +11,8 @@ raises ParseError with the offending line number; parse -> render -> parse
 is the identity on the parsed values.
 
 A push job's work grows with the target dimension, the number of fixed
-points of the source and of the target, and the oracle trials, so each has
-a fixed cap below.
+points of the source and of the target, and the oracle trials, and a
+square job's with its degree bound, so each has a fixed cap below.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .textio import ParseError, parse_poly
 MAX_TARGET_DIMENSION = 16
 MAX_FIXED_POINTS = 64
 MAX_ORACLE_TRIALS = 1000
+MAX_DEGREE_BOUND = 20
 
 
 @dataclass
@@ -128,7 +129,7 @@ def _parse_options(entries: Sequence[Tuple[int, str]]) -> JobOptions:
         try:
             if key == "degree_bound":
                 opts.degree_bound = int(value)
-                if opts.degree_bound < 0:
+                if not 0 <= opts.degree_bound <= MAX_DEGREE_BOUND:
                     raise ValueError
             elif key == "oracle_trials":
                 opts.oracle_trials = int(value)

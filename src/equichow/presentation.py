@@ -1,11 +1,12 @@
 """Finitely presented graded rings over Z and the maps between them.
 
 A presentation is a graded variable table plus homogeneous relation
-polynomials.  Degree-by-degree the ring is a finitely generated abelian
-group (monomials modulo relation multiples), which Smith normal form turns
-into rank and torsion data.  That is enough to verify, degree by degree,
-that a commuting square of presentations is cartesian, to check that an
-element is a non-zero-divisor up to a degree bound, and to run the Gysin
+polynomials.  Degree by degree the ring is a finitely generated abelian
+group (the monomials off the monic leads of a strong Groebner basis, modulo
+the multiples of the other leads), which Smith normal form turns into rank
+and torsion data.  That is enough to verify, degree by degree, that a
+commuting square of presentations is cartesian, to check that an element
+is a non-zero-divisor up to a degree bound, and to run the Gysin
 pushforward between the two boundary presentations.
 """
 
@@ -15,9 +16,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .groebner import IdealBasis, MonomialOrder, normal_form, strong_groebner
+from .groebner import IdealBasis, Lead, MonomialOrder, normal_form, strong_groebner
+from .groebner import _KeyCache, _lead, _mono_divides, _mono_sub, _reduce
 from .intlinalg import Lattice, from_columns, preimage_generators, quotient_invariants
-from .poly import GradeMismatch, Poly, PolyError, VarTable
+from .poly import GradeMismatch, Monomial, Poly, PolyError, VarTable
 
 
 class WellDefinednessError(PolyError):
@@ -61,32 +63,56 @@ class RingPresentation:
 
 
 class GradedPiece:
-    """The degree-n piece of a presentation over its monomial basis."""
+    """The degree-n piece of a presentation over the Groebner staircase.
+
+    For a degree-n monomial m let c_m be the smallest leading coefficient
+    among the basis leads that divide m (0 when none does); on a strong basis
+    it is their gcd.  A monomial with c_m = 1 reduces away by a monic lead,
+    so Z^N maps onto the piece, with N the monomials with c_m != 1.  Its
+    kernel is spanned by one column per m with c_m > 1, the vector of
+    (m / LM g) * g for the element g attaining c_m: a member of the ideal in
+    the span of N has a leading coefficient that c_m divides, so subtracting
+    a multiple of that column lowers its lead (Adams & Loustaunau, ch. 4).
+    The columns form a triangular matrix with pivot c_m in row m.
+    """
 
     def __init__(self, pres: RingPresentation, n: int):
         self.pres = pres
         self.degree = n
-        self.monomials = pres.table.monomials_of_grade(n)
+        self._key = _KeyCache(pres.order.key(pres.table)).__getitem__
+        leads = [_lead(g, self._key) for g in pres.groebner().polys]
+        self._monic = [lead for lead in leads if lead[1] == 1]
+        self._pivots: Dict[Monomial, Lead] = {}
+        monomials = []
+        for m in pres.table.monomials_of_grade(n):
+            dividing = [lead for lead in leads if _mono_divides(lead[0], m)]
+            best = min(dividing, key=lambda lead: lead[1], default=None)
+            if best is None or best[1] > 1:
+                monomials.append(m)
+                if best is not None:
+                    self._pivots[m] = best
+        self.monomials = tuple(monomials)
         self._index = {m: i for i, m in enumerate(self.monomials)}
 
     @cached_property
     def relations(self) -> List[List[int]]:
-        """Columns spanning the ideal in degree n: one per relation times
-        monomial of the complementary degree."""
+        """Columns spanning the ideal in degree n: one per monomial with
+        c_m > 1, triangular with pivot c_m."""
         table = self.pres.table
         return [
-            self.vector(rel * Poly(table, {m: 1}))
-            for rel in self.pres.relations
-            for m in table.monomials_of_grade(self.degree - rel.homogeneous_grade())
+            self.vector(Poly(table, {_mono_sub(m, gm): 1}) * g)
+            for m, (gm, _, g) in self._pivots.items()
         ]
 
     def vector(self, p: Poly) -> List[int]:
+        """Coordinates on N of p reduced by the monic leads, each monomial
+        always by the same lead, so the map is linear."""
         vec = [0] * len(self.monomials)
-        for mono, coeff in p.terms.items():
-            i = self._index.get(mono)
-            if i is None:
-                raise GradeMismatch(f"vectorizing a term outside degree {self.degree}")
-            vec[i] = coeff
+        grade = self.pres.table.grade
+        if any(grade(mono) != self.degree for mono in p.terms):
+            raise GradeMismatch(f"vectorizing a term outside degree {self.degree}")
+        for mono, coeff in _reduce(p, self._monic, self._key).terms.items():
+            vec[self._index[mono]] = coeff
         return vec
 
     def image_columns(
@@ -99,12 +125,11 @@ class GradedPiece:
 
 @dataclass(frozen=True)
 class GradedPieceReport:
-    """Rank/torsion of one graded piece plus the ambient monomial basis."""
+    """Rank and torsion of one graded piece."""
 
     degree: int
     free_rank: int
     torsion: Tuple[int, ...]
-    monomials: Tuple[Tuple[int, ...], ...]
 
     def describe(self) -> str:
         tors = ",".join(str(t) for t in self.torsion) if self.torsion else "-"
@@ -115,7 +140,7 @@ def graded_piece_invariants(pres: RingPresentation, n: int) -> GradedPieceReport
     """Degree-n piece of the presentation as a finitely generated group."""
     piece = pres.piece(n)
     free, torsion = quotient_invariants(len(piece.monomials), piece.relations)
-    return GradedPieceReport(n, free, torsion, piece.monomials)
+    return GradedPieceReport(n, free, torsion)
 
 
 class RingHom:
@@ -320,7 +345,7 @@ def nonzerodivisor_up_to(
             continue
         target = pres.piece(n + g)
         mult = from_columns(
-            target.image_columns(piece, lambda m: pres.normal_form(elt * m)),
+            target.image_columns(piece, lambda m: elt * m),
             len(target.monomials),
         )
         kernel_gens = preimage_generators(mult, target.relations, len(piece.monomials))

@@ -14,7 +14,7 @@ polynomial can ask of the engine.
 from __future__ import annotations
 
 import re
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from .poly import Poly, VarTable
 
@@ -22,10 +22,12 @@ MAX_EXPONENT = 32
 
 
 class ParseError(Exception):
-    """Bad polynomial or job-file input, with position information."""
+    """Bad polynomial or job-file input, with the column when one applies."""
 
-    def __init__(self, message: str, position: int = 0):
-        super().__init__(f"{message} (column {position + 1})")
+    def __init__(self, message: str, position: Optional[int] = None):
+        if position is not None:
+            message = f"{message} (column {position + 1})"
+        super().__init__(message)
         self.position = position
 
 

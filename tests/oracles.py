@@ -1,0 +1,107 @@
+"""Test-only oracles: dense matrix helpers and the relation-times-monomial
+graded pieces that the Groebner-staircase pieces are checked against."""
+
+from equichow import Poly
+from equichow.intlinalg import Lattice, from_columns, preimage_generators, quotient_invariants
+from equichow.poly import GradeMismatch
+
+
+def mat_mul(a, b):
+    if not a or not b:
+        return [[0] * (len(b[0]) if b else 0) for _ in a]
+    cols = len(b[0])
+    return [
+        [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols)]
+        for i in range(len(a))
+    ]
+
+
+def determinant(a):
+    """Fraction-free Bareiss determinant (square matrices only)."""
+    n = len(a)
+    if n == 0:
+        return 1
+    m = [row[:] for row in a]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1]
+
+
+def diagonal_matrix(dec):
+    """The D of a Smith decomposition U * M * V = D as a dense matrix."""
+    rows, cols = dec.shape
+    d = [[0] * cols for _ in range(rows)]
+    for i, f in enumerate(dec.factors):
+        d[i][i] = f
+    return d
+
+
+class MonomialPiece:
+    """The degree-n piece as Z^(all degree-n monomials) modulo one column
+    per relation times monomial of the complementary degree."""
+
+    def __init__(self, pres, n):
+        self.pres = pres
+        self.degree = n
+        self.monomials = pres.table.monomials_of_grade(n)
+        self._index = {m: i for i, m in enumerate(self.monomials)}
+        table = pres.table
+        self.relations = [
+            self.vector(rel * Poly(table, {m: 1}))
+            for rel in pres.relations
+            for m in table.monomials_of_grade(n - rel.homogeneous_grade())
+        ]
+
+    def vector(self, p):
+        vec = [0] * len(self.monomials)
+        for mono, coeff in p.terms.items():
+            i = self._index.get(mono)
+            if i is None:
+                raise GradeMismatch(f"vectorizing a term outside degree {self.degree}")
+            vec[i] = coeff
+        return vec
+
+
+def monomial_piece_invariants(pres, n):
+    """(free rank, torsion) of the degree-n piece from the monomial builder."""
+    piece = MonomialPiece(pres, n)
+    return quotient_invariants(len(piece.monomials), piece.relations)
+
+
+def monomial_nonzerodivisor_up_to(pres, elt, degree_bound):
+    """`nonzerodivisor_up_to` over monomial pieces: multiplication by elt,
+    normal-formed, must have its kernel inside the relations in every
+    degree <= degree_bound."""
+    if elt.is_zero():
+        return False
+    g = elt.homogeneous_grade()
+    for n in range(degree_bound + 1):
+        piece = MonomialPiece(pres, n)
+        if not piece.monomials:
+            continue
+        target = MonomialPiece(pres, n + g)
+        mult = from_columns(
+            [
+                target.vector(pres.normal_form(elt * Poly(pres.table, {m: 1})))
+                for m in piece.monomials
+            ],
+            len(target.monomials),
+        )
+        kernel_gens = preimage_generators(mult, target.relations, len(piece.monomials))
+        relations = Lattice(piece.relations, len(piece.monomials))
+        if any(relations.coordinates(k) is None for k in kernel_gens):
+            return False
+    return True

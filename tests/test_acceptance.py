@@ -24,7 +24,7 @@ from equichow import (
     strong_groebner,
 )
 from equichow.groebner import MonomialOrder
-from equichow.intlinalg import mat_mul, smith_normal_form
+from equichow.intlinalg import smith_normal_form
 from equichow.pipeline import (
     Fixtures,
     double_triple_value,
@@ -33,6 +33,7 @@ from equichow.pipeline import (
     step_patching,
 )
 from conftest import random_homogeneous, random_poly
+from oracles import mat_mul
 
 SEED = 0
 FX = Fixtures.default()

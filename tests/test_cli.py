@@ -4,8 +4,8 @@ import sys
 
 import pytest
 
-from equichow.cli import main
-from equichow.jobfile import MAX_ORACLE_TRIALS
+from equichow.cli import build_parser, main
+from equichow.jobfile import MAX_DEGREE_BOUND, MAX_ORACLE_TRIALS
 
 JOBS = os.path.join(os.path.dirname(__file__), "..", "jobs")
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -151,6 +151,28 @@ def test_push_rejects_class_above_source_dimension(tmp_path, capsys, text):
 
 
 @pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            product_cubing_job("u1^8*u2^8*u3^8"),
+            "class term of degree above the source dimension 3 in u1, u2, u3",
+        ),
+        (
+            "[vars]\nh 1\ng1 1\ng2 1\nu1 1\n[space]\nfactor d=1 w0=g1 w1=g2 h=u1\n"
+            "[map]\nproduct\nexponents = 3\ntarget_h = h\n[class]\n1\n",
+            "unknown variable 'h1'",
+        ),
+    ],
+    ids=["class-too-deep", "unknown-target-variable"],
+)
+def test_job_level_error_has_no_column(tmp_path, capsys, text, message):
+    job = tmp_path / "bad.job"
+    job.write_text(text)
+    code, out, err = run_cli(["push", str(job)], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "text",
     [push_job(cls="h1 + g1^5"), product_cubing_job("u1*u2*u3 + g1^2*u3")],
     ids=["one-factor", "product"],
@@ -229,6 +251,46 @@ def test_fiber_check_passes(capsys):
     code, out, _ = run_cli(["fiber-check", job, "--degree-bound", "3"], capsys)
     assert code == 0
     assert "cartesian: pass" in out
+
+
+def patch_square_job(tmp_path, bound):
+    with open(os.path.join(JOBS, "patch_square.job"), "r", encoding="utf-8") as fh:
+        text = fh.read().replace("degree_bound = 8", f"degree_bound = {bound}")
+    job = tmp_path / "square.job"
+    job.write_text(text)
+    return str(job)
+
+
+def test_fiber_check_at_degree_cap(tmp_path, capsys):
+    job = patch_square_job(tmp_path, MAX_DEGREE_BOUND)
+    code, out, _ = run_cli(["fiber-check", job], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == MAX_DEGREE_BOUND + 2
+    assert lines[-2].startswith(f"deg {MAX_DEGREE_BOUND}: ok")
+    assert lines[-1] == "cartesian: pass"
+
+
+def test_square_job_above_degree_cap(tmp_path, capsys):
+    job = patch_square_job(tmp_path, MAX_DEGREE_BOUND + 1)
+    code, out, err = run_cli(["fiber-check", job], capsys)
+    assert (code, out) == (2, "")
+    assert "bad value for 'degree_bound'" in err
+
+
+@pytest.mark.parametrize(
+    "args", [["pipeline"], ["fiber-check", "job"]], ids=["pipeline", "fiber-check"]
+)
+def test_degree_bound_flag_is_capped(capsys, args):
+    parsed = build_parser().parse_args([*args, "--degree-bound", str(MAX_DEGREE_BOUND)])
+    assert parsed.degree_bound == MAX_DEGREE_BOUND
+    with pytest.raises(SystemExit) as info:
+        main([*args, "--degree-bound", str(MAX_DEGREE_BOUND + 1)])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"must be <= {MAX_DEGREE_BOUND}" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_fiber_check_detects_failure(tmp_path, capsys):

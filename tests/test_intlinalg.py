@@ -6,16 +6,15 @@ from sympy.matrices.normalforms import invariant_factors as sympy_invariant_fact
 
 from equichow.intlinalg import (
     Lattice,
-    determinant,
     from_columns,
     identity,
     invariant_factors,
     kernel_basis,
-    mat_mul,
     mat_vec,
     quotient_invariants,
     smith_normal_form,
 )
+from oracles import determinant, diagonal_matrix, mat_mul
 
 
 def test_coprime_diagonal():
@@ -44,7 +43,7 @@ def test_decomposition_reassembles():
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         m = _random_matrix(rng, rows, cols)
         dec = smith_normal_form(m)
-        assert mat_mul(mat_mul(dec.u, m), dec.v) == dec.diagonal_matrix()
+        assert mat_mul(mat_mul(dec.u, m), dec.v) == diagonal_matrix(dec)
         assert abs(determinant(dec.u)) == 1
         assert abs(determinant(dec.v)) == 1
         for i in range(len(dec.factors) - 1):
@@ -127,7 +126,7 @@ def test_decomposition_on_larger_matrices():
     for _ in range(5):
         m = _random_matrix(rng, 7, 9, bound=25)
         dec = smith_normal_form(m)
-        assert mat_mul(mat_mul(dec.u, m), dec.v) == dec.diagonal_matrix()
+        assert mat_mul(mat_mul(dec.u, m), dec.v) == diagonal_matrix(dec)
         for i in range(len(dec.factors) - 1):
             assert dec.factors[i + 1] % dec.factors[i] == 0
 

@@ -44,6 +44,14 @@ def test_parse_errors_are_positional():
         parse_poly("", TABLE)
     with pytest.raises(ParseError):
         parse_poly("l1 @ l2", TABLE)
+    with pytest.raises(ParseError) as info:
+        parse_poly("l1 + q", TABLE)
+    assert (str(info.value), info.value.position) == ("unknown variable 'q' (column 6)", 5)
+
+
+def test_parse_error_without_position_names_no_column():
+    error = ParseError("job needs [vars]")
+    assert (str(error), error.position) == ("job needs [vars]", None)
 
 
 def test_parse_caps_exponents_and_literals():
