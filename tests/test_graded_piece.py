@@ -83,11 +83,6 @@ def _pivot_coefficients(pres, n):
     return out
 
 
-def _homogeneous(table, grade, coefficients):
-    monos = table.monomials_of_grade(grade)
-    return Poly(table, dict(zip(monos, coefficients)))
-
-
 @st.composite
 def presentations(draw):
     degrees = draw(st.lists(st.integers(1, 2), min_size=2, max_size=3))
@@ -97,9 +92,10 @@ def presentations(draw):
     # strong_groebner, which has no pair budget, busy for minutes.
     for _ in range(draw(st.integers(1, 2))):
         grade = draw(st.integers(1, 3))
-        size = len(table.monomials_of_grade(grade))
+        monos = table.monomials_of_grade(grade)
+        size = len(monos)
         coefficients = draw(st.lists(st.integers(-4, 4), min_size=size, max_size=size))
-        relations.append(_homogeneous(table, grade, coefficients))
+        relations.append(Poly(table, dict(zip(monos, coefficients))))
     return RingPresentation(table, relations)
 
 
