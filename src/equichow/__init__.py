@@ -15,12 +15,13 @@ from .localization import (
     SpaceDescriptor,
     SpaceFactor,
     enumerate_fixed_points,
+    euler_constant,
+    euler_forms,
     map_image_fixed_point,
     point_class,
     pushforward,
     restrict_hyperplane,
     specialize_oracle,
-    tangent_euler,
 )
 from .poly import (
     GradeMismatch,
@@ -63,6 +64,8 @@ __all__ = [
     "VarTable",
     "c1_of_character",
     "enumerate_fixed_points",
+    "euler_constant",
+    "euler_forms",
     "exact_divide",
     "graded_piece_invariants",
     "ideal_contains",
@@ -76,7 +79,6 @@ __all__ = [
     "restrict_hyperplane",
     "specialize_oracle",
     "strong_groebner",
-    "tangent_euler",
     "to_elementary_symmetric",
     "verify_cartesian",
 ]

@@ -282,21 +282,6 @@ def normal_form(p: Poly, basis: IdealBasis) -> Poly:
     return _reduce(p, leads, _KeyCache(key).__getitem__)
 
 
-def verify_strong(basis: IdealBasis) -> bool:
-    """Check the defining property: every S- and G-polynomial reduces to 0."""
-    if not basis.polys:
-        return True
-    key, leads = basis._division
-    key = _KeyCache(key).__getitem__
-    for j in range(len(leads)):
-        for i in range(j):
-            if not _reduce(spolynomial(leads[i], leads[j]), leads, key).is_zero():
-                return False
-            if not _reduce(gpolynomial(leads[i], leads[j]), leads, key).is_zero():
-                return False
-    return True
-
-
 def ideal_contains(
     p: Poly, gens: Sequence[Poly], order: Optional[MonomialOrder] = None
 ) -> bool:

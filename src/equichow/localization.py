@@ -9,9 +9,10 @@ divide by the equivariant Euler class of the tangent space, multiply by
 the class of the image point, and sum.  The sum always clears its
 denominators; a residue means the descriptor is inconsistent and raises.
 
-Denominators never need polynomial gcds: they stay inside the
-multiplicative set generated by integers and the per-factor forms
-(w1 - w0), so cancellation is a single exact division at the end.
+Denominators never need polynomial gcds: the tangent Euler class at every
+fixed point is an integer c times the same product F of the forms
+(w1 - w0)^d, so the sum is one numerator over lcm(c) * F, cleared by a
+single exact division at the end.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .poly import (
     PolyError,
     TableMismatch,
     VarTable,
-    content_and_primitive,
     exact_divide,
 )
 
@@ -157,124 +157,23 @@ def fixed_point_substitution(space: SpaceDescriptor, fp: FixedPoint) -> Dict[str
     }
 
 
-@dataclass(frozen=True)
-class Denominator:
-    """An integer times a power product of primitive grade-1 forms."""
-
-    const: int
-    forms: Tuple[Tuple[Poly, int], ...]
-
-    def __post_init__(self):
-        if self.const == 0:
-            raise DescriptorError("denominator constant must be nonzero")
-
-    @staticmethod
-    def from_factors(const: int, factors: Iterable[Tuple[Poly, int]]) -> "Denominator":
-        """Canonicalize: each form becomes primitive with positive lead, its
-        content (with sign) absorbed into the constant."""
-        acc: Dict[Poly, int] = {}
-        for form, mult in factors:
-            if mult == 0:
-                continue
-            c, prim = content_and_primitive(form)
-            if prim.is_zero():
-                raise DescriptorError("zero form in a denominator")
-            const *= c**mult
-            acc[prim] = acc.get(prim, 0) + mult
-        ordered = tuple(
-            sorted(
-                ((f, m) for f, m in acc.items() if m),
-                key=lambda fm: sorted(fm[0].terms.items()),
-            )
-        )
-        return Denominator(const, ordered)
-
-    def expand(self) -> Poly:
-        out: Optional[Poly] = None
-        for form, mult in self.forms:
-            piece = form**mult
-            out = piece if out is None else out * piece
-        if out is None:
-            raise DescriptorError("cannot expand a bare integer denominator")
-        return out * self.const
-
-    def expand_over(self, table: VarTable) -> Poly:
-        if self.forms:
-            return self.expand()
-        return Poly.const(table, self.const)
-
-    def lcm(self, other: "Denominator") -> "Denominator":
-        const = abs(self.const * other.const) // math.gcd(self.const, other.const)
-        acc = dict(self.forms)
-        for form, mult in other.forms:
-            acc[form] = max(acc.get(form, 0), mult)
-        return Denominator.from_factors(const, acc.items())
-
-    def cofactor(self, multiple: "Denominator", table: VarTable) -> Poly:
-        """The polynomial multiple / self (exact by construction)."""
-        if multiple.const % self.const:
-            raise DescriptorError("denominator constants do not divide")
-        out = Poly.const(table, multiple.const // self.const)
-        acc = dict(multiple.forms)
-        for form, mult in self.forms:
-            acc[form] = acc.get(form, 0) - mult
-        for form, mult in acc.items():
-            if mult < 0:
-                raise DescriptorError("denominator is not a divisor of the target")
-            if mult:
-                out = out * form**mult
-        return out
-
-
-@dataclass(frozen=True)
-class LocalizedElement:
-    """numerator / (integer * power product of grade-1 forms)."""
-
-    numerator: Poly
-    denominator: Denominator
-
-    def __add__(self, other: "LocalizedElement") -> "LocalizedElement":
-        common = self.denominator.lcm(other.denominator)
-        table = self.numerator.table
-        num = self.numerator * self.denominator.cofactor(common, table) + (
-            other.numerator * other.denominator.cofactor(common, table)
-        )
-        return LocalizedElement(num, common)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LocalizedElement):
-            return NotImplemented
-        table = self.numerator.table
-        left = self.numerator * other.denominator.expand_over(table)
-        right = other.numerator * self.denominator.expand_over(table)
-        return left == right
-
-    def to_poly(self) -> Poly:
-        table = self.numerator.table
-        try:
-            return exact_divide(
-                self.numerator, self.denominator.expand_over(table)
-            )
-        except NotDivisible as exc:
-            raise DenominatorResidue(str(exc)) from None
-
-
-def tangent_euler(space: SpaceDescriptor, fp: FixedPoint) -> LocalizedElement:
-    """Reciprocal of the equivariant Euler class of the tangent space at the
-    fixed point, as it enters the localization sum.
-
-    Per factor the Euler class is (-1)^i * i! * (d-i)! * (w1 - w0)^d; the
-    product over factors sits in the denominator.
-    """
+def euler_constant(space: SpaceDescriptor, fp: FixedPoint) -> int:
+    """Integer part of the equivariant Euler class of the tangent space at
+    the fixed point: per factor (-1)^i * i! * (d-i)!."""
     _check_point(space, fp)
     const = 1
-    factors = []
     for i, f in zip(fp, space.factors):
         const *= (-1) ** i * math.factorial(i) * math.factorial(f.d - i)
-        factors.append((f.w1 - f.w0, f.d))
-    return LocalizedElement(
-        Poly.const(space.table, 1), Denominator.from_factors(const, factors)
-    )
+    return const
+
+
+def euler_forms(space: SpaceDescriptor) -> Poly:
+    """Form part of the tangent Euler class, prod (w1 - w0)^d over the
+    factors; it is the same at every fixed point."""
+    out = Poly.const(space.table, 1)
+    for f in space.factors:
+        out = out * (f.w1 - f.w0) ** f.d
+    return out
 
 
 @dataclass(frozen=True)
@@ -381,14 +280,18 @@ def pushforward(mapping: MapDescriptor, cls: Poly) -> Poly:
         raise TableMismatch("class is not over the map's variable table")
     _check_class_variables(mapping, cls)
     source, target = mapping.source, mapping.target
-    total: Optional[LocalizedElement] = None
-    for fp in enumerate_fixed_points(source):
+    points = enumerate_fixed_points(source)
+    consts = [euler_constant(source, fp) for fp in points]
+    common = math.lcm(*consts)
+    numerator = Poly.zero(source.table)
+    for fp, const in zip(points, consts):
         restricted = cls.substitute(fixed_point_substitution(source, fp))
-        euler = tangent_euler(source, fp)
         image = point_class(target, map_image_fixed_point(mapping, fp))
-        summand = LocalizedElement(restricted * image, euler.denominator)
-        total = summand if total is None else total + summand
-    return total.to_poly()
+        numerator = numerator + restricted * image * (common // const)
+    try:
+        return exact_divide(numerator, euler_forms(source) * common)
+    except NotDivisible as exc:
+        raise DenominatorResidue(str(exc)) from None
 
 
 def specialize_oracle(
@@ -408,8 +311,8 @@ def specialize_oracle(
     The sum is evaluated in integers from the descriptor alone: the point
     classes, Euler classes and hyperplane restrictions are products of
     linear forms in the weights, so each is computed from the integer
-    weights of the trial instead of through the symbolic `point_class` and
-    `tangent_euler` that `pushforward` uses.
+    weights of the trial instead of through the symbolic `point_class`,
+    `euler_constant` and `euler_forms` that `pushforward` uses.
     """
     if symbolic is None:
         symbolic = pushforward(mapping, cls)

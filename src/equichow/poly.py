@@ -14,7 +14,6 @@ strings are usable as golden values and round-trip through the parser.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 Monomial = Tuple[int, ...]
@@ -259,11 +258,6 @@ class Poly:
                     used.add(self.table.names[i])
         return tuple(n for n in self.table.names if n in used)
 
-    def max_grade(self) -> int:
-        if not self.terms:
-            return 0
-        return max(self.table.grade(m) for m in self.terms)
-
     def homogeneous_grade(self) -> Optional[int]:
         """The common grade of all terms, or None if inhomogeneous.
 
@@ -279,13 +273,6 @@ class Poly:
 
     def is_homogeneous_of_grade(self, n: int) -> bool:
         return all(self.table.grade(m) == n for m in self.terms)
-
-    def graded_component(self, n: int) -> "Poly":
-        """Sum of the terms of total grade exactly n."""
-        return Poly(
-            self.table,
-            {m: c for m, c in self.terms.items() if self.table.grade(m) == n},
-        )
 
     # -- substitution and table moves ---------------------------------------
 
@@ -447,22 +434,6 @@ def exact_divide(p: Poly, q: Poly) -> Poly:
             elif key in rest:
                 del rest[key]
     return Poly(table, out)
-
-
-def content_and_primitive(p: Poly) -> Tuple[int, Poly]:
-    """Split p = c * p^ with p^ primitive and positive-led in canonical order.
-
-    The zero polynomial returns (1, 0).
-    """
-    if p.is_zero():
-        return 1, p
-    c = 0
-    for coeff in p.terms.values():
-        c = gcd(c, coeff)
-    lead_coeff = p.sorted_terms()[0][1]
-    if lead_coeff < 0:
-        c = -c
-    return c, Poly(p.table, {m: v // c for m, v in p.terms.items()})
 
 
 # -- symmetric rewriting ---------------------------------------------------------

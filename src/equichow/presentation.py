@@ -292,8 +292,9 @@ def _check_degree(square: CartesianSquareSpec, n: int) -> DegreeCheck:
     dim = mon_b + mon_c
 
     # Difference map B_n + C_n -> D_n as a matrix over the monomial bases.
-    cols_bd = pd.image_columns(pb, square.bd.apply)
-    cols_cd = pd.image_columns(pc, square.cd.apply)
+    # `vector` reduces what it is given, so the images skip the normal form.
+    cols_bd = pd.image_columns(pb, square.bd._raw_apply)
+    cols_cd = pd.image_columns(pc, square.cd._raw_apply)
     diff = from_columns(cols_bd + [[-x for x in col] for col in cols_cd], len(pd.monomials))
     fiber_lattice = Lattice(preimage_generators(diff, pd.relations, dim), dim)
 
@@ -320,7 +321,8 @@ def _check_degree(square: CartesianSquareSpec, n: int) -> DegreeCheck:
     images = [
         ab_col + ac_col
         for ab_col, ac_col in zip(
-            pb.image_columns(pa, square.ab.apply), pc.image_columns(pa, square.ac.apply)
+            pb.image_columns(pa, square.ab._raw_apply),
+            pc.image_columns(pa, square.ac._raw_apply),
         )
     ]
     surjective = quotient_invariants(fiber_lattice.rank, sub + coords(images)) == (0, ())

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from equichow import Poly, VarTable
+from equichow import Poly, VarTable, localization
 from equichow.pipeline import Fixtures
 
 
@@ -50,3 +50,17 @@ def random_homogeneous(table, rng, grade, coeff=6):
 @pytest.fixture
 def rng():
     return random.Random(20240)
+
+
+@pytest.fixture
+def corrupt_point_class(monkeypatch):
+    """Make `pushforward` see the class of the all-zero target fixed point
+    (the image of the all-zero source point) off by 1, so that its
+    fixed-point sum no longer clears the denominators."""
+    true_class = localization.point_class
+
+    def corrupted(space, fp):
+        cls = true_class(space, fp)
+        return cls if any(fp) else cls + 1
+
+    monkeypatch.setattr(localization, "point_class", corrupted)

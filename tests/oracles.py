@@ -1,7 +1,9 @@
-"""Test-only oracles: dense matrix helpers and the relation-times-monomial
-graded pieces that the Groebner-staircase pieces are checked against."""
+"""Test-only oracles: dense matrix helpers, the defining check of a strong
+Groebner basis, and the relation-times-monomial graded pieces that the
+Groebner-staircase pieces are checked against."""
 
 from equichow import Poly
+from equichow.groebner import _KeyCache, _reduce, gpolynomial, spolynomial
 from equichow.intlinalg import Lattice, from_columns, preimage_generators, quotient_invariants
 from equichow.poly import GradeMismatch
 
@@ -47,6 +49,21 @@ def diagonal_matrix(dec):
     for i, f in enumerate(dec.factors):
         d[i][i] = f
     return d
+
+
+def verify_strong(basis):
+    """Check the defining property: every S- and G-polynomial reduces to 0."""
+    if not basis.polys:
+        return True
+    key, leads = basis._division
+    key = _KeyCache(key).__getitem__
+    for j in range(len(leads)):
+        for i in range(j):
+            if not _reduce(spolynomial(leads[i], leads[j]), leads, key).is_zero():
+                return False
+            if not _reduce(gpolynomial(leads[i], leads[j]), leads, key).is_zero():
+                return False
+    return True
 
 
 class MonomialPiece:

@@ -37,6 +37,13 @@ def test_push_golden_output(capsys):
     assert lines[1].startswith("oracle: pass (20 trials")
 
 
+def test_push_reports_denominator_residue(capsys, corrupt_point_class):
+    code, out, err = run_cli(["push", os.path.join(JOBS, "cubing.job")], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_push_identity_job(tmp_path, capsys):
     job = tmp_path / "identity.job"
     job.write_text(

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equichow import (
     DenominatorResidue,
@@ -8,14 +10,15 @@ from equichow import (
     SpaceFactor,
     VarTable,
     enumerate_fixed_points,
+    euler_constant,
+    euler_forms,
     map_image_fixed_point,
     point_class,
     pushforward,
     restrict_hyperplane,
     specialize_oracle,
-    tangent_euler,
 )
-from equichow.localization import Denominator, DescriptorError, LocalizedElement
+from equichow.localization import DescriptorError
 
 
 TABLE = VarTable([("g1", 1), ("g2", 1), ("h1", 1), ("h2", 1), ("h", 1)])
@@ -74,12 +77,12 @@ def test_point_class_rejects_bad_index():
 
 
 def euler_value(space, fp):
-    le = tangent_euler(space, fp)
-    assert le.numerator == Poly.const(space.table, 1)
-    return le.denominator.expand()
+    return euler_constant(space, fp) * euler_forms(space)
 
 
 def test_tangent_euler_values():
+    assert euler_constant(single(3), (1,)) == -2
+    assert euler_forms(single(3)) == (G2 - G1) ** 3
     assert euler_value(single(3), (1,)) == -2 * (G2 - G1) ** 3
     assert euler_value(single(1), (0,)) == G2 - G1
     two = SpaceDescriptor(
@@ -209,28 +212,9 @@ def test_descriptor_invariants():
         MapDescriptor.multiplication(single(1), [3], "h1")
 
 
-def test_localized_element_equality_cross_multiplies():
-    den1 = Denominator.from_factors(1, [(G2 - G1, 1)])
-    den2 = Denominator.from_factors(2, [(G2 - G1, 1)])
-    a = LocalizedElement(G1, den1)
-    b = LocalizedElement(2 * G1, den2)
-    assert a == b
-    assert LocalizedElement(G1, den1) != LocalizedElement(G2, den1)
-
-
-def test_localized_element_sum_clears():
-    den_pos = Denominator.from_factors(1, [(G2 - G1, 1)])
-    den_neg = Denominator.from_factors(-1, [(G2 - G1, 1)])
-    total = LocalizedElement(H - 3 * G1, den_pos) + LocalizedElement(
-        H - 3 * G2, den_neg
-    )
-    assert total.to_poly() == Poly.const(TABLE, 3)
-
-
-def test_denominator_residue_raised():
-    bad = LocalizedElement(H, Denominator.from_factors(1, [(G2 - G1, 1)]))
+def test_denominator_residue_raised(corrupt_point_class):
     with pytest.raises(DenominatorResidue):
-        bad.to_poly()
+        pushforward(cubing_map(), ONE)
 
 
 def test_oracle_accepts_engine_values():
@@ -294,3 +278,65 @@ def test_oracle_handles_zero_weight():
         SpaceDescriptor([SpaceFactor(1, d, Poly.zero(t), "u1")]), [3], "h"
     )
     assert specialize_oracle(diag, Poly.const(t, 1), trials=10, seed=2)
+
+
+RANDOM_TABLE = VarTable(
+    [("g1", 1), ("g2", 1)]
+    + [(f"u{k}", 1) for k in (1, 2, 3)]
+    + [(f"h{k}", 1) for k in (1, 2, 3)]
+    + [("h", 1)]
+)
+RG1, RG2 = Poly.var(RANDOM_TABLE, "g1"), Poly.var(RANDOM_TABLE, "g2")
+# A zero weight and forms that recur, so that factors share weights.
+WEIGHTS = (Poly.zero(RANDOM_TABLE), RG1, RG2, RG1 + RG2, 2 * RG1 - RG2)
+WEIGHT_PAIRS = st.tuples(st.sampled_from(WEIGHTS), st.sampled_from(WEIGHTS)).filter(
+    lambda pair: pair[0] != pair[1]
+)
+MAX_TARGET_DEGREE = 9
+
+
+@st.composite
+def random_push(draw):
+    """A multiplication or product map on 1-3 factors with d and exponents
+    in 1-3 (target degree at most MAX_TARGET_DEGREE), and a class monomial
+    of grade at most the source dimension."""
+    k = draw(st.integers(1, 3))
+    room = MAX_TARGET_DEGREE
+    shape = []
+    for j in range(k):
+        spare = room - (k - 1 - j)
+        d = draw(st.integers(1, min(3, spare)))
+        a = draw(st.integers(1, min(3, spare // d)))
+        room -= a * d
+        shape.append((d, a))
+    product = k > 1 and draw(st.booleans())
+    shared = draw(WEIGHT_PAIRS)
+    pairs = [draw(WEIGHT_PAIRS) if product else shared for _ in range(k)]
+    space = SpaceDescriptor(
+        [
+            SpaceFactor(d, w0, w1, f"u{j + 1}")
+            for j, ((d, _), (w0, w1)) in enumerate(zip(shape, pairs))
+        ]
+    )
+    exponents = [a for _, a in shape]
+    if product:
+        mapping = MapDescriptor.product(space, exponents)
+    else:
+        mapping = MapDescriptor.multiplication(space, exponents)
+    names = draw(
+        st.lists(
+            st.sampled_from(("g1", "g2") + space.hvars), max_size=space.dimension
+        )
+    )
+    cls = Poly.const(RANDOM_TABLE, 1)
+    for name in names:
+        cls = cls * Poly.var(RANDOM_TABLE, name)
+    return mapping, cls
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_push(), st.integers(0, 2**16))
+def test_pushforward_agrees_with_oracle_on_random_descriptors(push, seed):
+    mapping, cls = push
+    value = pushforward(mapping, cls)
+    assert specialize_oracle(mapping, cls, trials=3, seed=seed, symbolic=value)

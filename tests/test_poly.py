@@ -91,38 +91,6 @@ def test_substitute_rejects_grade_mismatch(boundary_table):
         v(boundary_table, "l1").substitute({"l1": l2})
 
 
-def test_graded_component_mixed_degrees(boundary_table):
-    t = VarTable([("l1", 1), ("l2", 2), ("d1", 1), ("e", 2)])
-    l1, l2, d1, e = (v(t, n) for n in ("l1", "l2", "d1", "e"))
-    p = 2 * e + l1 * d1 + l2
-    assert p.graded_component(2) == p
-    assert (l1 + l2).graded_component(1) == l1
-    assert Poly.zero(t).graded_component(5).is_zero()
-
-
-def test_graded_components_sum_to_poly(gamma_table, rng):
-    p = random_poly(gamma_table, rng, max_exp=3)
-    total = Poly.zero(gamma_table)
-    for n in range(p.max_grade() + 1):
-        total = total + p.graded_component(n)
-    assert total == p
-
-
-def test_graded_component_respects_mul(gamma_table):
-    rng = random.Random(3)
-    for _ in range(10):
-        p = random_poly(gamma_table, rng)
-        q = random_poly(gamma_table, rng)
-        prod = p * q
-        for n in range(prod.max_grade() + 1):
-            expected = Poly.zero(gamma_table)
-            for i in range(n + 1):
-                expected = expected + p.graded_component(i) * q.graded_component(
-                    n - i
-                )
-            assert prod.graded_component(n) == expected
-
-
 def test_exact_divide_examples(gamma_table):
     h, g1, g2 = (v(gamma_table, n) for n in ("h", "g1", "g2"))
     assert exact_divide((g2 - g1) ** 2, g2 - g1) == g2 - g1
