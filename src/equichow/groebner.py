@@ -6,6 +6,29 @@ both S-polynomials (monomial overlaps) and G-polynomials (gcd combinations
 of leading coefficients).  Division reduces each coefficient to its
 canonical Euclidean remainder in [0, lc), which makes normal forms unique
 and membership decidable.
+
+A term is a leading coefficient times a leading monomial, T_i = c_i*m_i,
+and lcm(T_i, T_j) = lcm(c_i, c_j)*lcm(m_i, m_j).  A basis g_1..g_s is
+strong iff, for every pair (i, j), the S-polynomial S(i, j) has a
+representation sum h_k*g_k whose products all lead below lcm(m_i, m_j),
+and some T_k divides gcd(c_i, c_j)*lcm(m_i, m_j) (Adams & Loustaunau,
+*An Introduction to Groebner Bases*, ch. 4: over a PID the S-syzygies
+generate the syzygies of the terms, and the gcd terms make the leading
+terms strong).  Completion skips three kinds of polynomials that would add
+nothing, after Buchberger's criteria in the form of Gebauer & Moeller, *On
+an installation of Buchberger's algorithm* (J. Symb. Comp. 6, 1988):
+
+- product criterion: if m_i, m_j are coprime and c_i, c_j are coprime,
+  then with tails g' = g - T, S(i, j) = g_i'*g_j - g_j'*g_i, whose
+  products lead below m_i*m_j.  Over Z both conditions are needed.
+- chain criterion: if some T_k divides T = lcm(T_i, T_j), then with
+  T_ik = lcm(T_i, T_k), S(i, j) = (T/T_ik)*S(i, k) - (T/T_jk)*S(j, k), so
+  S(i, j) inherits the representations of S(i, k) and S(j, k) once both
+  pairs are treated.  A pair skipped this way relies only on pairs treated
+  before it, so the induction over treatment time is well founded.
+- G-polynomials: the G-polynomial of (i, j) leads with
+  gcd(c_i, c_j)*lcm(m_i, m_j); it is needed only when no T_k divides that
+  term.  Basis elements are never dropped, so a divisor found once stays.
 """
 
 from __future__ import annotations
@@ -13,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from math import lcm
+from math import gcd, lcm
 from operator import add, le, sub
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -198,7 +221,13 @@ def strong_groebner(gens: Sequence[Poly], order: MonomialOrder) -> IdealBasis:
     """Complete `gens` to a strong Groebner basis over Z.
 
     Pairs are taken in order of the grade of the lcm of their leading
-    monomials (Buchberger's normal strategy), oldest first on a tie.  The
+    monomials (Buchberger's normal strategy), oldest first on a tie.  A
+    popped pair (i, j) skips its S-polynomial by the product criterion
+    (coprime leading monomials and coprime leading coefficients) or by the
+    chain criterion (some other element's term divides lcm(T_i, T_j), and
+    neither (i, k) nor (j, k) is still pending), and skips its G-polynomial
+    when some element's term divides gcd(c_i, c_j)*lcm(m_i, m_j); the
+    module docstring has the proofs.  Every element stays a reducer.  The
     result is the reduced basis sorted by leading term, so it depends only
     on the ideal and the order, not on the order of `gens`.  The empty
     input yields the zero ideal (an empty basis).
@@ -218,25 +247,54 @@ def strong_groebner(gens: Sequence[Poly], order: MonomialOrder) -> IdealBasis:
         if all(lead[2] != b[2] for b in basis):
             basis.append(lead)
 
-    def pair(i: int, j: int) -> Tuple[int, int, int]:
-        return table.grade(_mono_lcm(basis[i][0], basis[j][0])), j, i
+    def pair(i: int, j: int) -> Tuple[int, int, int, Monomial]:
+        m = _mono_lcm(basis[i][0], basis[j][0])
+        return table.grade(m), j, i, m
 
     pairs = [pair(i, j) for j in range(len(basis)) for i in range(j)]
     heapify(pairs)
+    # partners[i]: the k whose pair with i is still pending
+    partners = [set(range(len(basis))) - {i} for i in range(len(basis))]
+
+    def extend(p: Poly):
+        rem = _reduce(p, basis, key)
+        if rem.is_zero():
+            return
+        basis.append(_lead(rem, key))
+        new = len(basis) - 1
+        partners.append(set(range(new)))
+        for k in range(new):
+            heappush(pairs, pair(k, new))
+            partners[k].add(new)
+
     while pairs:
-        _, j, i = heappop(pairs)
-        f, g = basis[i], basis[j]
-        candidates = [spolynomial(f, g)]
-        if f[1] % g[1] and g[1] % f[1]:
-            candidates.append(gpolynomial(f, g))
-        for cand in candidates:
-            rem = _reduce(cand, basis, key)
-            if rem.is_zero():
-                continue
-            basis.append(_lead(rem, key))
-            new = len(basis) - 1
-            for k in range(new):
-                heappush(pairs, pair(k, new))
+        _, j, i, m = heappop(pairs)
+        (fm, fc, _), (gm, gc, _) = f, g = basis[i], basis[j]
+        waiting_i, waiting_j = partners[i], partners[j]
+        waiting_i.remove(j)
+        waiting_j.remove(i)
+        d = gcd(fc, gc)
+        if d > 1 or any(map(min, fm, gm)):  # else the product criterion
+            lc = fc // d * gc
+            for k, (km, kc, _) in enumerate(basis):
+                if (
+                    lc % kc == 0
+                    and k != i
+                    and k != j
+                    and k not in waiting_i
+                    and k not in waiting_j
+                    and _mono_divides(km, m)
+                ):
+                    break  # the chain criterion
+            else:
+                extend(spolynomial(f, g))
+        # f or g itself divides the G-polynomial's lead when fc | gc or gc | fc
+        if (
+            fc % gc
+            and gc % fc
+            and not any(d % kc == 0 and _mono_divides(km, m) for km, kc, _ in basis)
+        ):
+            extend(gpolynomial(f, g))
 
     reduced = _minimize(basis, key)
     reduced.sort(key=lambda lead: (key(lead[0]), lead[1]))
@@ -299,15 +357,18 @@ def ideal_equal(
     gens_b: Sequence[Poly],
     order: Optional[MonomialOrder] = None,
 ) -> bool:
-    """Mutual containment of the two generating sets."""
-    live_a = [g for g in gens_a if not g.is_zero()]
-    live_b = [g for g in gens_b if not g.is_zero()]
-    if not live_a or not live_b:
-        return not live_a and not live_b
+    """Compare the reduced strong bases of the two generating sets.
+
+    The reduced strong basis is unique for the ideal and the order.  Both
+    bases have the minimal terms of the leading-term ideal as their leading
+    terms.  Two elements with the same leading term differ by an ideal
+    element all of whose terms are canonical remainders, and a nonzero ideal
+    element has a leading term that some basis term divides, which a
+    canonical remainder forbids; so the difference is 0.
+    """
+    live = [g for g in (*gens_a, *gens_b) if not g.is_zero()]
+    if not live:
+        return True
     if order is None:
-        order = MonomialOrder.grevlex(live_a[0].table)
-    basis_a = strong_groebner(live_a, order)
-    basis_b = strong_groebner(live_b, order)
-    return all(normal_form(g, basis_b).is_zero() for g in live_a) and all(
-        normal_form(g, basis_a).is_zero() for g in live_b
-    )
+        order = MonomialOrder.grevlex(live[0].table)
+    return strong_groebner(gens_a, order).polys == strong_groebner(gens_b, order).polys

@@ -1,9 +1,21 @@
 """Test-only oracles: dense matrix helpers, the defining check of a strong
-Groebner basis, and the relation-times-monomial graded pieces that the
-Groebner-staircase pieces are checked against."""
+Groebner basis, the relation-times-monomial graded pieces that the
+Groebner-staircase pieces are checked against, completion without pair
+criteria, and ideal equality by mutual containment."""
 
-from equichow import Poly
-from equichow.groebner import _KeyCache, _reduce, gpolynomial, spolynomial
+from heapq import heapify, heappop, heappush
+
+from equichow import MonomialOrder, Poly, normal_form, strong_groebner
+from equichow.groebner import (
+    IdealBasis,
+    _KeyCache,
+    _lead,
+    _minimize,
+    _mono_lcm,
+    _reduce,
+    gpolynomial,
+    spolynomial,
+)
 from equichow.intlinalg import Lattice, from_columns, preimage_generators, quotient_invariants
 from equichow.poly import GradeMismatch
 
@@ -122,3 +134,60 @@ def monomial_nonzerodivisor_up_to(pres, elt, degree_bound):
         if any(relations.coordinates(k) is None for k in kernel_gens):
             return False
     return True
+
+
+def plain_strong_groebner(gens, order):
+    """Strong Groebner completion with no pair criteria: every pair forms
+    its S-polynomial, and its G-polynomial unless one leading coefficient
+    divides the other; pairs are taken by lcm grade, oldest first."""
+    polys = [g for g in gens if not g.is_zero()]
+    if not polys:
+        return IdealBasis((), order, True)
+    table = polys[0].table
+    key = _KeyCache(order.key(table)).__getitem__
+
+    basis = []
+    for g in polys:
+        lead = _lead(g, key)
+        if all(lead[2] != b[2] for b in basis):
+            basis.append(lead)
+
+    def pair(i, j):
+        return table.grade(_mono_lcm(basis[i][0], basis[j][0])), j, i
+
+    pairs = [pair(i, j) for j in range(len(basis)) for i in range(j)]
+    heapify(pairs)
+    while pairs:
+        _, j, i = heappop(pairs)
+        f, g = basis[i], basis[j]
+        candidates = [spolynomial(f, g)]
+        if f[1] % g[1] and g[1] % f[1]:
+            candidates.append(gpolynomial(f, g))
+        for cand in candidates:
+            rem = _reduce(cand, basis, key)
+            if rem.is_zero():
+                continue
+            basis.append(_lead(rem, key))
+            new = len(basis) - 1
+            for k in range(new):
+                heappush(pairs, pair(k, new))
+
+    reduced = _minimize(basis, key)
+    reduced.sort(key=lambda lead: (key(lead[0]), lead[1]))
+    return IdealBasis(tuple(p for _, _, p in reduced), order, True)
+
+
+def containment_ideal_equal(gens_a, gens_b, order=None):
+    """Mutual containment of the two generating sets: each generator has
+    normal form 0 modulo a strong basis of the other set."""
+    live_a = [g for g in gens_a if not g.is_zero()]
+    live_b = [g for g in gens_b if not g.is_zero()]
+    if not live_a or not live_b:
+        return not live_a and not live_b
+    if order is None:
+        order = MonomialOrder.grevlex(live_a[0].table)
+    basis_a = strong_groebner(live_a, order)
+    basis_b = strong_groebner(live_b, order)
+    return all(normal_form(g, basis_b).is_zero() for g in live_a) and all(
+        normal_form(g, basis_a).is_zero() for g in live_b
+    )

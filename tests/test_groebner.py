@@ -19,7 +19,7 @@ from equichow.groebner import IdealBasis
 from equichow.intlinalg import Lattice
 from equichow.pipeline import double_triple_value, eliminated_node_ideal
 from conftest import random_homogeneous
-from oracles import verify_strong
+from oracles import containment_ideal_equal, plain_strong_groebner, verify_strong
 
 
 def v(table, name):
@@ -295,3 +295,61 @@ def test_random_ideal_properties(gens, p, multipliers):
         member = member + m * g
     assert normal_form(member, basis).is_zero()
     assert normal_form(p + member, basis) == nf
+
+
+# Small fixed strategies: completion cost grows fast with the number and
+# degree of the generators, so these draws stay cheap and reproducible.
+small = settings(max_examples=40, deadline=None, derandomize=True)
+W = VarTable([("a", 1), ("b", 1), ("c", 2)])
+W_GRADES = {n: W.monomials_of_grade(n) for n in (2, 3)}
+w_polys = st.sampled_from((2, 3)).flatmap(
+    lambda n: st.lists(
+        st.integers(-3, 3), min_size=len(W_GRADES[n]), max_size=len(W_GRADES[n])
+    ).map(lambda cs: Poly(W, dict(zip(W_GRADES[n], cs))))
+)
+ORDERS = {
+    "xy-grevlex": (xy_polys, MonomialOrder.grevlex(XY)),
+    "xy-lex": (xy_polys, MonomialOrder.lex(("x", "y"))),
+    "weighted-grevlex": (w_polys, MonomialOrder.grevlex(W)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORDERS))
+@small
+@given(data=st.data())
+def test_criteria_match_plain_completion(name, data):
+    polys, order = ORDERS[name]
+    gens = data.draw(st.lists(polys, min_size=2, max_size=2))
+    basis = strong_groebner(gens, order)
+    assert basis.polys == plain_strong_groebner(gens, order).polys
+    # completing a reduced basis, in either order, gives it back
+    assert strong_groebner(basis.polys, order).polys == basis.polys
+    assert strong_groebner(basis.polys[::-1], order).polys == basis.polys
+
+
+@small
+@given(
+    gens=st.lists(xy_polys, min_size=1, max_size=2),
+    multipliers=st.lists(xy_polys, min_size=2, max_size=2),
+    scale=st.sampled_from((1, 2, 3)),
+)
+def test_ideal_equal_agrees_with_mutual_containment(gens, multipliers, scale):
+    """The same ideal with a member added, and the ideal with its first
+    generator scaled, which may or may not be the same ideal."""
+    member = sum((m * g for m, g in zip(multipliers, gens)), Poly.zero(XY))
+    for other in (gens + [member], [scale * gens[0]] + gens[1:]):
+        assert ideal_equal(gens, other) == containment_ideal_equal(gens, other)
+    assert ideal_equal(gens, gens + [member])
+
+
+def test_ideal_equal_sees_both_answers():
+    x, y = v(XY, "x"), v(XY, "y")
+    for a, b, want in (
+        ([2 * x, 3 * y], [2 * x, 3 * y, x * y], True),
+        ([2 * x, 3 * y], [4 * x, 3 * y], False),
+        ([x * x - y], [y - x * x, x**3 - x * y], True),
+        ([Poly.zero(XY)], [], True),
+        ([x], [Poly.zero(XY)], False),
+    ):
+        assert ideal_equal(a, b) == want
+        assert containment_ideal_equal(a, b) == want

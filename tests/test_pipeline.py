@@ -55,6 +55,25 @@ def test_step_patching_negative_control():
     assert "fail@2" in report.computed
 
 
+def test_step_node_image_ideal_negative_control(fx):
+    tp = fx.total.table
+    e, l1, d1 = (Poly.var(tp, n) for n in ("e", "l1", "d1"))
+    assert step_node_image_ideal(fx).verdict == "match"
+    doubled = Fixtures.default(candidate_relations=[4 * e, e * (l1 * d1 + e)])
+    report = step_node_image_ideal(doubled)
+    assert report.verdict == "mismatch"
+    assert report.computed.startswith("ideal_equal=false;")
+
+
+def test_step_double_triple_class_negative_control(fx):
+    good = step_double_triple_class(fx).computed
+    doubled = replace(fx, residual_class=2 * fx.residual_class)
+    report = step_double_triple_class(doubled)
+    assert report.verdict == "mismatch"
+    # only the membership flips: the class itself does not use the fixture
+    assert report.computed == good.replace("membership=true", "membership=false")
+
+
 def test_step_transfer(fx):
     report = step_transfer(fx)
     assert report.verdict == "match"
