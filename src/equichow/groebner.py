@@ -303,7 +303,9 @@ def strong_groebner(gens: Sequence[Poly], order: MonomialOrder) -> IdealBasis:
 
 def _minimize(basis: List[Lead], key: Callable[[Monomial], tuple]) -> List[Lead]:
     """Drop generators whose leading term is a term-multiple of another's,
-    then reduce each tail; both steps preserve strongness and the ideal."""
+    then reduce each tail; both steps preserve strongness and the ideal.
+    A tail whose terms are all canonical remainders modulo the other leads
+    is kept as it is, since `_reduce` would return it unchanged."""
     kept: List[Lead] = []
     for idx, (gm, gc, g) in enumerate(basis):
         redundant = False
@@ -320,9 +322,24 @@ def _minimize(basis: List[Lead], key: Callable[[Monomial], tuple]) -> List[Lead]
     reduced = []
     for idx, (gm, gc, g) in enumerate(kept):
         others = kept[:idx] + kept[idx + 1 :]
+        if all(
+            _is_remainder(mono, coeff, others)
+            for mono, coeff in g.terms.items()
+            if mono != gm
+        ):
+            reduced.append((gm, gc, g))
+            continue
         tail = _reduce(g - Poly(g.table, {gm: gc}), others, key)
         reduced.append((gm, gc, Poly(g.table, {**tail.terms, gm: gc})))
     return reduced
+
+
+def _is_remainder(mono: Monomial, coeff: int, leads: Sequence[Lead]) -> bool:
+    """True iff `_reduce` keeps the term coeff*mono as it is: no lead
+    divides mono, or 0 <= coeff < the smallest dividing lead's coefficient."""
+    if coeff < 0:
+        return not any(_mono_divides(lm, mono) for lm, _, _ in leads)
+    return all(coeff < lc for lm, lc, _ in leads if _mono_divides(lm, mono))
 
 
 def normal_form(p: Poly, basis: IdealBasis) -> Poly:

@@ -13,6 +13,13 @@ Denominators never need polynomial gcds: the tangent Euler class at every
 fixed point is an integer c times the same product F of the forms
 (w1 - w0)^d, so the sum is one numerator over lcm(c) * F, cleared by a
 single exact division at the end.
+
+The class of a target point is a product of one small class per target
+factor, and many source points share an image.  So the numerator first
+sums the restricted classes over the source points with the same image,
+then contracts the target factors one at a time, last first: each factor
+multiplies every partial sum by one of its one-factor point classes once
+per prefix of the image index vector, not once per source point.
 """
 
 from __future__ import annotations
@@ -273,6 +280,16 @@ def _check_class_variables(mapping: MapDescriptor, cls: Poly):
 def pushforward(mapping: MapDescriptor, cls: Poly) -> Poly:
     """Equivariant pushforward of cls by the explicit fixed-point formula.
 
+    The numerator is sum over source points p of
+    restricted(p) * (C // c_p) * [image point of p], C = lcm(c_p).  The
+    image class is a product of one-factor classes, one per target factor,
+    so the sum is contracted one factor at a time: the terms are first
+    summed over the source points with the same image q, and then, last
+    factor first, each partial sum keyed by a prefix of q is multiplied by
+    the one-factor class of its last index and added into the sum of the
+    shorter prefix.  Each one-factor class is built with `point_class` the
+    first time an index needs it, and kept for this call only.
+
     Raises DenominatorResidue if the sum fails to clear its denominators,
     which signals an inconsistent descriptor.
     """
@@ -283,11 +300,27 @@ def pushforward(mapping: MapDescriptor, cls: Poly) -> Poly:
     points = enumerate_fixed_points(source)
     consts = [euler_constant(source, fp) for fp in points]
     common = math.lcm(*consts)
-    numerator = Poly.zero(source.table)
+    sums: Dict[FixedPoint, Poly] = {}
     for fp, const in zip(points, consts):
         restricted = cls.substitute(fixed_point_substitution(source, fp))
-        image = point_class(target, map_image_fixed_point(mapping, fp))
-        numerator = numerator + restricted * image * (common // const)
+        term = restricted * (common // const)
+        image = map_image_fixed_point(mapping, fp)
+        sums[image] = sums[image] + term if image in sums else term
+    for factor in reversed(target.factors):
+        one = SpaceDescriptor([factor])
+        classes: Dict[int, Poly] = {}
+        contracted: Dict[FixedPoint, Poly] = {}
+        for q, partial in sums.items():
+            i = q[-1]
+            if i not in classes:
+                classes[i] = point_class(one, (i,))
+            term = partial * classes[i]
+            prefix = q[:-1]
+            contracted[prefix] = (
+                contracted[prefix] + term if prefix in contracted else term
+            )
+        sums = contracted
+    numerator = sums[()]
     try:
         return exact_divide(numerator, euler_forms(source) * common)
     except NotDivisible as exc:

@@ -14,6 +14,7 @@ strings are usable as golden values and round-trip through the parser.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 Monomial = Tuple[int, ...]
@@ -142,6 +143,17 @@ class Poly:
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
 
+    @staticmethod
+    def _canonical(table: VarTable, terms: Dict[Monomial, int]) -> "Poly":
+        """Wrap terms that are already canonical (monomials of the table's
+        width, non-zero int coefficients) without checking them again; the
+        ring operations build their results this way."""
+        p = object.__new__(Poly)
+        object.__setattr__(p, "table", table)
+        object.__setattr__(p, "terms", terms)
+        object.__setattr__(p, "_hash", None)
+        return p
+
     def __setattr__(self, *args):
         raise AttributeError("Poly is immutable")
 
@@ -167,7 +179,7 @@ class Poly:
         if isinstance(other, int):
             return Poly.const(self.table, other)
         if isinstance(other, Poly):
-            if other.table != self.table:
+            if other.table is not self.table and other.table != self.table:
                 raise TableMismatch("operands use different variable tables")
             return other
         return NotImplemented
@@ -178,13 +190,18 @@ class Poly:
             return NotImplemented
         acc = dict(self.terms)
         for mono, coeff in other.terms.items():
-            acc[mono] = acc.get(mono, 0) + coeff
-        return Poly(self.table, acc)
+            # coeff != 0, so a sum of 0 means mono was already in acc
+            val = acc.get(mono, 0) + coeff
+            if val:
+                acc[mono] = val
+            else:
+                del acc[mono]
+        return Poly._canonical(self.table, acc)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(self.table, {m: -c for m, c in self.terms.items()})
+        return Poly._canonical(self.table, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
         other = self._coerce(other)
@@ -196,15 +213,23 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other) -> "Poly":
+        if isinstance(other, int):
+            if not other:
+                return Poly._canonical(self.table, {})
+            return Poly._canonical(
+                self.table, {m: c * other for m, c in self.terms.items()}
+            )
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         acc: Dict[Monomial, int] = {}
+        get = acc.get
+        right = tuple(other.terms.items())
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                acc[mono] = acc.get(mono, 0) + c1 * c2
-        return Poly(self.table, acc)
+            for m2, c2 in right:
+                mono = tuple(map(add, m1, m2))
+                acc[mono] = get(mono, 0) + c1 * c2
+        return Poly._canonical(self.table, {m: c for m, c in acc.items() if c})
 
     __rmul__ = __mul__
 

@@ -54,9 +54,11 @@ def rng():
 
 @pytest.fixture
 def corrupt_point_class(monkeypatch):
-    """Make `pushforward` see the class of the all-zero target fixed point
-    (the image of the all-zero source point) off by 1, so that its
-    fixed-point sum no longer clears the denominators."""
+    """Add 1 to every class `point_class` returns for an all-zero index.
+    `pushforward` asks it only for one-factor classes, so the one at index
+    0 is off by 1; on the one-factor target of the cubing map that is the
+    class of the all-zero target point (the image of the all-zero source
+    point), and the fixed-point sum no longer clears the denominators."""
     true_class = localization.point_class
 
     def corrupted(space, fp):

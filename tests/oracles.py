@@ -1,8 +1,10 @@
 """Test-only oracles: dense matrix helpers, the defining check of a strong
 Groebner basis, the relation-times-monomial graded pieces that the
 Groebner-staircase pieces are checked against, completion without pair
-criteria, and ideal equality by mutual containment."""
+criteria, ideal equality by mutual containment, and the fixed-point sum
+taken one source point at a time."""
 
+import math
 from heapq import heapify, heappop, heappush
 
 from equichow import MonomialOrder, Poly, normal_form, strong_groebner
@@ -17,7 +19,15 @@ from equichow.groebner import (
     spolynomial,
 )
 from equichow.intlinalg import Lattice, from_columns, preimage_generators, quotient_invariants
-from equichow.poly import GradeMismatch
+from equichow.localization import (
+    enumerate_fixed_points,
+    euler_constant,
+    euler_forms,
+    fixed_point_substitution,
+    map_image_fixed_point,
+    point_class,
+)
+from equichow.poly import GradeMismatch, exact_divide
 
 
 def mat_mul(a, b):
@@ -191,3 +201,19 @@ def containment_ideal_equal(gens_a, gens_b, order=None):
     return all(normal_form(g, basis_b).is_zero() for g in live_a) and all(
         normal_form(g, basis_a).is_zero() for g in live_b
     )
+
+
+def plain_pushforward(mapping, cls):
+    """The fixed-point sum one source point at a time: each term multiplies
+    the restricted class by the whole point class of its image, over the
+    common denominator lcm(euler_constant) * euler_forms."""
+    source, target = mapping.source, mapping.target
+    points = enumerate_fixed_points(source)
+    consts = [euler_constant(source, fp) for fp in points]
+    common = math.lcm(*consts)
+    numerator = Poly.zero(source.table)
+    for fp, const in zip(points, consts):
+        restricted = cls.substitute(fixed_point_substitution(source, fp))
+        image = point_class(target, map_image_fixed_point(mapping, fp))
+        numerator = numerator + restricted * image * (common // const)
+    return exact_divide(numerator, euler_forms(source) * common)

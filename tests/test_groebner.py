@@ -15,6 +15,7 @@ from equichow import (
     normal_form,
     strong_groebner,
 )
+from equichow import groebner
 from equichow.groebner import IdealBasis
 from equichow.intlinalg import Lattice
 from equichow.pipeline import double_triple_value, eliminated_node_ideal
@@ -325,6 +326,49 @@ def test_criteria_match_plain_completion(name, data):
     # completing a reduced basis, in either order, gives it back
     assert strong_groebner(basis.polys, order).polys == basis.polys
     assert strong_groebner(basis.polys[::-1], order).polys == basis.polys
+
+
+def test_completing_a_reduced_basis_reduces_no_tail(monkeypatch):
+    """`_minimize` keeps a tail that is already a canonical remainder, such
+    as 2*y^3 next to the lead 4*y^3 in the lex basis."""
+    x, y = v(XY, "x"), v(XY, "y")
+    a, b, c = (v(W, n) for n in ("a", "b", "c"))
+    cases = [
+        ([2 * x * y + y, 3 * x * x - y * y], MonomialOrder.grevlex(XY)),
+        ([2 * x * y + y, 3 * x * x - y * y], MonomialOrder.lex(("x", "y"))),
+        ([2 * a * b - c, 3 * a * a + b * b, 4 * c * a - b**3], MonomialOrder.grevlex(W)),
+    ]
+    true_reduce, true_minimize = groebner._reduce, groebner._minimize
+    tail_reductions = []
+    in_minimize = []
+
+    def counting_reduce(p, leads, key):
+        if in_minimize:
+            tail_reductions.append(p)
+        return true_reduce(p, leads, key)
+
+    def flagged_minimize(basis, key):
+        in_minimize.append(True)
+        try:
+            return true_minimize(basis, key)
+        finally:
+            in_minimize.pop()
+
+    for gens, order in cases:
+        basis = strong_groebner(gens, order)
+        assert any(len(g.terms) > 1 for g in basis.polys)
+        monkeypatch.setattr(groebner, "_reduce", counting_reduce)
+        monkeypatch.setattr(groebner, "_minimize", flagged_minimize)
+        assert strong_groebner(basis.polys, order).polys == basis.polys
+        assert strong_groebner(basis.polys[::-1], order).polys == basis.polys
+        monkeypatch.undo()
+        assert tail_reductions == []
+    # a tail that is not reduced is still reduced
+    monkeypatch.setattr(groebner, "_reduce", counting_reduce)
+    monkeypatch.setattr(groebner, "_minimize", flagged_minimize)
+    basis = strong_groebner([x * y + y * y, y * y], MonomialOrder.grevlex(XY))
+    assert set(basis.polys) == {x * y, y * y}
+    assert tail_reductions
 
 
 @small

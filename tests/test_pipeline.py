@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from equichow import Poly
+from equichow import Poly, pipeline
 from equichow.pipeline import (
     Fixtures,
     double_triple_value,
@@ -85,6 +85,23 @@ def test_step_localization_verdicts(fx):
     assert main.verdict == "match"
     assert pair.verdict == "informational"
     assert "2:1" in " ".join(pair.details)
+
+
+def test_step_localization_negative_control(fx, monkeypatch):
+    main, _ = step_localization(fx, oracle_trials=5, seed=0)
+    assert main.verdict == "match"
+    true_values = pipeline._localization_values
+
+    def doubled():
+        t, jobs, expected, quad_cubing = true_values()
+        expected = dict(expected, **{"rho1*h1": 2 * expected["rho1*h1"]})
+        return t, jobs, expected, quad_cubing
+
+    monkeypatch.setattr(pipeline, "_localization_values", doubled)
+    report, _ = step_localization(fx, oracle_trials=5, seed=0)
+    assert report.verdict == "mismatch"
+    assert report.computed == main.computed
+    assert report.expected != main.expected
 
 
 def test_step_node_locus_class(fx):

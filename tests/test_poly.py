@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equichow import (
     GradeMismatch,
@@ -11,6 +13,7 @@ from equichow import (
     TableMismatch,
     VarTable,
     exact_divide,
+    parse_poly,
     to_elementary_symmetric,
 )
 from conftest import random_poly
@@ -182,3 +185,47 @@ def test_evaluate():
     assert p.evaluate({"a": 2, "b": 5}) == 7
     with pytest.raises(PolyError):
         p.evaluate({"a": 2})
+
+
+# Property tests on a small weighted table.  Draws include zero
+# coefficients and repeated monomials, so canonicalisation is exercised.
+WT = VarTable([("a", 1), ("b", 1), ("c", 2)])
+polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * len(WT)), st.integers(-5, 5), max_size=4
+).map(lambda terms: Poly(WT, terms))
+properties = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def assert_canonical(p):
+    assert all(type(c) is int and c for c in p.terms.values())
+    assert all(len(m) == len(WT) for m in p.terms)
+    assert p == Poly(WT, p.terms)
+    assert p.terms == Poly(WT, p.terms).terms
+
+
+@properties
+@given(polys, polys, polys)
+def test_ring_axioms(p, q, r):
+    assert p + q == q + p
+    assert p * q == q * p
+    assert (p + q) + r == p + (q + r)
+    assert (p * q) * r == p * (q * r)
+    assert p * (q + r) == p * q + p * r
+    assert (p + q) * r == p * r + q * r
+
+
+@properties
+@given(polys, polys, st.integers(-4, 4))
+def test_results_are_canonical(p, q, n):
+    for result in (p + q, p - q, -p, p * q, p * n, n * p, n + p, n - p, p**2):
+        assert_canonical(result)
+    assert (p - p).terms == {}
+    assert p * n == p * Poly.const(WT, n)
+    assert (p * 0).terms == {}
+    assert p * 0 == p * Poly.const(WT, 0)
+
+
+@properties
+@given(polys)
+def test_render_parse_round_trip(p):
+    assert parse_poly(p.render(), WT) == p
