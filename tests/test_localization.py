@@ -297,11 +297,14 @@ MAX_TARGET_DEGREE = 9
 
 
 @st.composite
-def random_push(draw):
-    """A multiplication or product map on 1-3 factors with d and exponents
-    in 1-3 (target degree at most MAX_TARGET_DEGREE), and a class monomial
-    of grade at most the source dimension."""
-    k = draw(st.integers(1, 3))
+def random_push(draw, min_factors=1, product=None, max_terms=1):
+    """A multiplication or product map (`product` None draws which) on
+    min_factors-3 factors with d and exponents in 1-3 (target degrees
+    summing to at most MAX_TARGET_DEGREE), and a class of 1-max_terms
+    terms with small non-zero coefficients, each a monomial in the weight
+    variables and the source h-variables of grade at most the source
+    dimension."""
+    k = draw(st.integers(min_factors, 3))
     room = MAX_TARGET_DEGREE
     shape = []
     for j in range(k):
@@ -310,72 +313,8 @@ def random_push(draw):
         a = draw(st.integers(1, min(3, spare // d)))
         room -= a * d
         shape.append((d, a))
-    product = k > 1 and draw(st.booleans())
-    shared = draw(WEIGHT_PAIRS)
-    pairs = [draw(WEIGHT_PAIRS) if product else shared for _ in range(k)]
-    space = SpaceDescriptor(
-        [
-            SpaceFactor(d, w0, w1, f"u{j + 1}")
-            for j, ((d, _), (w0, w1)) in enumerate(zip(shape, pairs))
-        ]
-    )
-    exponents = [a for _, a in shape]
-    if product:
-        mapping = MapDescriptor.product(space, exponents)
-    else:
-        mapping = MapDescriptor.multiplication(space, exponents)
-    names = draw(
-        st.lists(
-            st.sampled_from(("g1", "g2") + space.hvars), max_size=space.dimension
-        )
-    )
-    cls = Poly.const(RANDOM_TABLE, 1)
-    for name in names:
-        cls = cls * Poly.var(RANDOM_TABLE, name)
-    return mapping, cls
-
-
-@settings(max_examples=40, deadline=None)
-@given(random_push(), st.integers(0, 2**16))
-def test_pushforward_agrees_with_oracle_on_random_descriptors(push, seed):
-    mapping, cls = push
-    value = pushforward(mapping, cls)
-    assert specialize_oracle(mapping, cls, trials=3, seed=seed, symbolic=value)
-
-
-@st.composite
-def random_class(draw, space):
-    """A sum of 1-3 terms with small non-zero coefficients, each a monomial
-    in the weight variables and the source h-variables of grade at most
-    the source dimension."""
-    cls = Poly.zero(RANDOM_TABLE)
-    for _ in range(draw(st.integers(1, 3))):
-        term = Poly.const(RANDOM_TABLE, draw(st.sampled_from((-3, -2, -1, 1, 2, 3))))
-        names = draw(
-            st.lists(
-                st.sampled_from(("g1", "g2") + space.hvars), max_size=space.dimension
-            )
-        )
-        for name in names:
-            term = term * Poly.var(RANDOM_TABLE, name)
-        cls = cls + term
-    return cls
-
-
-@st.composite
-def several_factor_push(draw, product):
-    """A product map with 2-3 blocks, or a multiplication map on 2-3
-    factors, with d and exponents in 1-3 and target degrees summing to at
-    most MAX_TARGET_DEGREE, and a class of several terms."""
-    k = draw(st.integers(2, 3))
-    shape = []
-    room = MAX_TARGET_DEGREE
-    for j in range(k):
-        spare = room - (k - 1 - j)
-        d = draw(st.integers(1, min(3, spare)))
-        a = draw(st.integers(1, min(3, spare // d)))
-        room -= a * d
-        shape.append((d, a))
+    if product is None:
+        product = k > 1 and draw(st.booleans())
     shared = draw(WEIGHT_PAIRS)
     pairs = [draw(WEIGHT_PAIRS) if product else shared for _ in range(k)]
     space = SpaceDescriptor(
@@ -386,7 +325,26 @@ def several_factor_push(draw, product):
     )
     exponents = [a for _, a in shape]
     build = MapDescriptor.product if product else MapDescriptor.multiplication
-    return build(space, exponents), draw(random_class(space))
+    cls = Poly.zero(RANDOM_TABLE)
+    for _ in range(draw(st.integers(1, max_terms))):
+        term = Poly.const(RANDOM_TABLE, draw(st.sampled_from((-3, -2, -1, 1, 2, 3))))
+        names = draw(
+            st.lists(
+                st.sampled_from(("g1", "g2") + space.hvars), max_size=space.dimension
+            )
+        )
+        for name in names:
+            term = term * Poly.var(RANDOM_TABLE, name)
+        cls = cls + term
+    return build(space, exponents), cls
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_push(), st.integers(0, 2**16))
+def test_pushforward_agrees_with_oracle_on_random_descriptors(push, seed):
+    mapping, cls = push
+    value = pushforward(mapping, cls)
+    assert specialize_oracle(mapping, cls, trials=3, seed=seed, symbolic=value)
 
 
 @pytest.mark.parametrize("product", [False, True])
@@ -394,6 +352,7 @@ def several_factor_push(draw, product):
 @given(data=st.data())
 def test_pushforward_agrees_with_the_plain_sum(product, data):
     """The per-factor contraction over grouped images equals the sum that
-    multiplies each source point's term by its whole image class."""
-    mapping, cls = data.draw(several_factor_push(product))
+    multiplies each source point's term by its whole image class, on 2-3
+    factors or blocks and classes of several terms."""
+    mapping, cls = data.draw(random_push(2, product, max_terms=3))
     assert pushforward(mapping, cls) == plain_pushforward(mapping, cls)
