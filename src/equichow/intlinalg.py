@@ -1,43 +1,56 @@
 """Exact integer linear algebra: Smith normal form, kernels, lattices.
 
-Matrices are plain lists of rows of Python ints, so nothing ever overflows
-or rounds.  The Smith routine tracks the unimodular row/column transforms
-by applying every elementary operation to the bookkeeping matrices as well.
+Matrices come in as plain lists of rows of Python ints, so nothing ever
+overflows or rounds.  The matrices of the patching step are nearly empty
+(at degree bound 10 the largest, 78 x 102, has 102 non-zero entries), so
+the Smith routine works on sparse vectors, dicts {index: value} holding
+only the non-zero entries: the matrix as sparse rows plus an index from
+each column to the rows where it is non-zero, U as sparse rows and V as
+sparse columns.  A pivot search, a swap or an elementary operation touches
+only non-zero entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from itertools import compress
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 Matrix = List[List[int]]
-
-
-def identity(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_vec(a: Matrix, v: Sequence[int]) -> List[int]:
-    """A * v, multiplying only the non-zero entries of v, which are few in
-    the relation columns and kernel generators solved against."""
-    support = [(k, x) for k, x in enumerate(v) if x]
-    return [sum(row[k] * x for k, x in support) for row in a]
+Sparse = Dict[int, int]
 
 
 def from_columns(columns: Sequence[Sequence[int]], rows: int) -> Matrix:
-    return [[col[i] for col in columns] for i in range(rows)]
+    """The matrix whose columns, each of length `rows`, are given."""
+    if not columns:
+        return [[] for _ in range(rows)]
+    return [list(row) for row in zip(*columns)]
+
+
+def _add_multiple(dst: Sparse, src: Sparse, q: int):
+    """dst += q * src on sparse vectors, dropping entries that cancel."""
+    for k, x in src.items():
+        y = dst.get(k, 0) + q * x
+        if y:
+            dst[k] = y
+        else:
+            del dst[k]
 
 
 @dataclass
 class SmithDecomposition:
     """D = U * M * V with U, V unimodular and D diagonal, d1 | d2 | ...
 
-    `factors` lists the nonzero diagonal entries (all positive).
+    `factors` lists the nonzero diagonal entries (all positive).  `u` holds
+    the rows of U and `v` the columns of V, each a sparse dict
+    {index: value}: row i of U combines the rows of M into row i of D, and
+    column j of V combines the columns of M into column j of D, so the
+    columns of V from `rank` on span the kernel of M.
     """
 
     factors: Tuple[int, ...]
-    u: Matrix
-    v: Matrix
+    u: List[Sparse]
+    v: List[Sparse]
     shape: Tuple[int, int]
 
     @property
@@ -48,56 +61,82 @@ class SmithDecomposition:
 def smith_normal_form(m: Matrix) -> SmithDecomposition:
     """Diagonalize an integer matrix by unimodular row/column operations.
 
-    Pivot choice is the smallest nonzero absolute value of the remaining
-    block (ties broken by position), which keeps entry growth mild.  Once a
-    pivot has cleared its row and column, an entry of the remaining block
-    that it does not divide has its row added to the pivot row, and the
-    pivot is chosen again; so the divisibility chain holds as each pivot is
-    fixed, with no pass after the loop.
+    The matrix is copied into sparse rows, with `where[j]` the set of rows
+    non-zero in column j; every operation is applied to U's sparse rows or
+    V's sparse columns as well.  Pivot choice is the smallest nonzero
+    absolute value of the remaining block (ties broken by position, row
+    first), which keeps entry growth mild.  Once a pivot has cleared its
+    row and column, an entry of the remaining block that it does not divide
+    has its row added to the pivot row, and the pivot is chosen again; so
+    the divisibility chain holds as each pivot is fixed, with no pass after
+    the loop.  Rows and columns before the pivot hold only their finished
+    pivots, so the remaining block is all of rows t onwards.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    a = [row[:] for row in m]
-    u = identity(rows)
-    v = identity(cols)
+    a: List[Sparse] = [{j: row[j] for j in compress(range(cols), row)} for row in m]
+    where: List[Set[int]] = [set() for _ in range(cols)]
+    for i, row in enumerate(a):
+        for j in row:
+            where[j].add(i)
+    u: List[Sparse] = [{i: 1} for i in range(rows)]
+    v: List[Sparse] = [{j: 1} for j in range(cols)]
 
     def swap_rows(i, j):
         if i == j:
             return
+        for k in a[i]:
+            where[k].remove(i)
+        for k in a[j]:
+            where[k].remove(j)
         a[i], a[j] = a[j], a[i]
         u[i], u[j] = u[j], u[i]
+        for k in a[i]:
+            where[k].add(i)
+        for k in a[j]:
+            where[k].add(j)
 
     def swap_cols(i, j):
         if i == j:
             return
-        for r in range(rows):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(cols):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
+        for r in where[i] | where[j]:
+            row = a[r]
+            x, y = row.pop(i, 0), row.pop(j, 0)
+            if x:
+                row[j] = x
+            if y:
+                row[i] = y
+        where[i], where[j] = where[j], where[i]
+        v[i], v[j] = v[j], v[i]
 
     def add_row(src, dst, q):
         # row dst += q * row src
-        if q == 0:
-            return
-        arow, srow = a[dst], a[src]
-        for k in range(cols):
-            arow[k] += q * srow[k]
-        urow, usrc = u[dst], u[src]
-        for k in range(rows):
-            urow[k] += q * usrc[k]
+        row = a[dst]
+        for k, x in a[src].items():
+            y = row.get(k, 0) + q * x
+            if y:
+                if k not in row:
+                    where[k].add(dst)
+                row[k] = y
+            else:
+                del row[k]
+                where[k].remove(dst)
+        _add_multiple(u[dst], u[src], q)
 
     def add_col(src, dst, q):
         # col dst += q * col src
-        if q == 0:
-            return
-        for r in range(rows):
-            a[r][dst] += q * a[r][src]
-        for r in range(cols):
-            v[r][dst] += q * v[r][src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
+        col = where[dst]
+        for r in where[src]:
+            row = a[r]
+            y = row.get(dst, 0) + q * row[src]
+            if y:
+                if dst not in row:
+                    col.add(r)
+                row[dst] = y
+            else:
+                del row[dst]
+                col.remove(r)
+        _add_multiple(v[dst], v[src], q)
 
     def balanced_quotient(value, pivot):
         q, r = divmod(value, pivot)
@@ -105,24 +144,27 @@ def smith_normal_form(m: Matrix) -> SmithDecomposition:
             q += 1
         return q
 
+    # Every entry of the remaining block is a multiple of `known`: of 1 at
+    # the start, and of a pivot once the scan below has found no stray
+    # entry for it, since row and column operations within the block keep
+    # that.  So no entry is smaller, and a pivot of that size divides all.
+    known = 1
+
     def move_min_pivot(t) -> bool:
         best = None
-        where = None
         for i in range(t, rows):
             row = a[i]
-            for j in range(t, cols):
-                val = abs(row[j])
-                if val and (best is None or val < best):
-                    best = val
-                    where = (i, j)
-                    if val == 1:
+            if row:
+                val = min(map(abs, row.values()))
+                if best is None or val < best:
+                    j = min(j for j, x in row.items() if abs(x) == val)
+                    best, spot = val, (i, j)
+                    if val == known:
                         break
-            if best == 1:
-                break
-        if where is None:
+        if best is None:
             return False
-        swap_rows(t, where[0])
-        swap_cols(t, where[1])
+        swap_rows(t, spot[0])
+        swap_cols(t, spot[1])
         return True
 
     t = 0
@@ -132,43 +174,38 @@ def smith_normal_form(m: Matrix) -> SmithDecomposition:
             break
         # Re-selecting the minimal pivot each round (with balanced
         # remainders) keeps entry growth tame and guarantees termination:
-        # every retry strictly shrinks the smallest entry of the block.
+        # every retry strictly shrinks the smallest entry of the block.  As
+        # the pivot is that smallest entry, no quotient below is zero.
         while True:
             p = a[t][t]
             clean = True
-            for i in range(t + 1, rows):
-                if a[i][t]:
-                    add_row(t, i, -balanced_quotient(a[i][t], p))
-                    if a[i][t]:
-                        clean = False
-            for j in range(t + 1, cols):
-                if a[t][j]:
-                    add_col(t, j, -balanced_quotient(a[t][j], p))
-                    if a[t][j]:
-                        clean = False
+            for i in [i for i in where[t] if i != t]:
+                add_row(t, i, -balanced_quotient(a[i][t], p))
+                if t in a[i]:
+                    clean = False
+            for j, x in [(j, x) for j, x in a[t].items() if j != t]:
+                add_col(t, j, -balanced_quotient(x, p))
+                if j in a[t]:
+                    clean = False
             if not clean:
                 move_min_pivot(t)
                 continue
-            # A unit pivot divides every entry, so the scan below could
-            # never find a stray one.
-            if abs(p) == 1:
+            if abs(p) == known:
                 break
-            stray = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if a[i][j] % p:
-                        stray = i
-                        break
-                if stray is not None:
-                    break
+            stray = next(
+                (i for i in range(t + 1, rows) if any(x % p for x in a[i].values())),
+                None,
+            )
             if stray is None:
+                known = abs(p)
                 break
             add_row(stray, t, 1)
         if a[t][t] < 0:
-            negate_row(t)
+            a[t][t] = -a[t][t]
+            u[t] = {k: -x for k, x in u[t].items()}
         t += 1
 
-    factors = tuple(a[i][i] for i in range(t) if a[i][i])
+    factors = tuple(a[i][i] for i in range(t))
     return SmithDecomposition(factors, u, v, (rows, cols))
 
 
@@ -177,7 +214,8 @@ def invariant_factors(m: Matrix) -> Tuple[int, ...]:
 
 
 def kernel_basis(a: Matrix) -> List[List[int]]:
-    """A lattice basis of {x : A x = 0}, as a list of column vectors."""
+    """A lattice basis of {x : A x = 0}, as a list of column vectors: the
+    columns of V past the rank."""
     rows = len(a)
     cols = len(a[0]) if rows else 0
     if cols == 0:
@@ -185,7 +223,13 @@ def kernel_basis(a: Matrix) -> List[List[int]]:
     if rows == 0:
         return [[1 if i == j else 0 for i in range(cols)] for j in range(cols)]
     dec = smith_normal_form(a)
-    return [[dec.v[i][j] for i in range(cols)] for j in range(dec.rank, cols)]
+    basis = []
+    for column in dec.v[dec.rank :]:
+        vec = [0] * cols
+        for i, x in column.items():
+            vec[i] = x
+        basis.append(vec)
+    return basis
 
 
 class Lattice:
@@ -194,27 +238,38 @@ class Lattice:
     With M the matrix of the non-zero columns and U M V = D its Smith
     decomposition, the first `rank` columns of M V are a basis of the
     lattice (the later ones are zero), and `coordinates` works in that basis.
+    U is transposed once into sparse columns, so a coordinate computation
+    touches only the columns of U in the support of its vector.
     """
 
     def __init__(self, columns: Sequence[Sequence[int]], dim: int):
         live = [c for c in columns if any(c)]
         self.dec = smith_normal_form(from_columns(live, dim))
         self.rank = self.dec.rank
+        self._u_columns: List[Sparse] = [{} for _ in range(dim)]
+        for i, row in enumerate(self.dec.u):
+            for k, x in row.items():
+                self._u_columns[k][i] = x
 
     def coordinates(self, v: Sequence[int]) -> Optional[List[int]]:
         """y = D^-1 U v truncated to the rank, so that v is (M V) y over the
         first `rank` columns of M V; None when v is not in the lattice."""
+        uv: Sparse = {}
+        for k, x in enumerate(v):
+            if x:
+                for i, c in self._u_columns[k].items():
+                    uv[i] = uv.get(i, 0) + c * x
         factors = self.dec.factors
-        y = []
-        for i, c in enumerate(mat_vec(self.dec.u, v)):
-            if i >= len(factors):
-                if c:
-                    return None
+        y = [0] * self.rank
+        for i, c in uv.items():
+            if not c:
                 continue
+            if i >= self.rank:
+                return None
             q, r = divmod(c, factors[i])
             if r:
                 return None
-            y.append(q)
+            y[i] = q
         return y
 
 

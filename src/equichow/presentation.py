@@ -42,6 +42,7 @@ class RingPresentation:
         self.relations = tuple(rels)
         self.order = MonomialOrder.grevlex(table)
         self._basis: Optional[IdealBasis] = None
+        self._pieces: Dict[int, GradedPiece] = {}
 
     def __repr__(self) -> str:
         rels = ", ".join(r.render() for r in self.relations)
@@ -59,7 +60,9 @@ class RingPresentation:
         return self.normal_form(p).is_zero()
 
     def piece(self, n: int) -> GradedPiece:
-        return GradedPiece(self, n)
+        if n not in self._pieces:
+            self._pieces[n] = GradedPiece(self, n)
+        return self._pieces[n]
 
 
 class GradedPiece:
@@ -74,13 +77,19 @@ class GradedPiece:
     the span of N has a leading coefficient that c_m divides, so subtracting
     a multiple of that column lowers its lead (Adams & Loustaunau, ch. 4).
     The columns form a triangular matrix with pivot c_m in row m.
+
+    `RingPresentation.piece` memoizes the pieces of its presentation, one
+    per degree, so each is built once however many checks read it.  A
+    piece keeps the table and the leads it needs, not the presentation: a
+    back-reference would make every memoized piece part of a reference
+    cycle that only the cyclic garbage collector frees.
     """
 
     def __init__(self, pres: RingPresentation, n: int):
-        self.pres = pres
+        self.table = pres.table
         self.degree = n
-        self._key = _KeyCache(pres.order.key(pres.table)).__getitem__
-        leads = [_lead(g, self._key) for g in pres.groebner().polys]
+        self._order_key = pres.order.key(pres.table)
+        leads = [_lead(g, self._order_key) for g in pres.groebner().polys]
         self._monic = [lead for lead in leads if lead[1] == 1]
         self._pivots: Dict[Monomial, Lead] = {}
         monomials = []
@@ -98,9 +107,8 @@ class GradedPiece:
     def relations(self) -> List[List[int]]:
         """Columns spanning the ideal in degree n: one per monomial with
         c_m > 1, triangular with pivot c_m."""
-        table = self.pres.table
         return [
-            self.vector(Poly(table, {_mono_sub(m, gm): 1}) * g)
+            self.vector(Poly(self.table, {_mono_sub(m, gm): 1}) * g)
             for m, (gm, _, g) in self._pivots.items()
         ]
 
@@ -108,10 +116,13 @@ class GradedPiece:
         """Coordinates on N of p reduced by the monic leads, each monomial
         always by the same lead, so the map is linear."""
         vec = [0] * len(self.monomials)
-        grade = self.pres.table.grade
+        grade = self.table.grade
         if any(grade(mono) != self.degree for mono in p.terms):
             raise GradeMismatch(f"vectorizing a term outside degree {self.degree}")
-        for mono, coeff in _reduce(p, self._monic, self._key).terms.items():
+        # Order keys are cached for one reduction only, so a memoized
+        # piece holds no table of them.
+        key = _KeyCache(self._order_key).__getitem__
+        for mono, coeff in _reduce(p, self._monic, key).terms.items():
             vec[self._index[mono]] = coeff
         return vec
 
@@ -119,8 +130,11 @@ class GradedPiece:
         self, source: GradedPiece, fn: Callable[[Poly], Poly]
     ) -> List[List[int]]:
         """The columns vector(fn(m)) for the monomials m of `source`."""
-        table = source.pres.table
-        return [self.vector(fn(Poly(table, {m: 1}))) for m in source.monomials]
+        return [self.vector(fn(Poly(source.table, {m: 1}))) for m in source.monomials]
+
+    def invariants(self) -> Tuple[int, Tuple[int, ...]]:
+        """Free rank and torsion of the piece."""
+        return quotient_invariants(len(self.monomials), self.relations)
 
 
 @dataclass(frozen=True)
@@ -138,8 +152,7 @@ class GradedPieceReport:
 
 def graded_piece_invariants(pres: RingPresentation, n: int) -> GradedPieceReport:
     """Degree-n piece of the presentation as a finitely generated group."""
-    piece = pres.piece(n)
-    free, torsion = quotient_invariants(len(piece.monomials), piece.relations)
+    free, torsion = pres.piece(n).invariants()
     return GradedPieceReport(n, free, torsion)
 
 
@@ -149,6 +162,8 @@ class RingHom:
     Construction checks that every generator image is homogeneous of the
     generator's degree and that every source relation maps into the target
     ideal; otherwise the map would not be well defined on the quotient.
+    The powers of the generator images are kept once built, at most one
+    per generator and exponent.
     """
 
     def __init__(
@@ -172,6 +187,7 @@ class RingHom:
                     f"image of {name!r} must be homogeneous of grade {deg}"
                 )
             self.images[name] = img
+        self._powers: Dict[Tuple[int, int], Poly] = {}
         for rel in source.relations:
             if not target.contains(self._raw_apply(rel)):
                 raise WellDefinednessError(
@@ -181,16 +197,16 @@ class RingHom:
     def _raw_apply(self, p: Poly) -> Poly:
         table = self.source.table
         out = Poly.zero(self.target.table)
-        cache: Dict[Tuple[int, int], Poly] = {}
+        powers = self._powers
         for mono, coeff in p.terms.items():
             term = Poly.const(self.target.table, coeff)
             for i, e in enumerate(mono):
                 if not e:
                     continue
                 key = (i, e)
-                if key not in cache:
-                    cache[key] = self.images[table.names[i]] ** e
-                term = term * cache[key]
+                if key not in powers:
+                    powers[key] = self.images[table.names[i]] ** e
+                term = term * powers[key]
             out = out + term
         return out
 
@@ -313,8 +329,7 @@ def _check_degree(square: CartesianSquareSpec, n: int) -> DegreeCheck:
     )
     fiber = quotient_invariants(fiber_lattice.rank, sub)
 
-    corner_report = graded_piece_invariants(square.a, n)
-    corner = (corner_report.free_rank, corner_report.torsion)
+    corner = pa.invariants()
 
     # A_n maps onto the fiber product iff its images and the relations of
     # B_n + C_n span the fiber lattice.

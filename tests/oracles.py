@@ -1,5 +1,6 @@
-"""Test-only oracles: dense matrix helpers, the defining check of a strong
-Groebner basis, the relation-times-monomial graded pieces that the
+"""Test-only oracles: dense matrix helpers, the dense Smith normal form and
+lattice that the sparse ones are checked against, the defining check of a
+strong Groebner basis, the relation-times-monomial graded pieces that the
 Groebner-staircase pieces are checked against, completion without pair
 criteria, ideal equality by mutual containment, and the fixed-point sum
 taken one source point at a time."""
@@ -28,6 +29,164 @@ from equichow.localization import (
     point_class,
 )
 from equichow.poly import GradeMismatch, exact_divide
+
+
+def identity(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def mat_vec(a, v):
+    """A * v, multiplying only the non-zero entries of v."""
+    support = [(k, x) for k, x in enumerate(v) if x]
+    return [sum(row[k] * x for k, x in support) for row in a]
+
+
+def densify(dec):
+    """(U, V) of a Smith decomposition as dense matrices: U from its sparse
+    rows, V from its sparse columns."""
+    rows, cols = dec.shape
+    u = [[row.get(k, 0) for k in range(rows)] for row in dec.u]
+    v = [[col.get(k, 0) for col in dec.v] for k in range(cols)]
+    return u, v
+
+
+def dense_smith_normal_form(m):
+    """(factors, U, V) with U * m * V diagonal, by the same pivot rule and
+    divisibility repair as `smith_normal_form`, on dense rows with dense
+    identity-sized U and V."""
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    a = [row[:] for row in m]
+    u = identity(rows)
+    v = identity(cols)
+
+    def swap_rows(i, j):
+        if i == j:
+            return
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        if i == j:
+            return
+        for r in range(rows):
+            a[r][i], a[r][j] = a[r][j], a[r][i]
+        for r in range(cols):
+            v[r][i], v[r][j] = v[r][j], v[r][i]
+
+    def add_row(src, dst, q):
+        # row dst += q * row src
+        if q == 0:
+            return
+        arow, srow = a[dst], a[src]
+        for k in range(cols):
+            arow[k] += q * srow[k]
+        urow, usrc = u[dst], u[src]
+        for k in range(rows):
+            urow[k] += q * usrc[k]
+
+    def add_col(src, dst, q):
+        # col dst += q * col src
+        if q == 0:
+            return
+        for r in range(rows):
+            a[r][dst] += q * a[r][src]
+        for r in range(cols):
+            v[r][dst] += q * v[r][src]
+
+    def negate_row(i):
+        a[i] = [-x for x in a[i]]
+        u[i] = [-x for x in u[i]]
+
+    def balanced_quotient(value, pivot):
+        q, r = divmod(value, pivot)
+        if 2 * abs(r) > abs(pivot):
+            q += 1
+        return q
+
+    def move_min_pivot(t):
+        best = None
+        where = None
+        for i in range(t, rows):
+            row = a[i]
+            for j in range(t, cols):
+                val = abs(row[j])
+                if val and (best is None or val < best):
+                    best = val
+                    where = (i, j)
+                    if val == 1:
+                        break
+            if best == 1:
+                break
+        if where is None:
+            return False
+        swap_rows(t, where[0])
+        swap_cols(t, where[1])
+        return True
+
+    t = 0
+    limit = min(rows, cols)
+    while t < limit:
+        if not move_min_pivot(t):
+            break
+        while True:
+            p = a[t][t]
+            clean = True
+            for i in range(t + 1, rows):
+                if a[i][t]:
+                    add_row(t, i, -balanced_quotient(a[i][t], p))
+                    if a[i][t]:
+                        clean = False
+            for j in range(t + 1, cols):
+                if a[t][j]:
+                    add_col(t, j, -balanced_quotient(a[t][j], p))
+                    if a[t][j]:
+                        clean = False
+            if not clean:
+                move_min_pivot(t)
+                continue
+            if abs(p) == 1:
+                break
+            stray = None
+            for i in range(t + 1, rows):
+                for j in range(t + 1, cols):
+                    if a[i][j] % p:
+                        stray = i
+                        break
+                if stray is not None:
+                    break
+            if stray is None:
+                break
+            add_row(stray, t, 1)
+        if a[t][t] < 0:
+            negate_row(t)
+        t += 1
+
+    factors = tuple(a[i][i] for i in range(t) if a[i][i])
+    return factors, u, v
+
+
+class DenseLattice:
+    """`Lattice` on the dense Smith normal form: the span of the non-zero
+    columns, with coordinates D^-1 U v over the first rank columns of M V."""
+
+    def __init__(self, columns, dim):
+        live = [c for c in columns if any(c)]
+        self.factors, self.u, self.v = dense_smith_normal_form(from_columns(live, dim))
+        self.rank = len(self.factors)
+
+    def coordinates(self, v):
+        y = []
+        for i, c in enumerate(mat_vec(self.u, v)):
+            if i >= self.rank:
+                if c:
+                    return None
+                continue
+            q, r = divmod(c, self.factors[i])
+            if r:
+                return None
+            y.append(q)
+        return y
 
 
 def mat_mul(a, b):

@@ -1,6 +1,8 @@
 """Graded pieces over the Groebner staircase against the relation-times-
 monomial builder of `oracles`."""
 
+import gc
+import weakref
 from math import gcd
 
 import pytest
@@ -14,6 +16,7 @@ from equichow import (
     VarTable,
     graded_piece_invariants,
     nonzerodivisor_up_to,
+    verify_cartesian,
 )
 from equichow.pipeline import Fixtures
 from oracles import monomial_nonzerodivisor_up_to, monomial_piece_invariants
@@ -118,3 +121,25 @@ def test_random_presentation_pieces(pres):
                     assert row == c[m]
                 elif key(other) > key(m):
                     assert row == 0
+
+
+def test_memoized_pieces_make_no_reference_cycle():
+    """A presentation whose pieces are memoized dies with its last
+    reference, with the cyclic garbage collector off."""
+    gc.disable()
+    try:
+        fx = Fixtures.default()
+        verify_cartesian(fx.patch_square(), 3)
+        assert fx.total.piece(3) is fx.total.piece(3)
+        square = (fx.total, fx.boundary, fx.open_part, fx.boundary_mod_normal)
+        refs = [weakref.ref(pres) for pres in square]
+        del fx, square
+        assert [ref() for ref in refs] == [None] * 4
+
+        boundary = Fixtures.default().boundary
+        assert nonzerodivisor_up_to(boundary, Poly.var(boundary.table, "d1"), 3)
+        ref = weakref.ref(boundary)
+        del boundary
+        assert ref() is None
+    finally:
+        gc.enable()

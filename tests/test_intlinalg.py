@@ -1,5 +1,7 @@
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import Matrix as SympyMatrix
 from sympy import ZZ
 from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
@@ -7,14 +9,21 @@ from sympy.matrices.normalforms import invariant_factors as sympy_invariant_fact
 from equichow.intlinalg import (
     Lattice,
     from_columns,
-    identity,
     invariant_factors,
     kernel_basis,
-    mat_vec,
     quotient_invariants,
     smith_normal_form,
 )
-from oracles import determinant, diagonal_matrix, mat_mul
+from oracles import (
+    DenseLattice,
+    dense_smith_normal_form,
+    densify,
+    determinant,
+    diagonal_matrix,
+    identity,
+    mat_mul,
+    mat_vec,
+)
 
 
 def test_coprime_diagonal():
@@ -43,9 +52,10 @@ def test_decomposition_reassembles():
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         m = _random_matrix(rng, rows, cols)
         dec = smith_normal_form(m)
-        assert mat_mul(mat_mul(dec.u, m), dec.v) == diagonal_matrix(dec)
-        assert abs(determinant(dec.u)) == 1
-        assert abs(determinant(dec.v)) == 1
+        u, v = densify(dec)
+        assert mat_mul(mat_mul(u, m), v) == diagonal_matrix(dec)
+        assert abs(determinant(u)) == 1
+        assert abs(determinant(v)) == 1
         for i in range(len(dec.factors) - 1):
             assert dec.factors[i + 1] % dec.factors[i] == 0
 
@@ -84,7 +94,7 @@ def _reassemble(m, lattice, y):
     live = [c for c in _columns(m) if any(c)]
     if not live:
         return [0] * len(m)
-    basis = mat_mul(from_columns(live, len(m)), lattice.dec.v)
+    basis = mat_mul(from_columns(live, len(m)), densify(lattice.dec)[1])
     return [sum(row[i] * y[i] for i in range(lattice.rank)) for row in basis]
 
 
@@ -126,7 +136,8 @@ def test_decomposition_on_larger_matrices():
     for _ in range(5):
         m = _random_matrix(rng, 7, 9, bound=25)
         dec = smith_normal_form(m)
-        assert mat_mul(mat_mul(dec.u, m), dec.v) == diagonal_matrix(dec)
+        u, v = densify(dec)
+        assert mat_mul(mat_mul(u, m), v) == diagonal_matrix(dec)
         for i in range(len(dec.factors) - 1):
             assert dec.factors[i + 1] % dec.factors[i] == 0
 
@@ -224,3 +235,50 @@ def test_mat_vec_on_sparse_and_zero_vectors():
             assert mat_vec(a, v) == _dense_mat_vec(a, v)
     assert mat_vec([[1, 2], [3, 4]], [0, 0]) == [0, 0]
     assert mat_vec([], [1, 2]) == []
+
+
+@st.composite
+def sparse_matrices(draw):
+    """0-12 rows and columns, each entry non-zero with a drawn probability
+    of 5-60%; magnitudes are mostly 1-4, as in the patching matrices."""
+    rows, cols = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    density = draw(st.integers(5, 60))
+    magnitudes = st.sampled_from((1, 1, 1, 2, 2, 3, 4, 6, 12))
+    m = [[0] * cols for _ in range(rows)]
+    for i in range(rows):
+        for j in range(cols):
+            if draw(st.integers(0, 99)) < density:
+                m[i][j] = draw(magnitudes) * draw(st.sampled_from((1, -1)))
+    return m
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(m=sparse_matrices(), data=st.data())
+def test_sparse_smith_agrees_with_dense_oracle(m, data):
+    rows = len(m)
+    dec = smith_normal_form(m)
+    factors, dense_u, dense_v = dense_smith_normal_form(m)
+    assert dec.factors == factors
+    assert dec.factors == (_sympy_factors(m) if rows and m[0] else ())
+    u, v = densify(dec)
+    # Same pivot rule and repair, so the very same transforms.
+    assert (u, v) == (dense_u, dense_v)
+    assert mat_mul(mat_mul(u, m), v) == diagonal_matrix(dec)
+    assert abs(determinant(u)) == 1
+    assert abs(determinant(v)) == 1
+    for i in range(len(dec.factors) - 1):
+        assert dec.factors[i + 1] % dec.factors[i] == 0
+
+    columns = _columns(m) if rows else []
+    lattice = Lattice(columns, rows)
+    dense = DenseLattice(columns, rows)
+
+    def vector(size):
+        return data.draw(st.lists(st.integers(-4, 4), min_size=size, max_size=size))
+
+    image = mat_vec(m, vector(len(columns)))
+    for b in (image, vector(rows), [2 * x for x in vector(rows)]):
+        y = lattice.coordinates(b)
+        assert (y is None) == (dense.coordinates(b) is None)
+        if y is not None:
+            assert _reassemble(m, lattice, y) == b

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from equichow import Poly, pipeline
+from equichow import Poly, RingPresentation, pipeline
 from equichow.pipeline import (
     Fixtures,
     double_triple_value,
@@ -32,16 +32,15 @@ def test_step_patching_small_bound(fx):
     assert report.verdict == "match"
 
 
-def test_step_patching_invariants_to_degree_10(fx):
-    # Free rank and 2-torsion of the degree-n piece, n = 0..10; corner and
-    # fiber agree and the corner map is onto in every degree.
-    free = (1, 2, 4, 6, 9, 12, 16, 20, 25, 30, 36)
-    twos = (0, 0, 1, 2, 4, 6, 9, 12, 16, 20, 25)
+def test_step_patching_invariants_to_degree_14(fx):
+    # The degree-n piece is Z^floor((n+2)^2/4) plus floor(n^2/4) copies of
+    # Z/2 for n = 0..14; corner and fiber agree and the corner map is onto
+    # in every degree.
     expected = []
-    for n, (f, k) in enumerate(zip(free, twos)):
-        group = f"(free {f}, torsion {[2] * k})"
+    for n in range(15):
+        group = f"(free {(n + 2) ** 2 // 4}, torsion {[2] * (n * n // 4)})"
         expected.append(f"deg {n}: ok corner={group} fiber={group} surjective=True")
-    report = step_patching(fx, 10)
+    report = step_patching(fx, 14)
     assert report.verdict == "match"
     assert report.details == tuple(expected)
 
@@ -80,6 +79,22 @@ def test_step_transfer(fx):
     assert report.computed == report.expected
 
 
+def test_step_transfer_negative_control(fx):
+    # Killing l2 on the corner ring: the pullback to the double cover sends
+    # l2 to a*b, so it is no longer a ring map and the step fails.
+    assert step_transfer(fx).verdict == "match"
+    corner = fx.boundary_mod_normal
+    l2 = Poly.var(corner.table, "l2")
+    broken = replace(
+        fx, boundary_mod_normal=RingPresentation(corner.table, corner.relations + (l2,))
+    )
+    report = run_all(degree_bound=0, oracle_trials=1, seed=0, fixtures=broken)
+    (step,) = [s for s in report.steps if s.name == "transfer"]
+    assert step.verdict == "mismatch"
+    assert step.computed == "error: relation l2 does not map into the target ideal"
+    assert step.details[0].startswith("WellDefinednessError at presentation.py:")
+
+
 def test_step_localization_verdicts(fx):
     main, pair = step_localization(fx, oracle_trials=5, seed=0)
     assert main.verdict == "match"
@@ -109,6 +124,14 @@ def test_step_node_locus_class(fx):
     assert report.verdict == "match"
 
 
+def test_step_node_locus_class_negative_control(fx):
+    assert step_node_locus_class(fx).verdict == "match"
+    doubled = replace(fx, node_character={"det_sgn": 1, "normal": 2})
+    report = step_node_locus_class(doubled)
+    assert report.verdict == "mismatch"
+    assert report.computed.startswith("on-boundary=l1 + 2*d1 + x;")
+
+
 def test_node_image_generators(fx):
     g0, g1 = node_image_generators(fx)
     tp = fx.total.table
@@ -133,6 +156,15 @@ def test_step_triple_root_class(fx):
     report = step_triple_root_class(fx)
     assert report.verdict == "match"
     assert report.computed == "24*l1^2 - 48*l2"
+
+
+def test_step_triple_root_class_negative_control(fx):
+    good = step_triple_root_class(fx)
+    assert good.verdict == "match"
+    report = step_triple_root_class(replace(fx, triple_root_class=2 * fx.triple_root_class))
+    assert report.verdict == "mismatch"
+    assert report.computed == good.computed
+    assert report.expected == "48*l1^2 - 96*l2"
 
 
 def test_triple_root_class_symmetric_before_restriction(fx):
@@ -162,6 +194,13 @@ def test_step_residual_class(fx):
     report = step_residual_class(fx)
     assert report.verdict == "match"
     assert "restriction=20*l1*l2" in report.computed
+
+
+def test_step_residual_class_negative_control(fx):
+    assert step_residual_class(fx).verdict == "match"
+    report = step_residual_class(replace(fx, residual_class=2 * fx.residual_class))
+    assert report.verdict == "mismatch"
+    assert report.computed == "restriction=20*l1*l2; fixture-consistent=false"
 
 
 def test_step_double_triple_class(fx):
