@@ -28,7 +28,8 @@ def from_columns(columns: Sequence[Sequence[int]], rows: int) -> Matrix:
 
 
 def _add_multiple(dst: Sparse, src: Sparse, q: int):
-    """dst += q * src on sparse vectors, dropping entries that cancel."""
+    """dst += q * src on sparse vectors, dropping entries that cancel; q is
+    non-zero, so an entry can only cancel where dst already has one."""
     for k, x in src.items():
         y = dst.get(k, 0) + q * x
         if y:
@@ -111,6 +112,8 @@ def smith_normal_form(m: Matrix) -> SmithDecomposition:
 
     def add_row(src, dst, q):
         # row dst += q * row src
+        if q == 0:
+            return
         row = a[dst]
         for k, x in a[src].items():
             y = row.get(k, 0) + q * x
@@ -125,6 +128,8 @@ def smith_normal_form(m: Matrix) -> SmithDecomposition:
 
     def add_col(src, dst, q):
         # col dst += q * col src
+        if q == 0:
+            return
         col = where[dst]
         for r in where[src]:
             row = a[r]
@@ -174,8 +179,7 @@ def smith_normal_form(m: Matrix) -> SmithDecomposition:
             break
         # Re-selecting the minimal pivot each round (with balanced
         # remainders) keeps entry growth tame and guarantees termination:
-        # every retry strictly shrinks the smallest entry of the block.  As
-        # the pivot is that smallest entry, no quotient below is zero.
+        # every retry strictly shrinks the smallest entry of the block.
         while True:
             p = a[t][t]
             clean = True

@@ -282,3 +282,31 @@ def test_sparse_smith_agrees_with_dense_oracle(m, data):
         assert (y is None) == (dense.coordinates(b) is None)
         if y is not None:
             assert _reassemble(m, lattice, y) == b
+
+
+def _agrees_with_dense_oracle(m):
+    dec = smith_normal_form(m)
+    factors, dense_u, dense_v = dense_smith_normal_form(m)
+    u, v = densify(dec)
+    assert dec.factors == factors
+    assert (u, v) == (dense_u, dense_v)
+    assert mat_mul(mat_mul(u, m), v) == diagonal_matrix(dec)
+    return dec
+
+
+def test_zero_quotient_after_divisibility_repair():
+    # After the unit pivot the block [[3, 3], [3, 4]] clears to leave a 1
+    # that the pivot 3 does not divide.  The repair adds that row to the
+    # pivot row, where the 1 beside the pivot has balanced quotient zero.
+    dec = _agrees_with_dense_oracle([[1, 1, 1], [0, 3, 3], [0, 3, 4]])
+    assert dec.factors == (1, 1, 3)
+
+
+def test_small_matrices_near_a_pivot_of_three_agree_with_dense_oracle():
+    # With entries 0, 1, 3 and 4 a pivot of 3 often leaves a stray entry
+    # that it does not divide, and now and then a zero quotient after the
+    # repair, as in the case above.
+    rng = random.Random(1)
+    for _ in range(1500):
+        m = [[rng.choice((0, 1, 3, 4)) for _ in range(3)] for _ in range(3)]
+        _agrees_with_dense_oracle(m)
