@@ -6,6 +6,7 @@ from .groebner import (
     MonomialOrder,
     ideal_contains,
     ideal_equal,
+    ideal_intersection,
     normal_form,
     strong_groebner,
 )
@@ -39,7 +40,7 @@ from .presentation import (
     RingPresentation,
     c1_of_character,
     graded_piece_invariants,
-    nonzerodivisor_up_to,
+    is_nonzerodivisor,
     verify_cartesian,
 )
 from .textio import ParseError, parse_poly
@@ -70,8 +71,9 @@ __all__ = [
     "graded_piece_invariants",
     "ideal_contains",
     "ideal_equal",
+    "ideal_intersection",
+    "is_nonzerodivisor",
     "map_image_fixed_point",
-    "nonzerodivisor_up_to",
     "normal_form",
     "parse_poly",
     "point_class",

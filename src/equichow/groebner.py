@@ -48,15 +48,16 @@ class MonomialOrder:
     """A multiplicative well-founded total order on monomials.
 
     kind: "grevlex" (graded by the table's variable degrees, reverse-lex
-    tie-break) or "lex".  `priority` lists variable names from highest to
-    lowest; it must cover the table exactly.
+    tie-break), "lex", or "elim" (the exponent of the first variable, then
+    grevlex: an elimination order for that variable).  `priority` lists
+    variable names from highest to lowest; it must cover the table exactly.
     """
 
     kind: str
     priority: Tuple[str, ...]
 
     def __post_init__(self):
-        if self.kind not in ("grevlex", "lex"):
+        if self.kind not in ("grevlex", "lex", "elim"):
             raise ValueError(f"unknown order kind {self.kind!r}")
 
     @staticmethod
@@ -82,6 +83,9 @@ class MonomialOrder:
             grade = sum(e * d for e, d in zip(mono, degs))
             return (grade, tuple(-mono[i] for i in reversed(perm)))
 
+        if self.kind == "elim":
+            first = perm[0]
+            return lambda mono: (mono[first], grevlex_key(mono))
         return grevlex_key
 
 
@@ -389,3 +393,26 @@ def ideal_equal(
     if order is None:
         order = MonomialOrder.grevlex(live[0].table)
     return strong_groebner(gens_a, order).polys == strong_groebner(gens_b, order).polys
+
+
+def ideal_intersection(gens_a: Sequence[Poly], gens_b: Sequence[Poly]) -> Tuple[Poly, ...]:
+    """Generators of the intersection I ∩ J of the ideals gens_a, gens_b.
+
+    For a new variable t, I ∩ J = (t*I + (1 - t)*J) ∩ Z[vars]: set t = 1,
+    then t = 0; and h = t*h + (1 - t)*h.  Under an order that puts t first,
+    the t-free elements of a strong basis form a strong basis of the t-free
+    part (Adams & Loustaunau, ch. 4).  Grevlex on the other variables keeps
+    the coefficients far smaller than lex does over Z.
+    """
+    a = [g for g in gens_a if g]
+    b = [g for g in gens_b if g]
+    if not a or not b:
+        return ()
+    table = a[0].table
+    t = "t" + "_" * max(map(len, table.names))  # longer than every name
+    wide = VarTable([(t, 1), *zip(table.names, table.degrees)])
+    t_poly = Poly.var(wide, t)
+    gens = [t_poly * g.change_table(wide) for g in a]
+    gens += [(1 - t_poly) * g.change_table(wide) for g in b]
+    basis = strong_groebner(gens, MonomialOrder("elim", (t, *reversed(table.names))))
+    return tuple(g.change_table(table) for g in basis.polys if not any(m[0] for m in g.terms))

@@ -41,7 +41,7 @@ from .presentation import (
     c1_of_character,
     graded_piece_invariants,
     gysin_boundary_to_total,
-    nonzerodivisor_up_to,
+    is_nonzerodivisor,
     verify_cartesian,
 )
 
@@ -241,9 +241,9 @@ def _verdict(ok: bool) -> str:
 
 
 def step_patching(fx: Fixtures, degree_bound: int) -> StepReport:
-    """Non-zero-divisor check plus the degree-by-degree cartesian square."""
-    d1 = Poly.var(fx.boundary.table, "d1")
-    nzd = nonzerodivisor_up_to(fx.boundary, d1, degree_bound)
+    """d1 is a non-zero-divisor on the boundary ring in every degree, and the
+    square is cartesian in each degree up to the bound."""
+    nzd = is_nonzerodivisor(fx.boundary, Poly.var(fx.boundary.table, "d1"))
     report = verify_cartesian(fx.patch_square(), degree_bound)
     ok = nzd and report.passed
     computed = (

@@ -14,6 +14,7 @@ strings are usable as golden values and round-trip through the parser.
 from __future__ import annotations
 
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from operator import add
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
@@ -116,10 +117,6 @@ def _monomials_of_grade(table: VarTable, n: int) -> Tuple[Monomial, ...]:
 
     rec(0, n, ())
     return tuple(out)
-
-
-def _render_key(table: VarTable, mono: Monomial) -> Tuple[int, Monomial]:
-    return (table.grade(mono), mono)
 
 
 class Poly:
@@ -321,25 +318,7 @@ class Poly:
         if not images:
             return self
 
-        power_cache: Dict[Tuple[int, int], Poly] = {}
-
-        def power(idx: int, e: int) -> Poly:
-            key = (idx, e)
-            if key not in power_cache:
-                power_cache[key] = images[idx] ** e
-            return power_cache[key]
-
-        out = Poly.zero(table)
-        for mono, coeff in self.terms.items():
-            fixed = list(mono)
-            factor = Poly.const(table, coeff)
-            for idx in images:
-                e = mono[idx]
-                if e:
-                    fixed[idx] = 0
-                    factor = factor * power(idx, e)
-            out = out + factor * Poly(table, {tuple(fixed): 1})
-        return out
+        return _map_terms(self, table, images, {})
 
     def change_table(
         self, new_table: VarTable, rename: Optional[Mapping[str, str]] = None
@@ -350,7 +329,7 @@ class Poly:
         name) to a variable of `new_table` with the same degree.
         """
         rename = dict(rename or {})
-        slot: Dict[int, int] = {}
+        images: Dict[int, Poly] = {}
         for name in self.variables_used():
             target = rename.get(name, name)
             j = new_table.index(target)
@@ -359,17 +338,8 @@ class Poly:
                 raise GradeMismatch(
                     f"variable {name!r} changes degree under table move"
                 )
-            slot[i] = j
-        acc: Dict[Monomial, int] = {}
-        width = len(new_table)
-        for mono, coeff in self.terms.items():
-            out = [0] * width
-            for i, e in enumerate(mono):
-                if e:
-                    out[slot[i]] += e
-            key = tuple(out)
-            acc[key] = acc.get(key, 0) + coeff
-        return Poly(new_table, acc)
+            images[i] = Poly.var(new_table, target)
+        return _map_terms(self, new_table, images, {})
 
     # -- evaluation ----------------------------------------------------------
 
@@ -394,7 +364,7 @@ class Poly:
         return tuple(
             sorted(
                 self.terms.items(),
-                key=lambda kv: _render_key(self.table, kv[0]),
+                key=lambda kv: (self.table.grade(kv[0]), kv[0]),
                 reverse=True,
             )
         )
@@ -425,6 +395,36 @@ class Poly:
         return "".join(chunks)
 
 
+def _map_terms(
+    p: Poly, table: VarTable, images: Mapping[int, Poly], powers: Dict[Tuple[int, int], Poly]
+) -> Poly:
+    """The image over `table` of p under the ring map sending the variable in
+    slot i to images[i], with the powers cached in `powers` by (i, e).  A
+    variable without an image keeps its slot, which `table` must share."""
+    unit = (0,) * len(table)
+    acc: Dict[Monomial, int] = {}
+    get = acc.get
+    for mono, coeff in p.terms.items():
+        kept = list(unit)
+        image = None
+        for i, e in enumerate(mono):
+            if not e:
+                continue
+            if i not in images:
+                kept[i] = e
+                continue
+            power = powers.get((i, e))
+            if power is None:
+                power = powers[i, e] = images[i] ** e
+            image = power if image is None else image * power
+        terms = image.terms.items() if image is not None else ((unit, 1),)
+        if any(kept):
+            terms = [(tuple(map(add, m, kept)), c) for m, c in terms]
+        for m, c in terms:
+            acc[m] = get(m, 0) + c * coeff
+    return Poly._canonical(table, {m: c for m, c in acc.items() if c})
+
+
 # -- exact division -------------------------------------------------------------
 
 
@@ -442,9 +442,18 @@ def exact_divide(p: Poly, q: Poly) -> Poly:
     q_terms = q.sorted_terms()
     q_mono, q_coeff = q_terms[0]
     rest = dict(p.terms)
+
+    def entry(m: Monomial) -> Tuple[int, Tuple[int, ...], Monomial]:
+        return -table.grade(m), tuple(-e for e in m), m  # negated render key
+
+    # The leading term of `rest` is the first popped entry still in it.
+    heap = [entry(m) for m in rest]
+    heapify(heap)
     out: Dict[Monomial, int] = {}
-    while rest:
-        mono = max(rest, key=lambda m: _render_key(table, m))
+    while heap:
+        mono = heappop(heap)[2]
+        if mono not in rest:
+            continue
         coeff = rest[mono]
         diff = tuple(a - b for a, b in zip(mono, q_mono))
         if any(e < 0 for e in diff) or coeff % q_coeff:
@@ -455,9 +464,11 @@ def exact_divide(p: Poly, q: Poly) -> Poly:
             key = tuple(a + b for a, b in zip(diff, m2))
             val = rest.get(key, 0) - c * c2
             if val:
+                if key not in rest:
+                    heappush(heap, entry(key))
                 rest[key] = val
-            elif key in rest:
-                del rest[key]
+            else:
+                rest.pop(key, None)
     return Poly(table, out)
 
 

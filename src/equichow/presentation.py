@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .groebner import IdealBasis, Lead, MonomialOrder, normal_form, strong_groebner
-from .groebner import _KeyCache, _lead, _mono_divides, _mono_sub, _reduce
+from .groebner import IdealBasis, Lead, MonomialOrder, ideal_intersection, normal_form
+from .groebner import _KeyCache, _lead, _mono_divides, _mono_sub, _reduce, strong_groebner
 from .intlinalg import Lattice, from_columns, preimage_generators, quotient_invariants
-from .poly import GradeMismatch, Monomial, Poly, PolyError, VarTable
+from .poly import GradeMismatch, Monomial, Poly, PolyError, VarTable, _map_terms, exact_divide
 
 
 class WellDefinednessError(PolyError):
@@ -130,7 +130,8 @@ class GradedPiece:
         self, source: GradedPiece, fn: Callable[[Poly], Poly]
     ) -> List[List[int]]:
         """The columns vector(fn(m)) for the monomials m of `source`."""
-        return [self.vector(fn(Poly(source.table, {m: 1}))) for m in source.monomials]
+        table = source.table
+        return [self.vector(fn(Poly._canonical(table, {m: 1}))) for m in source.monomials]
 
     def invariants(self) -> Tuple[int, Tuple[int, ...]]:
         """Free rank and torsion of the piece."""
@@ -174,19 +175,19 @@ class RingHom:
     ):
         self.source = source
         self.target = target
-        self.images: Dict[str, Poly] = {}
-        for name in source.table.names:
+        self._images: Dict[int, Poly] = {}
+        for i, name in enumerate(source.table.names):
             if name not in images:
                 raise WellDefinednessError(f"no image given for generator {name!r}")
             img = images[name]
             if img.table != target.table:
                 raise WellDefinednessError(f"image of {name!r} is over the wrong table")
-            deg = source.table.degrees[source.table.index(name)]
+            deg = source.table.degrees[i]
             if not img.is_homogeneous_of_grade(deg):
                 raise GradeMismatch(
                     f"image of {name!r} must be homogeneous of grade {deg}"
                 )
-            self.images[name] = img
+            self._images[i] = img
         self._powers: Dict[Tuple[int, int], Poly] = {}
         for rel in source.relations:
             if not target.contains(self._raw_apply(rel)):
@@ -195,20 +196,8 @@ class RingHom:
                 )
 
     def _raw_apply(self, p: Poly) -> Poly:
-        table = self.source.table
-        out = Poly.zero(self.target.table)
-        powers = self._powers
-        for mono, coeff in p.terms.items():
-            term = Poly.const(self.target.table, coeff)
-            for i, e in enumerate(mono):
-                if not e:
-                    continue
-                key = (i, e)
-                if key not in powers:
-                    powers[key] = self.images[table.names[i]] ** e
-                term = term * powers[key]
-            out = out + term
-        return out
+        """Image of p before any normal form."""
+        return _map_terms(p, self.target.table, self._images, self._powers)
 
     def apply(self, p: Poly) -> Poly:
         """Image of p, normal-formed in the target presentation."""
@@ -346,32 +335,21 @@ def _check_degree(square: CartesianSquareSpec, n: int) -> DegreeCheck:
     return DegreeCheck(n, passed, corner, fiber, surjective)
 
 
-def nonzerodivisor_up_to(
-    pres: RingPresentation, elt: Poly, degree_bound: int
-) -> bool:
-    """True iff multiplication by elt is injective on every graded piece of
-    degree <= degree_bound."""
-    g = elt.homogeneous_grade()
-    if g is None:
+def is_nonzerodivisor(pres: RingPresentation, f: Poly) -> bool:
+    """True iff multiplication by f is injective on the ring, in every degree.
+
+    f is a non-zero-divisor modulo I iff (I : f) = I.  Z[vars] is a domain,
+    so I ∩ (f) = f*(I : f): the generators of I ∩ (f) divided by f generate
+    (I : f), which contains I, so it is I iff every quotient lies in I.
+    """
+    if f.homogeneous_grade() is None:
         raise GradeMismatch("non-zero-divisor test needs a homogeneous element")
-    if elt.is_zero():
+    if f.is_zero():
         return False
-    for n in range(degree_bound + 1):
-        piece = pres.piece(n)
-        if not piece.monomials:
-            continue
-        target = pres.piece(n + g)
-        mult = from_columns(
-            target.image_columns(piece, lambda m: elt * m),
-            len(target.monomials),
-        )
-        kernel_gens = preimage_generators(mult, target.relations, len(piece.monomials))
-        if not kernel_gens:
-            continue
-        relations = Lattice(piece.relations, len(piece.monomials))
-        if any(relations.coordinates(k) is None for k in kernel_gens):
-            return False
-    return True
+    return all(
+        pres.contains(exact_divide(h, f))
+        for h in ideal_intersection(pres.relations, [f])
+    )
 
 
 # -- characters ------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Test-only oracles: dense matrix helpers, the dense Smith normal form and
 lattice that the sparse ones are checked against, the defining check of a
 strong Groebner basis, the relation-times-monomial graded pieces that the
-Groebner-staircase pieces are checked against, completion without pair
-criteria, ideal equality by mutual containment, and the fixed-point sum
-taken one source point at a time."""
+Groebner-staircase pieces are checked against, the non-zero-divisor check
+degree by degree up to a bound, completion without pair criteria, ideal
+equality by mutual containment, and the fixed-point sum taken one source
+point at a time."""
 
 import math
 from heapq import heapify, heappop, heappush
@@ -277,6 +278,32 @@ def monomial_piece_invariants(pres, n):
     """(free rank, torsion) of the degree-n piece from the monomial builder."""
     piece = MonomialPiece(pres, n)
     return quotient_invariants(len(piece.monomials), piece.relations)
+
+
+def nonzerodivisor_up_to(pres, elt, degree_bound):
+    """True iff multiplication by elt is injective on every graded piece of
+    degree <= degree_bound, read off the Groebner-staircase pieces."""
+    g = elt.homogeneous_grade()
+    if g is None:
+        raise GradeMismatch("non-zero-divisor test needs a homogeneous element")
+    if elt.is_zero():
+        return False
+    for n in range(degree_bound + 1):
+        piece = pres.piece(n)
+        if not piece.monomials:
+            continue
+        target = pres.piece(n + g)
+        mult = from_columns(
+            target.image_columns(piece, lambda m: elt * m),
+            len(target.monomials),
+        )
+        kernel_gens = preimage_generators(mult, target.relations, len(piece.monomials))
+        if not kernel_gens:
+            continue
+        relations = Lattice(piece.relations, len(piece.monomials))
+        if any(relations.coordinates(k) is None for k in kernel_gens):
+            return False
+    return True
 
 
 def monomial_nonzerodivisor_up_to(pres, elt, degree_bound):

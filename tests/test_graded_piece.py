@@ -15,11 +15,15 @@ from equichow import (
     RingPresentation,
     VarTable,
     graded_piece_invariants,
-    nonzerodivisor_up_to,
+    is_nonzerodivisor,
     verify_cartesian,
 )
 from equichow.pipeline import Fixtures
-from oracles import monomial_nonzerodivisor_up_to, monomial_piece_invariants
+from oracles import (
+    monomial_nonzerodivisor_up_to,
+    monomial_piece_invariants,
+    nonzerodivisor_up_to,
+)
 
 FX = Fixtures.default()
 RINGS = {
@@ -44,6 +48,7 @@ def test_nonzerodivisor_matches_monomial_builder(name, expected):
     elt = Poly.var(FX.boundary.table, name)
     assert nonzerodivisor_up_to(FX.boundary, elt, 6) is expected
     assert monomial_nonzerodivisor_up_to(FX.boundary, elt, 6) is expected
+    assert is_nonzerodivisor(FX.boundary, elt) is expected
 
 
 def test_boundary_piece_in_degree_one():

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from equichow import (
     VarTable,
     ideal_contains,
     ideal_equal,
+    ideal_intersection,
     normal_form,
     strong_groebner,
 )
@@ -397,3 +399,41 @@ def test_ideal_equal_sees_both_answers():
     ):
         assert ideal_equal(a, b) == want
         assert containment_ideal_equal(a, b) == want
+
+
+XYZ = VarTable([("x", 1), ("y", 1), ("z", 2)])
+term_lists = st.lists(
+    st.tuples(st.tuples(*[st.integers(0, 2)] * 3), st.integers(1, 6)), min_size=1, max_size=3
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(a=term_lists, b=term_lists)
+def test_intersection_of_term_ideals(a, b):
+    """Ideals generated by terms c*m meet in the ideal of the pairwise
+    lcm(c, c')*lcm(m, m'): a term lies in a term ideal iff the gcd of the
+    coefficients of the generators whose monomial divides it divides its
+    coefficient, and gcd and lcm distribute over each other."""
+    gens_a = [Poly(XYZ, {m: c}) for m, c in a]
+    gens_b = [Poly(XYZ, {m: c}) for m, c in b]
+    expected = [
+        Poly(XYZ, {tuple(map(max, m, n)): math.lcm(c, d)}) for m, c in a for n, d in b
+    ]
+    assert ideal_equal(ideal_intersection(gens_a, gens_b), expected)
+
+
+def test_intersection_examples():
+    x, y, z = (v(XYZ, n) for n in ("x", "y", "z"))
+    t = VarTable([("t", 1), ("x", 1)])
+    for a, b, want in (
+        ([x + y], [x - y], [x * x - y * y]),
+        ([2 * x, x * x + z], [3 * y], [6 * x * y, 3 * x * x * y + 3 * y * z]),
+        ([x], [y], [x * y]),
+        ([v(t, "t")], [v(t, "x")], [v(t, "t") * v(t, "x")]),
+        # inhomogeneous: a graded order in place of the elimination order
+        # finds no t-free element here
+        ([x - 1], [x - 2], [x * x - 3 * x + 2]),
+        ([2 * x + 1], [3 * x - 1], [6 * x * x + x - 1]),
+    ):
+        assert ideal_equal(ideal_intersection(a, b), want)
+    assert ideal_intersection([x], []) == ideal_intersection([Poly.zero(XYZ)], [x]) == ()

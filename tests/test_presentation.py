@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equichow import (
+    GradeMismatch,
     Poly,
     PolyError,
     RingHom,
@@ -10,11 +13,12 @@ from equichow import (
     VarTable,
     c1_of_character,
     graded_piece_invariants,
-    nonzerodivisor_up_to,
+    is_nonzerodivisor,
     verify_cartesian,
 )
 from equichow.presentation import CartesianSquareSpec, WellDefinednessError
 from conftest import random_homogeneous
+from oracles import nonzerodivisor_up_to
 
 
 def v(table, name):
@@ -52,6 +56,41 @@ def test_graded_piece_rejects_inhomogeneous():
     t = VarTable([("l1", 1), ("l2", 2)])
     with pytest.raises(PolyError):
         RingPresentation(t, [v(t, "l1") + v(t, "l2")])
+
+
+@st.composite
+def multi_term_maps(draw):
+    """Dense random images of a:1 and b:2 in Z[u, v, w] (w of degree 2),
+    and a random polynomial in a and b."""
+    source = VarTable([("a", 1), ("b", 2)])
+    target = VarTable([("u", 1), ("v", 1), ("w", 2)])
+
+    def form(grade):
+        monos = target.monomials_of_grade(grade)
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(monos), max_size=len(monos)))
+        return Poly(target, dict(zip(monos, coeffs)))
+
+    exponents = st.tuples(st.integers(0, 3), st.integers(0, 2))
+    terms = draw(st.dictionaries(exponents, st.integers(-5, 5), max_size=5))
+    return {"a": form(1), "b": form(2)}, Poly(source, terms)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=multi_term_maps())
+def test_raw_apply_matches_naive_sum(case):
+    images, p = case
+    source, target = p.table, images["a"].table
+    hom = RingHom(RingPresentation(source, []), RingPresentation(target, []), images)
+    naive = Poly.zero(target)
+    for mono, coeff in p.terms.items():
+        term = Poly.const(target, coeff)
+        for name, e in zip(source.names, mono):
+            term = term * images[name] ** e
+        naive = naive + term
+    for _ in range(2):  # the second pass reads the cached powers
+        got = hom._raw_apply(p)
+        assert got == naive
+        assert all(got.terms.values())
 
 
 def test_hom_restriction_kills_boundary_classes(fixtures):
@@ -195,10 +234,52 @@ def test_cartesian_rejects_non_commuting_square(fixtures):
 
 
 def test_nonzerodivisor_examples(fixtures):
+    pres = fixtures.boundary
+    tb = pres.table
+    for f, expected in [(v(tb, "d1"), True), (v(tb, "x"), False), (Poly.const(tb, 1), True)]:
+        assert is_nonzerodivisor(pres, f) is expected
+        assert nonzerodivisor_up_to(pres, f, 8) is expected
+    assert not is_nonzerodivisor(pres, Poly.zero(tb))
+    with pytest.raises(GradeMismatch):
+        is_nonzerodivisor(pres, v(tb, "d1") + v(tb, "l2"))
+
+
+def test_nonzerodivisor_negative_controls(fixtures):
+    """d1 kills x modulo d1*x, and d1^2*x modulo d1^3*x: witnesses of
+    degree 1 and 3, which the bounded loop sees only from that degree on."""
     tb = fixtures.boundary.table
-    assert nonzerodivisor_up_to(fixtures.boundary, v(tb, "d1"), 8)
-    assert not nonzerodivisor_up_to(fixtures.boundary, v(tb, "x"), 4)
-    assert nonzerodivisor_up_to(fixtures.boundary, Poly.const(tb, 1), 4)
+    l1, d1, x = v(tb, "l1"), v(tb, "d1"), v(tb, "x")
+    for relations, witness in [([2 * x, d1 * x], 1), ([2 * x, x * x + l1 * x, d1**3 * x], 3)]:
+        pres = RingPresentation(tb, relations)
+        assert not is_nonzerodivisor(pres, d1)
+        assert not nonzerodivisor_up_to(pres, d1, witness)
+        assert nonzerodivisor_up_to(pres, d1, witness - 1)
+
+
+@st.composite
+def nonzerodivisor_cases(draw):
+    """1-2 relations of degree <= 2 in at most three degree-1 variables, and
+    a linear f, all with coefficients in [-3, 3].  Three generic cubics in
+    three variables can keep strong_groebner busy for minutes; this
+    strategy cannot reach them."""
+    table = VarTable([(n, 1) for n in "abc"[: draw(st.integers(1, 3))]])
+
+    def form(grade):
+        monos = table.monomials_of_grade(grade)
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(monos), max_size=len(monos)))
+        return Poly(table, dict(zip(monos, coeffs)))
+
+    relations = [form(draw(st.integers(1, 2))) for _ in range(draw(st.integers(1, 2)))]
+    return RingPresentation(table, relations), form(1)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(case=nonzerodivisor_cases())
+def test_nonzerodivisor_agrees_with_bounded_loop(case):
+    """Every zero-divisor drawn here has a witness of degree <= 3, so the
+    loop at bound 4 sees it."""
+    pres, f = case
+    assert is_nonzerodivisor(pres, f) is nonzerodivisor_up_to(pres, f, 4)
 
 
 def test_gysin_generator_values(fixtures):
