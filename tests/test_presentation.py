@@ -58,21 +58,24 @@ def test_graded_piece_rejects_inhomogeneous():
         RingPresentation(t, [v(t, "l1") + v(t, "l2")])
 
 
+def dense_form(draw, table, grade):
+    """A form of the grade with a drawn coefficient in [-3, 3] on every
+    monomial."""
+    monos = table.monomials_of_grade(grade)
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(monos), max_size=len(monos)))
+    return Poly(table, dict(zip(monos, coeffs)))
+
+
 @st.composite
 def multi_term_maps(draw):
     """Dense random images of a:1 and b:2 in Z[u, v, w] (w of degree 2),
     and a random polynomial in a and b."""
     source = VarTable([("a", 1), ("b", 2)])
     target = VarTable([("u", 1), ("v", 1), ("w", 2)])
-
-    def form(grade):
-        monos = target.monomials_of_grade(grade)
-        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(monos), max_size=len(monos)))
-        return Poly(target, dict(zip(monos, coeffs)))
-
     exponents = st.tuples(st.integers(0, 3), st.integers(0, 2))
     terms = draw(st.dictionaries(exponents, st.integers(-5, 5), max_size=5))
-    return {"a": form(1), "b": form(2)}, Poly(source, terms)
+    images = {"a": dense_form(draw, target, 1), "b": dense_form(draw, target, 2)}
+    return images, Poly(source, terms)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -263,14 +266,9 @@ def nonzerodivisor_cases(draw):
     three variables can keep strong_groebner busy for minutes; this
     strategy cannot reach them."""
     table = VarTable([(n, 1) for n in "abc"[: draw(st.integers(1, 3))]])
-
-    def form(grade):
-        monos = table.monomials_of_grade(grade)
-        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(monos), max_size=len(monos)))
-        return Poly(table, dict(zip(monos, coeffs)))
-
-    relations = [form(draw(st.integers(1, 2))) for _ in range(draw(st.integers(1, 2)))]
-    return RingPresentation(table, relations), form(1)
+    count = draw(st.integers(1, 2))
+    relations = [dense_form(draw, table, draw(st.integers(1, 2))) for _ in range(count)]
+    return RingPresentation(table, relations), dense_form(draw, table, 1)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
