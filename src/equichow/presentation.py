@@ -5,16 +5,16 @@ polynomials.  Degree by degree the ring is a finitely generated abelian
 group (the monomials off the monic leads of a strong Groebner basis, modulo
 the multiples of the other leads), which Smith normal form turns into rank
 and torsion data.  That is enough to verify, degree by degree, that a
-commuting square of presentations is cartesian, to check that an element
-is a non-zero-divisor up to a degree bound, and to run the Gysin
-pushforward between the two boundary presentations.
+commuting square of presentations is cartesian.  The module also decides
+in every degree whether an element is a non-zero-divisor, by a colon ideal,
+and runs the Gysin pushforward between the two boundary presentations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .groebner import IdealBasis, Lead, MonomialOrder, ideal_intersection, normal_form
 from .groebner import _KeyCache, _lead, _mono_divides, _mono_sub, _reduce, strong_groebner
@@ -116,22 +116,40 @@ class GradedPiece:
         """Coordinates on N of p reduced by the monic leads, each monomial
         always by the same lead, so the map is linear."""
         vec = [0] * len(self.monomials)
-        grade = self.table.grade
-        if any(grade(mono) != self.degree for mono in p.terms):
-            raise GradeMismatch(f"vectorizing a term outside degree {self.degree}")
-        # Order keys are cached for one reduction only, so a memoized
-        # piece holds no table of them.
-        key = _KeyCache(self._order_key).__getitem__
-        for mono, coeff in _reduce(p, self._monic, key).terms.items():
-            vec[self._index[mono]] = coeff
+        index = self._index
+        # A degree-n staircase monomial has no monic lead dividing it, so p
+        # needs a reduction only when a term is off the staircase.
+        if not all(mono in index for mono in p.terms):
+            grade = self.table.grade
+            if any(grade(mono) != self.degree for mono in p.terms):
+                raise GradeMismatch(f"vectorizing a term outside degree {self.degree}")
+            # Order keys are cached for one reduction only, so a memoized
+            # piece holds no table of them.
+            p = _reduce(p, self._monic, _KeyCache(self._order_key).__getitem__)
+        for mono, coeff in p.terms.items():
+            vec[index[mono]] = coeff
         return vec
 
     def image_columns(
-        self, source: GradedPiece, fn: Callable[[Poly], Poly]
+        self, source: GradedPiece, hom: RingHom, memo: Dict[int, Dict[Monomial, Poly]]
     ) -> List[List[int]]:
-        """The columns vector(fn(m)) for the monomials m of `source`."""
-        table = source.table
-        return [self.vector(fn(Poly._canonical(table, {m: 1}))) for m in source.monomials]
+        """The columns vector(hom(m)) for the monomials m of `source`.  `memo`
+        maps degree to {monomial: image} for one caller that asks for degrees
+        0, 1, ... in turn.  The image of m is that of m / x_i, x_i the first
+        variable of m, times the image of x_i; m / x_i is on the staircase,
+        since a monic lead dividing it would divide m.  Degrees that degree
+        n + 1 cannot read are then dropped."""
+        n, grades, gens = source.degree, source.table.degrees, hom._images
+        built = memo[n] = {}
+        for m in source.monomials:
+            if not n:
+                built[m] = Poly.const(self.table, 1)
+                continue
+            i = next(i for i, e in enumerate(m) if e)
+            built[m] = memo[n - grades[i]][m[:i] + (m[i] - 1,) + m[i + 1 :]] * gens[i]
+        for k in [k for k in memo if k <= n - max(grades)]:
+            del memo[k]
+        return [self.vector(built[m]) for m in source.monomials]
 
     def invariants(self) -> Tuple[int, Tuple[int, ...]]:
         """Free rank and torsion of the piece."""
@@ -284,22 +302,21 @@ def verify_cartesian(square: CartesianSquareSpec, degree_bound: int) -> Cartesia
     isomorphism iff it is surjective onto the fiber product and both groups
     have equal Smith invariants (finitely generated abelian groups are
     Hopfian, so a surjection between isomorphic groups is injective).
+    Each of bd, cd, ab and ac has its own image memo, for this call only.
     """
-    checks = []
-    for n in range(degree_bound + 1):
-        checks.append(_check_degree(square, n))
-    return CartesianReport(checks)
+    memo: Tuple[Dict[int, Dict[Monomial, Poly]], ...] = ({}, {}, {}, {})
+    return CartesianReport([_check_degree(square, n, memo) for n in range(degree_bound + 1)])
 
 
-def _check_degree(square: CartesianSquareSpec, n: int) -> DegreeCheck:
+def _check_degree(square: CartesianSquareSpec, n: int, memo: Tuple[dict, ...]) -> DegreeCheck:
     pa, pb, pc, pd = (ring.piece(n) for ring in (square.a, square.b, square.c, square.d))
     mon_b, mon_c = len(pb.monomials), len(pc.monomials)
     dim = mon_b + mon_c
 
     # Difference map B_n + C_n -> D_n as a matrix over the monomial bases.
     # `vector` reduces what it is given, so the images skip the normal form.
-    cols_bd = pd.image_columns(pb, square.bd._raw_apply)
-    cols_cd = pd.image_columns(pc, square.cd._raw_apply)
+    cols_bd = pd.image_columns(pb, square.bd, memo[0])
+    cols_cd = pd.image_columns(pc, square.cd, memo[1])
     diff = from_columns(cols_bd + [[-x for x in col] for col in cols_cd], len(pd.monomials))
     fiber_lattice = Lattice(preimage_generators(diff, pd.relations, dim), dim)
 
@@ -325,8 +342,8 @@ def _check_degree(square: CartesianSquareSpec, n: int) -> DegreeCheck:
     images = [
         ab_col + ac_col
         for ab_col, ac_col in zip(
-            pb.image_columns(pa, square.ab._raw_apply),
-            pc.image_columns(pa, square.ac._raw_apply),
+            pb.image_columns(pa, square.ab, memo[2]),
+            pc.image_columns(pa, square.ac, memo[3]),
         )
     ]
     surjective = quotient_invariants(fiber_lattice.rank, sub + coords(images)) == (0, ())
@@ -362,9 +379,6 @@ class CharacterBasis:
         if not assignments:
             raise PolyError("empty character basis")
         self.assignments = dict(assignments)
-
-    def names(self) -> Tuple[str, ...]:
-        return tuple(self.assignments)
 
 
 def c1_of_character(basis: CharacterBasis, character: Mapping[str, int]) -> Poly:

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from equichow import Poly, VarTable, localization
+from equichow import Poly, RingHom, RingPresentation, VarTable, localization
 from equichow.pipeline import Fixtures
+from equichow.presentation import CartesianSquareSpec
 
 
 @pytest.fixture
@@ -45,6 +46,16 @@ def random_homogeneous(table, rng, grade, coeff=6):
             if c:
                 acc[mono] = c
     return Poly(table, acc)
+
+
+def doubling_square():
+    """A = B = C = D = Z[s] or Z[t] with s -> 2t on both sides and the
+    identity of Z[t] below."""
+    zs = RingPresentation(VarTable([("s", 1)]))
+    zt = RingPresentation(VarTable([("t", 1)]))
+    double = RingHom(zs, zt, {"s": 2 * Poly.var(zt.table, "t")})
+    ident = RingHom(zt, zt, {"t": Poly.var(zt.table, "t")})
+    return CartesianSquareSpec(zs, zt, zt, zt, double, double, ident, ident)
 
 
 @pytest.fixture

@@ -1,10 +1,11 @@
 """Test-only oracles: dense matrix helpers, the dense Smith normal form and
 lattice that the sparse ones are checked against, the defining check of a
 strong Groebner basis, the relation-times-monomial graded pieces that the
-Groebner-staircase pieces are checked against, the non-zero-divisor check
-degree by degree up to a bound, completion without pair criteria, ideal
-equality by mutual containment, and the fixed-point sum taken one source
-point at a time."""
+Groebner-staircase pieces are checked against, ring-map columns with each
+image built from scratch, vectors always taken through the reduction, the
+non-zero-divisor check degree by degree up to a bound, completion without
+pair criteria, ideal equality by mutual containment, and the fixed-point
+sum taken one source point at a time."""
 
 import math
 from heapq import heapify, heappop, heappush
@@ -280,6 +281,22 @@ def monomial_piece_invariants(pres, n):
     return quotient_invariants(len(piece.monomials), piece.relations)
 
 
+def naive_image_columns(target, source, fn):
+    """The columns target.vector(fn(m)) for the monomials m of `source`,
+    each image built from scratch."""
+    table = source.table
+    return [target.vector(fn(Poly(table, {m: 1}))) for m in source.monomials]
+
+
+def reduced_vector(piece, p):
+    """piece.vector(p), always through the reduction by the monic leads."""
+    vec = [0] * len(piece.monomials)
+    key = _KeyCache(piece._order_key).__getitem__
+    for mono, coeff in _reduce(p, piece._monic, key).terms.items():
+        vec[piece._index[mono]] = coeff
+    return vec
+
+
 def nonzerodivisor_up_to(pres, elt, degree_bound):
     """True iff multiplication by elt is injective on every graded piece of
     degree <= degree_bound, read off the Groebner-staircase pieces."""
@@ -294,7 +311,7 @@ def nonzerodivisor_up_to(pres, elt, degree_bound):
             continue
         target = pres.piece(n + g)
         mult = from_columns(
-            target.image_columns(piece, lambda m: elt * m),
+            naive_image_columns(target, piece, lambda m: elt * m),
             len(target.monomials),
         )
         kernel_gens = preimage_generators(mult, target.relations, len(piece.monomials))

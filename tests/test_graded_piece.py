@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from equichow import (
     GradeMismatch,
     Poly,
+    RingHom,
     RingPresentation,
     VarTable,
     graded_piece_invariants,
@@ -19,10 +20,14 @@ from equichow import (
     verify_cartesian,
 )
 from equichow.pipeline import Fixtures
+from equichow.presentation import CartesianSquareSpec, GradedPiece
+from conftest import doubling_square
 from oracles import (
     monomial_nonzerodivisor_up_to,
     monomial_piece_invariants,
+    naive_image_columns,
     nonzerodivisor_up_to,
+    reduced_vector,
 )
 
 FX = Fixtures.default()
@@ -107,7 +112,7 @@ def presentations(draw):
     return RingPresentation(table, relations)
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50, deadline=None, derandomize=True)
 @given(pres=presentations())
 def test_random_presentation_pieces(pres):
     key = pres.order.key(pres.table)
@@ -126,6 +131,89 @@ def test_random_presentation_pieces(pres):
                     assert row == c[m]
                 elif key(other) > key(m):
                     assert row == 0
+
+
+def _coefficients(draw, monos, bound=4):
+    values = st.integers(-bound, bound)
+    return draw(st.lists(values, min_size=len(monos), max_size=len(monos)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(pres=presentations(), data=st.data())
+def test_vector_skips_only_reductions_that_change_nothing(pres, data):
+    """vector(p) equals the vector of p reduced by the monic leads, for p on
+    the staircase and for p with a term that a monic lead divides."""
+    n = data.draw(st.integers(0, 5))
+    piece = pres.piece(n)
+    table = pres.table
+    on = Poly(table, dict(zip(piece.monomials, _coefficients(data.draw, piece.monomials))))
+    off = [m for m in table.monomials_of_grade(n) if m not in piece.monomials]
+    polys = [on]
+    if off:
+        m = data.draw(st.sampled_from(off))
+        polys.append(on + Poly(table, {m: data.draw(st.sampled_from([-3, -1, 1, 2]))}))
+    for p in polys:
+        assert piece.vector(p) == reduced_vector(piece, p)
+    outside = table.monomials_of_grade(n + 1)
+    if outside:
+        with pytest.raises(GradeMismatch):
+            piece.vector(on + Poly(table, {outside[0]: 1}))
+
+
+def _columns_during(square, degree_bound):
+    """verify_cartesian(square, degree_bound) with every image_columns call
+    checked against the columns built from scratch; returns the source
+    degrees of the calls."""
+    build = GradedPiece.image_columns
+    degrees = []
+
+    def checked(target, source, hom, memo):
+        columns = build(target, source, hom, memo)
+        assert columns == naive_image_columns(target, source, hom._raw_apply)
+        degrees.append(source.degree)
+        return columns
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(GradedPiece, "image_columns", checked)
+        verify_cartesian(square, degree_bound)
+    return degrees
+
+
+@pytest.mark.parametrize(
+    "square",
+    [lambda: Fixtures.default().patch_square(), doubling_square],
+    ids=["patch", "doubling"],
+)
+def test_memoized_columns_of_fixed_squares(square):
+    assert _columns_during(square(), 12) == [n for n in range(13) for _ in range(4)]
+
+
+@st.composite
+def maps_into_presentations(draw):
+    """A free ring on grade-1 and grade-2 generators and a map from it into a
+    random presentation, with multi-term and zero generator images."""
+    target = draw(presentations())
+    grades = [1, 2] + draw(st.lists(st.integers(1, 2), max_size=1))
+    source = RingPresentation(VarTable([(f"s{i}", d) for i, d in enumerate(grades)]))
+    images = {}
+    for name, d in zip(source.table.names, grades):
+        monos = target.table.monomials_of_grade(d)
+        coefficients = _coefficients(draw, monos, 3)
+        if draw(st.integers(0, 3)) == 0:
+            coefficients = [0] * len(monos)
+        images[name] = Poly(target.table, dict(zip(monos, coefficients)))
+    return RingHom(source, target, images)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(hom=maps_into_presentations())
+def test_memoized_columns_of_random_maps(hom):
+    """The square A = B = C -> D with identities on top and the drawn map on
+    both sides; bd and cd are one map, each with its own memo."""
+    free = hom.source
+    ident = RingHom(free, free, {n: Poly.var(free.table, n) for n in free.table.names})
+    square = CartesianSquareSpec(free, free, free, hom.target, ident, ident, hom, hom)
+    assert _columns_during(square, 12) == [n for n in range(13) for _ in range(4)]
 
 
 def test_memoized_pieces_make_no_reference_cycle():

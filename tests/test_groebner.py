@@ -280,7 +280,7 @@ xy_polys = st.lists(coefficients, min_size=len(XY_MONOS), max_size=len(XY_MONOS)
 )
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50, deadline=None, derandomize=True)
 @given(
     gens=st.lists(xy_polys, min_size=1, max_size=3),
     p=xy_polys,

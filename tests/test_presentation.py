@@ -17,7 +17,7 @@ from equichow import (
     verify_cartesian,
 )
 from equichow.presentation import CartesianSquareSpec, WellDefinednessError
-from conftest import random_homogeneous
+from conftest import doubling_square, random_homogeneous
 from oracles import nonzerodivisor_up_to
 
 
@@ -207,12 +207,7 @@ def test_cartesian_doubling_square_is_not_surjective():
     """A = B = C = D = Z[s] or Z[t] with s -> 2t on both sides: the corner
     and the fiber product Z[t] have equal invariants in every degree, but
     s^n only reaches 2^n t^n, so only surjectivity can fail."""
-    zs = RingPresentation(VarTable([("s", 1)]))
-    zt = RingPresentation(VarTable([("t", 1)]))
-    double = RingHom(zs, zt, {"s": 2 * v(zt.table, "t")})
-    ident = RingHom(zt, zt, {"t": v(zt.table, "t")})
-    square = CartesianSquareSpec(zs, zt, zt, zt, double, double, ident, ident)
-    report = verify_cartesian(square, 2)
+    report = verify_cartesian(doubling_square(), 2)
     assert [c.corner_invariants == c.fiber_invariants for c in report.checks] == [True] * 3
     assert [c.surjective for c in report.checks] == [True, False, False]
     assert report.first_failure() == 1
