@@ -21,12 +21,13 @@ from .groebner import MonomialOrder, normal_form, strong_groebner
 from .jobfile import (
     MAX_DEGREE_BOUND,
     MAX_ORACLE_TRIALS,
+    parse_fixture_overrides,
     parse_ideal_job,
     parse_push_job,
     parse_square_job,
 )
 from .localization import DenominatorResidue, pushforward, specialize_oracle
-from .pipeline import Fixtures, run_all
+from .pipeline import run_all
 from .poly import PolyError
 from .presentation import verify_cartesian
 from .textio import ParseError, parse_poly
@@ -108,37 +109,6 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 
-def _load_fixture_overrides(path: str) -> Fixtures:
-    """Override file: [final] gen lines and/or [candidate] relation lines."""
-    from .jobfile import _keyvals, _sections  # same scanner as the job files
-
-    base = Fixtures.default()
-    final_texts = []
-    candidate_texts = []
-    for name, entries in _sections(_read(path)):
-        if name == "final":
-            for lineno, key, value in _keyvals(entries):
-                if key != "gen":
-                    raise ParseError(f"line {lineno}: expected 'gen = <poly>'")
-                final_texts.append(value)
-        elif name == "candidate":
-            for lineno, key, value in _keyvals(entries):
-                if key != "relation":
-                    raise ParseError(f"line {lineno}: expected 'relation = <poly>'")
-                candidate_texts.append(value)
-        else:
-            raise ParseError(f"unknown fixture section [{name}]")
-    final = (
-        [parse_poly(t, base.ambient) for t in final_texts] if final_texts else None
-    )
-    candidate = (
-        [parse_poly(t, base.total.table) for t in candidate_texts]
-        if candidate_texts
-        else None
-    )
-    return Fixtures.default(candidate_relations=candidate, final_ideal=final)
-
-
 def _write_report(path: Optional[str], payload: str):
     if not path:
         return
@@ -148,7 +118,7 @@ def _write_report(path: Optional[str], payload: str):
 
 def cmd_pipeline(args) -> int:
     seed = _resolve_seed(args.seed)
-    fixtures = _load_fixture_overrides(args.fixtures) if args.fixtures else None
+    fixtures = parse_fixture_overrides(_read(args.fixtures)) if args.fixtures else None
     report = run_all(
         degree_bound=args.degree_bound,
         oracle_trials=args.oracle_trials,

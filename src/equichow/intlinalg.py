@@ -1,13 +1,15 @@
-"""Exact integer linear algebra: Smith normal form, kernels, lattices.
+"""Exact integer linear algebra: Smith normal form, relations, lattices.
 
 Matrices come in as plain lists of rows of Python ints, so nothing ever
 overflows or rounds.  The matrices of the patching step are nearly empty
 (at degree bound 10 the largest, 78 x 102, has 102 non-zero entries), so
 the Smith routine works on sparse vectors, dicts {index: value} holding
 only the non-zero entries: the matrix as sparse rows plus an index from
-each column to the rows where it is non-zero, U as sparse rows and V as
-sparse columns.  A pivot search, a swap or an elementary operation touches
-only non-zero entries.
+each column to the rows where it is non-zero, and the row transform U as
+sparse rows.  A pivot search, a swap or an elementary operation touches
+only non-zero entries.  Only U is kept: the rows of U past the rank are
+the integer relations among the rows of M, and the lattice coordinates
+read U alone.
 """
 
 from __future__ import annotations
@@ -43,16 +45,14 @@ class SmithDecomposition:
     """D = U * M * V with U, V unimodular and D diagonal, d1 | d2 | ...
 
     `factors` lists the nonzero diagonal entries (all positive).  `u` holds
-    the rows of U and `v` the columns of V, each a sparse dict
-    {index: value}: row i of U combines the rows of M into row i of D, and
-    column j of V combines the columns of M into column j of D, so the
-    columns of V from `rank` on span the kernel of M.
+    the rows of U, each a sparse dict {index: value}: row i of U combines
+    the rows of M into a row that is d_i times a row of V^-1 for i below
+    `rank` and zero from `rank` on, so those later rows of U are a basis of
+    the integer relations among the rows of M.  V is not kept.
     """
 
     factors: Tuple[int, ...]
     u: List[Sparse]
-    v: List[Sparse]
-    shape: Tuple[int, int]
 
     @property
     def rank(self) -> int:
@@ -63,15 +63,15 @@ def smith_normal_form(m: Matrix) -> SmithDecomposition:
     """Diagonalize an integer matrix by unimodular row/column operations.
 
     The matrix is copied into sparse rows, with `where[j]` the set of rows
-    non-zero in column j; every operation is applied to U's sparse rows or
-    V's sparse columns as well.  Pivot choice is the smallest nonzero
-    absolute value of the remaining block (ties broken by position, row
-    first), which keeps entry growth mild.  Once a pivot has cleared its
-    row and column, an entry of the remaining block that it does not divide
-    has its row added to the pivot row, and the pivot is chosen again; so
-    the divisibility chain holds as each pivot is fixed, with no pass after
-    the loop.  Rows and columns before the pivot hold only their finished
-    pivots, so the remaining block is all of rows t onwards.
+    non-zero in column j; every row operation is applied to U's sparse rows
+    as well.  Pivot choice is the smallest nonzero absolute value of the
+    remaining block (ties broken by position, row first), which keeps entry
+    growth mild.  Once a pivot has cleared its row and column, an entry of
+    the remaining block that it does not divide has its row added to the
+    pivot row, and the pivot is chosen again; so the divisibility chain
+    holds as each pivot is fixed, with no pass after the loop.  Rows and
+    columns before the pivot hold only their finished pivots, so the
+    remaining block is all of rows t onwards.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
@@ -81,7 +81,6 @@ def smith_normal_form(m: Matrix) -> SmithDecomposition:
         for j in row:
             where[j].add(i)
     u: List[Sparse] = [{i: 1} for i in range(rows)]
-    v: List[Sparse] = [{j: 1} for j in range(cols)]
 
     def swap_rows(i, j):
         if i == j:
@@ -108,7 +107,6 @@ def smith_normal_form(m: Matrix) -> SmithDecomposition:
             if y:
                 row[i] = y
         where[i], where[j] = where[j], where[i]
-        v[i], v[j] = v[j], v[i]
 
     def add_row(src, dst, q):
         # row dst += q * row src
@@ -141,7 +139,6 @@ def smith_normal_form(m: Matrix) -> SmithDecomposition:
             else:
                 del row[dst]
                 col.remove(r)
-        _add_multiple(v[dst], v[src], q)
 
     def balanced_quotient(value, pivot):
         q, r = divmod(value, pivot)
@@ -210,40 +207,17 @@ def smith_normal_form(m: Matrix) -> SmithDecomposition:
         t += 1
 
     factors = tuple(a[i][i] for i in range(t))
-    return SmithDecomposition(factors, u, v, (rows, cols))
-
-
-def invariant_factors(m: Matrix) -> Tuple[int, ...]:
-    return smith_normal_form(m).factors
-
-
-def kernel_basis(a: Matrix) -> List[List[int]]:
-    """A lattice basis of {x : A x = 0}, as a list of column vectors: the
-    columns of V past the rank."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    if cols == 0:
-        return []
-    if rows == 0:
-        return [[1 if i == j else 0 for i in range(cols)] for j in range(cols)]
-    dec = smith_normal_form(a)
-    basis = []
-    for column in dec.v[dec.rank :]:
-        vec = [0] * cols
-        for i, x in column.items():
-            vec[i] = x
-        basis.append(vec)
-    return basis
+    return SmithDecomposition(factors, u)
 
 
 class Lattice:
     """The sublattice of Z^dim spanned by integer columns.
 
     With M the matrix of the non-zero columns and U M V = D its Smith
-    decomposition, the first `rank` columns of M V are a basis of the
-    lattice (the later ones are zero), and `coordinates` works in that basis.
-    U is transposed once into sparse columns, so a coordinate computation
-    touches only the columns of U in the support of its vector.
+    decomposition, M V = U^-1 D, so the columns d_i * U^-1 e_i for i below
+    `rank` are a basis of the lattice, and `coordinates` works in that
+    basis.  U is transposed once into sparse columns, so a coordinate
+    computation touches only the columns of U in the support of its vector.
     """
 
     def __init__(self, columns: Sequence[Sequence[int]], dim: int):
@@ -256,8 +230,8 @@ class Lattice:
                 self._u_columns[k][i] = x
 
     def coordinates(self, v: Sequence[int]) -> Optional[List[int]]:
-        """y = D^-1 U v truncated to the rank, so that v is (M V) y over the
-        first `rank` columns of M V; None when v is not in the lattice."""
+        """y = D^-1 U v truncated to the rank, so that v is the sum of
+        y_i * d_i * U^-1 e_i; None when v is not in the lattice."""
         uv: Sparse = {}
         for k, x in enumerate(v):
             if x:
@@ -284,27 +258,29 @@ def quotient_invariants(
     live = [c for c in subgroup_columns if any(c)]
     if not live:
         return ambient_rank, ()
-    factors = invariant_factors(from_columns(live, ambient_rank))
+    factors = smith_normal_form(from_columns(live, ambient_rank)).factors
     free = ambient_rank - len(factors)
     torsion = tuple(f for f in factors if f != 1)
     return free, torsion
 
 
 def preimage_generators(
-    m: Matrix, target_columns: Sequence[Sequence[int]], domain_dim: int
+    columns: Sequence[Sequence[int]], target_columns: Sequence[Sequence[int]], domain_dim: int
 ) -> List[List[int]]:
-    """Generators of the lattice {v : M v lies in <target_columns>}.
+    """Generators of the lattice {v : M v lies in <target_columns>}, with
+    `columns` the domain_dim columns of M.
 
-    Computed as the projection onto the first `domain_dim` coordinates of
-    the kernel of the block matrix [M | T].
+    The rows of U past the rank, for the matrix whose rows are the columns
+    of M and the non-zero targets, are a basis of the integer relations
+    among those vectors; their first `domain_dim` entries generate the
+    lattice.
     """
-    rows = len(m)
-    if rows == 0:
-        return [[1 if i == j else 0 for i in range(domain_dim)] for j in range(domain_dim)]
-    live = [c for c in target_columns if any(c)]
-    block = [m[i][:] + [c[i] for c in live] for i in range(rows)]
+    dec = smith_normal_form([*columns, *(c for c in target_columns if any(c))])
     gens = []
-    for vec in kernel_basis(block):
-        head = vec[:domain_dim]
-        gens.append(head)
+    for rel in dec.u[dec.rank :]:
+        vec = [0] * domain_dim
+        for k, x in rel.items():
+            if k < domain_dim:
+                vec[k] = x
+        gens.append(vec)
     return gens

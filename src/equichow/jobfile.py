@@ -1,10 +1,11 @@
 """Line-oriented job files for the command line tools.
 
-Three small section-based formats share one scanner:
+Four small section-based formats share one scanner:
 
   push jobs      [vars] [space] [map] [class] [options]
   ideal files    [vars] [ideal]
   square files   [vars] [ring A|B|C|D] [hom X->Y] [options]
+  fixture files  [final] [candidate]
 
 Blank lines and '#' comments are ignored.  Parsing either succeeds or
 raises ParseError with the offending line number; parse -> render -> parse
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .localization import MapDescriptor, SpaceDescriptor, SpaceFactor
+from .pipeline import Fixtures
 from .poly import Poly, PolyError, VarTable
 from .presentation import CartesianSquareSpec, RingHom, RingPresentation
 from .textio import ParseError, parse_poly
@@ -368,3 +370,22 @@ def parse_square_job(text: str) -> SquareJob:
     except PolyError as exc:
         raise ParseError(str(exc)) from None
     return SquareJob(square, degree_bound)
+
+
+def parse_fixture_overrides(text: str) -> Fixtures:
+    """Fixture overrides: [final] gen lines (the reference ideal) and/or
+    [candidate] relation lines (the patched-ring candidate)."""
+    base = Fixtures.default()
+    polys: Dict[str, List[Poly]] = {"final": [], "candidate": []}
+    fields = {"final": ("gen", base.ambient), "candidate": ("relation", base.total.table)}
+    for name, entries in _sections(text):
+        if name not in fields:
+            raise ParseError(f"unknown fixture section [{name}]")
+        want, table = fields[name]
+        for lineno, key, value in _keyvals(entries):
+            if key != want:
+                raise ParseError(f"line {lineno}: expected '{want} = <poly>'")
+            polys[name].append(parse_poly(value, table))
+    return Fixtures.default(
+        candidate_relations=polys["candidate"] or None, final_ideal=polys["final"] or None
+    )

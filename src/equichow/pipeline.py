@@ -32,7 +32,6 @@ from .localization import (
     specialize_oracle,
 )
 from .poly import Poly, VarTable, to_elementary_symmetric
-from .textio import parse_poly
 from .presentation import (
     CartesianSquareSpec,
     CharacterBasis,
@@ -52,6 +51,28 @@ INFORMATIONAL = "informational"
 
 def _vt(*pairs: Tuple[str, int]) -> VarTable:
     return VarTable(pairs)
+
+
+# The tables of the two symmetric-pushforward steps, over which the
+# substitution rules of `Fixtures` are written.
+SYMMETRIC_TABLE = _vt(
+    ("t1", 1), ("t2", 1), ("h1", 1), ("h2", 1), ("h", 1), ("l1", 1), ("l2", 2)
+)
+DOUBLE_TRIPLE_TABLE = _vt(
+    ("a", 1),
+    ("b", 1),
+    ("d", 1),
+    ("g1", 1),
+    ("g2", 1),
+    ("u1", 1),
+    ("u2", 1),
+    ("h1", 1),
+    ("h2", 1),
+    ("l1", 1),
+    ("l2", 2),
+)
+_t1, _t2 = (Poly.var(SYMMETRIC_TABLE, n) for n in ("t1", "t2"))
+_a, _b, _d = (Poly.var(DOUBLE_TRIPLE_TABLE, n) for n in ("a", "b", "d"))
 
 
 @dataclass
@@ -76,13 +97,13 @@ class Fixtures:
     triple_root_class: Poly
     residual_class: Poly
     final_ideal: Tuple[Poly, ...]
-    # quoted substitution rules, parsed by the steps over their local tables
-    open_restriction_rule: str = "2*t1 + 2*t2"
-    boundary_weight_rules: Tuple[Tuple[str, str], ...] = (
-        ("g1", "b + d - a"),
-        ("g2", "a + d - b"),
-        ("h1", "a + b + d"),
-        ("h2", "a + b + d"),
+    # quoted substitution rules, over SYMMETRIC_TABLE and DOUBLE_TRIPLE_TABLE
+    open_restriction_rule: Poly = 2 * _t1 + 2 * _t2
+    boundary_weight_rules: Tuple[Tuple[str, Poly], ...] = (
+        ("g1", _b + _d - _a),
+        ("g2", _a + _d - _b),
+        ("h1", _a + _b + _d),
+        ("h2", _a + _b + _d),
     )
 
     @staticmethod
@@ -464,15 +485,13 @@ def step_node_image_ideal(fx: Fixtures) -> StepReport:
 def _symmetric_pushforward_value(fx: Fixtures, cls_name: str) -> Poly:
     """Pushforward over weights (t1, t2), then the quoted h-restriction rule
     and a rewrite in the elementary symmetric classes l1, l2."""
-    t = _vt(
-        ("t1", 1), ("t2", 1), ("h1", 1), ("h2", 1), ("h", 1), ("l1", 1), ("l2", 2)
-    )
+    t = SYMMETRIC_TABLE
     t1, t2 = Poly.var(t, "t1"), Poly.var(t, "t2")
     src = SpaceDescriptor([SpaceFactor(1, t1, t2, "h1"), SpaceFactor(3, t1, t2, "h2")])
     mapping = MapDescriptor.multiplication(src, [3, 1], "h")
     cls = Poly.const(t, 1) if cls_name == "1" else Poly.var(t, cls_name)
     value = pushforward(mapping, cls)
-    substituted = value.substitute({"h": parse_poly(fx.open_restriction_rule, t)})
+    substituted = value.substitute({"h": fx.open_restriction_rule})
     return to_elementary_symmetric(substituted, ("t1", "t2"), ("l1", "l2"))
 
 
@@ -509,28 +528,14 @@ def step_residual_class(fx: Fixtures) -> StepReport:
 
 def double_triple_value(fx: Fixtures) -> Poly:
     """The two-triple-root class on the boundary, over Z[l1,l2,d1]."""
-    t = _vt(
-        ("a", 1),
-        ("b", 1),
-        ("d", 1),
-        ("g1", 1),
-        ("g2", 1),
-        ("u1", 1),
-        ("u2", 1),
-        ("h1", 1),
-        ("h2", 1),
-        ("l1", 1),
-        ("l2", 2),
-    )
+    t = DOUBLE_TRIPLE_TABLE
     g1, g2 = Poly.var(t, "g1"), Poly.var(t, "g2")
     src = SpaceDescriptor(
         [SpaceFactor(1, g1, Poly.zero(t), "u1"), SpaceFactor(1, g2, Poly.zero(t), "u2")]
     )
     mapping = MapDescriptor.product(src, [3, 3], ["h1", "h2"])
     value = pushforward(mapping, Poly.const(t, 1))
-    substituted = value.substitute(
-        {name: parse_poly(rule, t) for name, rule in fx.boundary_weight_rules}
-    )
+    substituted = value.substitute(dict(fx.boundary_weight_rules))
     rewritten = to_elementary_symmetric(substituted, ("a", "b"), ("l1", "l2"))
     return rewritten.change_table(fx.ambient, {"d": "d1"})
 

@@ -318,7 +318,7 @@ class Poly:
         if not images:
             return self
 
-        return _map_terms(self, table, images, {})
+        return _map_terms(self, table, images)
 
     def change_table(
         self, new_table: VarTable, rename: Optional[Mapping[str, str]] = None
@@ -339,7 +339,7 @@ class Poly:
                     f"variable {name!r} changes degree under table move"
                 )
             images[i] = Poly.var(new_table, target)
-        return _map_terms(self, new_table, images, {})
+        return _map_terms(self, new_table, images)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -395,13 +395,12 @@ class Poly:
         return "".join(chunks)
 
 
-def _map_terms(
-    p: Poly, table: VarTable, images: Mapping[int, Poly], powers: Dict[Tuple[int, int], Poly]
-) -> Poly:
+def _map_terms(p: Poly, table: VarTable, images: Mapping[int, Poly]) -> Poly:
     """The image over `table` of p under the ring map sending the variable in
-    slot i to images[i], with the powers cached in `powers` by (i, e).  A
+    slot i to images[i], each power of an image built once per call.  A
     variable without an image keeps its slot, which `table` must share."""
     unit = (0,) * len(table)
+    powers: Dict[Tuple[int, int], Poly] = {}
     acc: Dict[Monomial, int] = {}
     get = acc.get
     for mono, coeff in p.terms.items():

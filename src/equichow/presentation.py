@@ -18,7 +18,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .groebner import IdealBasis, Lead, MonomialOrder, ideal_intersection, normal_form
 from .groebner import _KeyCache, _lead, _mono_divides, _mono_sub, _reduce, strong_groebner
-from .intlinalg import Lattice, from_columns, preimage_generators, quotient_invariants
+from .intlinalg import Lattice, preimage_generators, quotient_invariants
 from .poly import GradeMismatch, Monomial, Poly, PolyError, VarTable, _map_terms, exact_divide
 
 
@@ -181,8 +181,6 @@ class RingHom:
     Construction checks that every generator image is homogeneous of the
     generator's degree and that every source relation maps into the target
     ideal; otherwise the map would not be well defined on the quotient.
-    The powers of the generator images are kept once built, at most one
-    per generator and exponent.
     """
 
     def __init__(
@@ -206,7 +204,6 @@ class RingHom:
                     f"image of {name!r} must be homogeneous of grade {deg}"
                 )
             self._images[i] = img
-        self._powers: Dict[Tuple[int, int], Poly] = {}
         for rel in source.relations:
             if not target.contains(self._raw_apply(rel)):
                 raise WellDefinednessError(
@@ -215,7 +212,7 @@ class RingHom:
 
     def _raw_apply(self, p: Poly) -> Poly:
         """Image of p before any normal form."""
-        return _map_terms(p, self.target.table, self._images, self._powers)
+        return _map_terms(p, self.target.table, self._images)
 
     def apply(self, p: Poly) -> Poly:
         """Image of p, normal-formed in the target presentation."""
@@ -313,11 +310,11 @@ def _check_degree(square: CartesianSquareSpec, n: int, memo: Tuple[dict, ...]) -
     mon_b, mon_c = len(pb.monomials), len(pc.monomials)
     dim = mon_b + mon_c
 
-    # Difference map B_n + C_n -> D_n as a matrix over the monomial bases.
+    # Columns of the difference map B_n + C_n -> D_n over the monomial bases.
     # `vector` reduces what it is given, so the images skip the normal form.
     cols_bd = pd.image_columns(pb, square.bd, memo[0])
     cols_cd = pd.image_columns(pc, square.cd, memo[1])
-    diff = from_columns(cols_bd + [[-x for x in col] for col in cols_cd], len(pd.monomials))
+    diff = cols_bd + [[-x for x in col] for col in cols_cd]
     fiber_lattice = Lattice(preimage_generators(diff, pd.relations, dim), dim)
 
     def coords(columns: List[List[int]]) -> List[List[int]]:

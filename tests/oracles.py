@@ -1,11 +1,11 @@
-"""Test-only oracles: dense matrix helpers, the dense Smith normal form and
-lattice that the sparse ones are checked against, the defining check of a
-strong Groebner basis, the relation-times-monomial graded pieces that the
-Groebner-staircase pieces are checked against, ring-map columns with each
-image built from scratch, vectors always taken through the reduction, the
-non-zero-divisor check degree by degree up to a bound, completion without
-pair criteria, ideal equality by mutual containment, and the fixed-point
-sum taken one source point at a time."""
+"""Test-only oracles: dense matrix helpers, the dense Smith normal form,
+lattice and preimage generators that the sparse ones are checked against,
+the defining check of a strong Groebner basis, the relation-times-monomial
+graded pieces that the Groebner-staircase pieces are checked against,
+ring-map columns with each image built from scratch, vectors always taken
+through the reduction, the non-zero-divisor check degree by degree up to a
+bound, completion without pair criteria, ideal equality by mutual
+containment, and the fixed-point sum taken one source point at a time."""
 
 import math
 from heapq import heapify, heappop, heappush
@@ -43,13 +43,10 @@ def mat_vec(a, v):
     return [sum(row[k] * x for k, x in support) for row in a]
 
 
-def densify(dec):
-    """(U, V) of a Smith decomposition as dense matrices: U from its sparse
-    rows, V from its sparse columns."""
-    rows, cols = dec.shape
-    u = [[row.get(k, 0) for k in range(rows)] for row in dec.u]
-    v = [[col.get(k, 0) for col in dec.v] for k in range(cols)]
-    return u, v
+def dense_u(dec):
+    """The U of a Smith decomposition as a dense matrix."""
+    size = len(dec.u)
+    return [[row.get(k, 0) for k in range(size)] for row in dec.u]
 
 
 def dense_smith_normal_form(m):
@@ -168,13 +165,25 @@ def dense_smith_normal_form(m):
     return factors, u, v
 
 
+def dense_preimage_generators(columns, target_columns, domain_dim):
+    """Generators of {v : M v lies in <target_columns>} from the dense
+    oracle's V: the columns of V past the rank span the kernel of the block
+    matrix [M | T], and their first `domain_dim` entries generate the
+    lattice."""
+    if not columns or not columns[0]:
+        return identity(domain_dim)
+    live = [c for c in target_columns if any(c)]
+    factors, _, v = dense_smith_normal_form(from_columns(columns + live, len(columns[0])))
+    return [[v[k][j] for k in range(domain_dim)] for j in range(len(factors), len(v))]
+
+
 class DenseLattice:
     """`Lattice` on the dense Smith normal form: the span of the non-zero
     columns, with coordinates D^-1 U v over the first rank columns of M V."""
 
     def __init__(self, columns, dim):
         live = [c for c in columns if any(c)]
-        self.factors, self.u, self.v = dense_smith_normal_form(from_columns(live, dim))
+        self.factors, self.u, _ = dense_smith_normal_form(from_columns(live, dim))
         self.rank = len(self.factors)
 
     def coordinates(self, v):
@@ -223,15 +232,6 @@ def determinant(a):
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
     return sign * m[-1][-1]
-
-
-def diagonal_matrix(dec):
-    """The D of a Smith decomposition U * M * V = D as a dense matrix."""
-    rows, cols = dec.shape
-    d = [[0] * cols for _ in range(rows)]
-    for i, f in enumerate(dec.factors):
-        d[i][i] = f
-    return d
 
 
 def verify_strong(basis):
@@ -310,10 +310,7 @@ def nonzerodivisor_up_to(pres, elt, degree_bound):
         if not piece.monomials:
             continue
         target = pres.piece(n + g)
-        mult = from_columns(
-            naive_image_columns(target, piece, lambda m: elt * m),
-            len(target.monomials),
-        )
+        mult = naive_image_columns(target, piece, lambda m: elt * m)
         kernel_gens = preimage_generators(mult, target.relations, len(piece.monomials))
         if not kernel_gens:
             continue
@@ -335,13 +332,10 @@ def monomial_nonzerodivisor_up_to(pres, elt, degree_bound):
         if not piece.monomials:
             continue
         target = MonomialPiece(pres, n + g)
-        mult = from_columns(
-            [
-                target.vector(pres.normal_form(elt * Poly(pres.table, {m: 1})))
-                for m in piece.monomials
-            ],
-            len(target.monomials),
-        )
+        mult = [
+            target.vector(pres.normal_form(elt * Poly(pres.table, {m: 1})))
+            for m in piece.monomials
+        ]
         kernel_gens = preimage_generators(mult, target.relations, len(piece.monomials))
         relations = Lattice(piece.relations, len(piece.monomials))
         if any(relations.coordinates(k) is None for k in kernel_gens):

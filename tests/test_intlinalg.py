@@ -1,3 +1,4 @@
+import math
 import random
 
 from hypothesis import given, settings
@@ -8,18 +9,16 @@ from sympy.matrices.normalforms import invariant_factors as sympy_invariant_fact
 
 from equichow.intlinalg import (
     Lattice,
-    from_columns,
-    invariant_factors,
-    kernel_basis,
+    preimage_generators,
     quotient_invariants,
     smith_normal_form,
 )
 from oracles import (
     DenseLattice,
+    dense_preimage_generators,
     dense_smith_normal_form,
-    densify,
+    dense_u,
     determinant,
-    diagonal_matrix,
     identity,
     mat_mul,
     mat_vec,
@@ -46,18 +45,26 @@ def _random_matrix(rng, rows, cols, bound=9):
     return [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
 
 
+def _check_decomposition(m, dec):
+    """|det U| = 1; U M is D V^-1, so row i of U M is d_i times a primitive
+    row for i below the rank and zero from the rank on; d_i | d_(i+1)."""
+    u = dense_u(dec)
+    assert abs(determinant(u)) == 1
+    um = mat_mul(u, m)
+    for i, f in enumerate(dec.factors):
+        assert math.gcd(*um[i]) == f
+    assert not any(any(row) for row in um[dec.rank :])
+    for i in range(dec.rank - 1):
+        assert dec.factors[i + 1] % dec.factors[i] == 0
+    return u
+
+
 def test_decomposition_reassembles():
     rng = random.Random(31)
     for _ in range(25):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         m = _random_matrix(rng, rows, cols)
-        dec = smith_normal_form(m)
-        u, v = densify(dec)
-        assert mat_mul(mat_mul(u, m), v) == diagonal_matrix(dec)
-        assert abs(determinant(u)) == 1
-        assert abs(determinant(v)) == 1
-        for i in range(len(dec.factors) - 1):
-            assert dec.factors[i + 1] % dec.factors[i] == 0
+        _check_decomposition(m, smith_normal_form(m))
 
 
 def _random_unimodular(rng, n):
@@ -88,17 +95,14 @@ def _columns(m):
     return [list(col) for col in zip(*m)]
 
 
-def _reassemble(m, lattice, y):
-    """(M V)[:, :rank] y with M the non-zero columns of m: the vector whose
-    lattice coordinates are y."""
-    live = [c for c in _columns(m) if any(c)]
-    if not live:
-        return [0] * len(m)
-    basis = mat_mul(from_columns(live, len(m)), densify(lattice.dec)[1])
-    return [sum(row[i] * y[i] for i in range(lattice.rank)) for row in basis]
+def _check_coordinates(lattice, b, y):
+    """U b = D y: b is the sum of y_i * d_i * U^-1 e_i."""
+    assert len(y) == lattice.rank
+    scaled = [f * c for f, c in zip(lattice.dec.factors, y)]
+    assert mat_vec(dense_u(lattice.dec), b) == scaled + [0] * (len(b) - lattice.rank)
 
 
-def test_solver_finds_integer_solutions():
+def test_lattice_finds_integer_coordinates():
     rng = random.Random(13)
     for kind in KINDS:
         for _ in range(15):
@@ -107,11 +111,11 @@ def test_solver_finds_integer_solutions():
             lattice = Lattice(_columns(m), rows)
             b = mat_vec(m, [rng.randint(-5, 5) for _ in range(cols)])
             y = lattice.coordinates(b)
-            assert y is not None and len(y) == lattice.rank
-            assert _reassemble(m, lattice, y) == b
+            assert y is not None
+            _check_coordinates(lattice, b, y)
 
 
-def test_solver_detects_unsolvable():
+def test_lattice_rejects_non_members():
     lattice = Lattice([[2, 0], [0, 2]], 2)
     assert lattice.rank == 2
     assert lattice.coordinates([1, 0]) is None
@@ -127,7 +131,9 @@ def test_kernel_vectors_annihilate():
     for _ in range(20):
         rows, cols = rng.randint(1, 4), rng.randint(2, 5)
         m = _random_matrix(rng, rows, cols, bound=4)
-        for vec in kernel_basis(m):
+        kernel = preimage_generators(_columns(m), [], cols)
+        assert len(kernel) == cols - smith_normal_form(m).rank
+        for vec in kernel:
             assert mat_vec(m, vec) == [0] * rows
 
 
@@ -136,10 +142,9 @@ def test_decomposition_on_larger_matrices():
     for _ in range(5):
         m = _random_matrix(rng, 7, 9, bound=25)
         dec = smith_normal_form(m)
-        u, v = densify(dec)
-        assert mat_mul(mat_mul(u, m), v) == diagonal_matrix(dec)
-        for i in range(len(dec.factors) - 1):
-            assert dec.factors[i + 1] % dec.factors[i] == 0
+        factors, u, _ = dense_smith_normal_form(m)
+        assert dec.factors == factors
+        assert _check_decomposition(m, dec) == u
 
 
 def test_quotient_invariants():
@@ -185,10 +190,10 @@ def test_invariant_factors_match_sympy():
     for kind in KINDS:
         for _ in range(15):
             m = _matrix_of_kind(rng, kind, rng.randint(1, 7), rng.randint(1, 7))
-            assert invariant_factors(m) == _sympy_factors(m), m
+            assert smith_normal_form(m).factors == _sympy_factors(m), m
 
 
-def test_solvable_agrees_with_solve():
+def test_lattice_membership_agrees_with_quotient_invariants():
     """Membership agrees with an independent test: b lies in the lattice
     iff adding it as a column leaves the quotient invariants unchanged."""
     rng = random.Random(515)
@@ -208,33 +213,10 @@ def test_solvable_agrees_with_solve():
                 )
                 assert (y is not None) == inside
                 if y is not None:
-                    assert _reassemble(m, lattice, y) == b
+                    _check_coordinates(lattice, b, y)
                 hits += inside
                 misses += not inside
     assert hits and misses
-
-
-def _dense_mat_vec(a, v):
-    out = []
-    for row in a:
-        total = 0
-        for k in range(len(v)):
-            total += row[k] * v[k]
-        out.append(total)
-    return out
-
-
-def test_mat_vec_on_sparse_and_zero_vectors():
-    rng = random.Random(99)
-    for _ in range(20):
-        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
-        a = _random_matrix(rng, rows, cols)
-        sparse = [0] * cols
-        sparse[rng.randrange(cols)] = rng.randint(-5, 5)
-        for v in (sparse, [0] * cols, [rng.randint(-5, 5) for _ in range(cols)]):
-            assert mat_vec(a, v) == _dense_mat_vec(a, v)
-    assert mat_vec([[1, 2], [3, 4]], [0, 0]) == [0, 0]
-    assert mat_vec([], [1, 2]) == []
 
 
 @st.composite
@@ -257,17 +239,11 @@ def sparse_matrices(draw):
 def test_sparse_smith_agrees_with_dense_oracle(m, data):
     rows = len(m)
     dec = smith_normal_form(m)
-    factors, dense_u, dense_v = dense_smith_normal_form(m)
+    factors, u, _ = dense_smith_normal_form(m)
     assert dec.factors == factors
     assert dec.factors == (_sympy_factors(m) if rows and m[0] else ())
-    u, v = densify(dec)
-    # Same pivot rule and repair, so the very same transforms.
-    assert (u, v) == (dense_u, dense_v)
-    assert mat_mul(mat_mul(u, m), v) == diagonal_matrix(dec)
-    assert abs(determinant(u)) == 1
-    assert abs(determinant(v)) == 1
-    for i in range(len(dec.factors) - 1):
-        assert dec.factors[i + 1] % dec.factors[i] == 0
+    # Same pivot rule and repair, so the very same U.
+    assert _check_decomposition(m, dec) == u
 
     columns = _columns(m) if rows else []
     lattice = Lattice(columns, rows)
@@ -279,18 +255,16 @@ def test_sparse_smith_agrees_with_dense_oracle(m, data):
     image = mat_vec(m, vector(len(columns)))
     for b in (image, vector(rows), [2 * x for x in vector(rows)]):
         y = lattice.coordinates(b)
-        assert (y is None) == (dense.coordinates(b) is None)
+        assert y == dense.coordinates(b)
         if y is not None:
-            assert _reassemble(m, lattice, y) == b
+            _check_coordinates(lattice, b, y)
 
 
 def _agrees_with_dense_oracle(m):
     dec = smith_normal_form(m)
-    factors, dense_u, dense_v = dense_smith_normal_form(m)
-    u, v = densify(dec)
+    factors, u, _ = dense_smith_normal_form(m)
     assert dec.factors == factors
-    assert (u, v) == (dense_u, dense_v)
-    assert mat_mul(mat_mul(u, m), v) == diagonal_matrix(dec)
+    assert _check_decomposition(m, dec) == u
     return dec
 
 
@@ -310,3 +284,37 @@ def test_small_matrices_near_a_pivot_of_three_agree_with_dense_oracle():
     for _ in range(1500):
         m = [[rng.choice((0, 1, 3, 4)) for _ in range(3)] for _ in range(3)]
         _agrees_with_dense_oracle(m)
+
+
+@st.composite
+def preimage_cases(draw):
+    """Sparse columns of M and targets in Z^dim, some of them zero; dim and
+    the domain may be 0."""
+    dim, domain, targets = draw(st.integers(0, 8)), draw(st.integers(0, 8)), draw(st.integers(0, 5))
+    density = draw(st.integers(10, 60))
+    entries = st.sampled_from((1, 1, 2, 2, 3, 4, 6)).flatmap(
+        lambda x: st.sampled_from((x, -x))
+    )
+
+    def column():
+        return [draw(entries) if draw(st.integers(0, 99)) < density else 0 for _ in range(dim)]
+
+    return [column() for _ in range(domain)], [column() for _ in range(targets)], dim
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(case=preimage_cases())
+def test_preimage_generators_agree_with_dense_oracle(case):
+    """The lattice {v : M v in <T>} read from U equals the one read from the
+    dense oracle's V, by mutual membership; every generator maps into <T>."""
+    columns, targets, dim = case
+    domain = len(columns)
+    got = preimage_generators(columns, targets, domain)
+    want = dense_preimage_generators(columns, targets, domain)
+    got_lattice, want_lattice = Lattice(got, domain), Lattice(want, domain)
+    assert all(want_lattice.coordinates(v) is not None for v in got)
+    assert all(got_lattice.coordinates(v) is not None for v in want)
+    image = Lattice(targets, dim)
+    for v in got:
+        mv = [sum(c[i] * x for c, x in zip(columns, v)) for i in range(dim)]
+        assert image.coordinates(mv) is not None

@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 
 from equichow import Poly, RingPresentation, pipeline
+from equichow.jobfile import MAX_DEGREE_BOUND
 from equichow.pipeline import (
     Fixtures,
     double_triple_value,
@@ -34,15 +35,17 @@ def test_step_patching_small_bound(fx):
 
 def test_step_patching_invariants_to_degree_14(fx):
     # The degree-n piece is Z^floor((n+2)^2/4) plus floor(n^2/4) copies of
-    # Z/2 for n = 0..14; corner and fiber agree and the corner map is onto
-    # in every degree.
-    expected = []
-    for n in range(15):
-        group = f"(free {(n + 2) ** 2 // 4}, torsion {[2] * (n * n // 4)})"
-        expected.append(f"deg {n}: ok corner={group} fiber={group} surjective=True")
-    report = step_patching(fx, 14)
-    assert report.verdict == "match"
-    assert report.details == tuple(expected)
+    # Z/2 for n = 0..14, and on to the cap of 20; corner and fiber agree and
+    # the corner map is onto in every degree.
+    assert MAX_DEGREE_BOUND == 20
+    for bound in (14, MAX_DEGREE_BOUND):
+        expected = []
+        for n in range(bound + 1):
+            group = f"(free {(n + 2) ** 2 // 4}, torsion {[2] * (n * n // 4)})"
+            expected.append(f"deg {n}: ok corner={group} fiber={group} surjective=True")
+        report = step_patching(fx, bound)
+        assert report.verdict == "match"
+        assert report.details == tuple(expected)
 
 
 def test_step_patching_negative_control():
@@ -262,18 +265,22 @@ def test_run_all_with_corrupted_final_ideal():
 
 
 def test_failed_step_records_exception_type_and_raise_site():
-    broken = replace(Fixtures.default(), boundary_weight_rules=(("g1", "b +"),))
-    report = run_all(degree_bound=1, oracle_trials=2, seed=0, fixtures=broken)
+    # A weight rule over the ambient table instead of the step's own table.
+    base = Fixtures.default()
+    wrong = (("g1", Poly.var(base.ambient, "l1")),)
+    report = run_all(
+        degree_bound=1, oracle_trials=2, seed=0, fixtures=replace(base, boundary_weight_rules=wrong)
+    )
     step = [s for s in report.steps if s.name == "double-triple-class"][0]
     assert step.verdict == "mismatch"
     assert step.machine_line().split("\t")[2:] == [
-        "error: expected a coefficient or variable (column 4)",
+        "error: image of 'g1' is not over the same table",
         "no error",
     ]
     (raised,) = step.details
-    assert re.fullmatch(r"ParseError at textio\.py:\d+ in factor", raised)
+    assert re.fullmatch(r"TableMismatch at poly\.py:\d+ in substitute", raised)
     assert f"  note: {raised}\n" in report.render_text()
-    assert "ParseError" not in report.render_machine()
+    assert "TableMismatch" not in report.render_machine()
 
 
 def test_machine_report_shape():

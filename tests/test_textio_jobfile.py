@@ -4,10 +4,12 @@ import pytest
 
 from equichow import ParseError, Poly, VarTable, parse_poly
 from equichow.jobfile import (
+    parse_fixture_overrides,
     parse_ideal_job,
     parse_push_job,
     parse_square_job,
 )
+from equichow.pipeline import Fixtures
 from equichow.textio import MAX_EXPONENT
 from conftest import random_poly
 
@@ -179,3 +181,32 @@ l1 = l1
 """
     with pytest.raises(ParseError):
         parse_square_job(text)
+
+
+def test_fixture_overrides():
+    fx = parse_fixture_overrides(
+        "# comment\n[candidate]\nrelation = 2*e\n[final]\ngen = 2*d1^2 + 2*l1*d1\ngen = l2\n"
+    )
+    e = Poly.var(fx.total.table, "e")
+    l1, l2, d1 = (Poly.var(fx.ambient, n) for n in ("l1", "l2", "d1"))
+    assert fx.total.relations == (2 * e,)
+    assert tuple(fx.final_ideal) == (2 * d1**2 + 2 * l1 * d1, l2)
+    # An absent section keeps the built-in value.
+    default = parse_fixture_overrides("[final]\ngen = l2\n")
+    assert default.total.relations == Fixtures.default().total.relations
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[final]\nbogus line\n", "line 2: expected 'gen = <poly>'"),
+        ("[candidate]\ngen = e\n", "line 2: expected 'relation = <poly>'"),
+        ("[ideal]\ngen = l2\n", "unknown fixture section [ideal]"),
+        ("gen = l2\n", "line 1: content before any section header"),
+        ("[final]\ngen = e\n", "unknown variable"),
+    ],
+)
+def test_fixture_overrides_reject(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_fixture_overrides(text)
+    assert message in str(info.value)
