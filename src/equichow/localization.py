@@ -19,7 +19,9 @@ factor, and many source points share an image.  So the numerator first
 sums the restricted classes over the source points with the same image,
 then contracts the target factors one at a time, last first: each factor
 multiplies every partial sum by one of its one-factor point classes once
-per prefix of the image index vector, not once per source point.
+per prefix of the image index vector, not once per source point.  All
+one-factor classes of a factor are integer combinations of the same few
+products, built once (`_point_classes`).
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .poly import (
     PolyError,
     TableMismatch,
     VarTable,
+    _map_terms,
     exact_divide,
 )
 
@@ -68,7 +71,8 @@ class SpaceFactor:
                 raise DescriptorError("weights must be homogeneous of grade 1")
         if self.w0 == self.w1:
             raise DescriptorError("weights must differ for isolated fixed points")
-        self.w0.table.index(self.hvar)
+        if self.table.degrees[self.table.index(self.hvar)] != 1:
+            raise DescriptorError(f"hyperplane variable {self.hvar} must have degree 1")
 
     @property
     def table(self) -> VarTable:
@@ -76,6 +80,10 @@ class SpaceFactor:
 
     def hyperplane(self) -> Poly:
         return Poly.var(self.table, self.hvar)
+
+    def hyperplane_value(self, i: int) -> Poly:
+        """The hyperplane class at the fixed point with index i."""
+        return self.w0 * i + self.w1 * (self.d - i)
 
 
 def _check_weight_variables(factors: Sequence[SpaceFactor], hvars: Iterable[str]):
@@ -152,16 +160,40 @@ def restrict_hyperplane(space: SpaceDescriptor, fp: FixedPoint, factor: int) -> 
     _check_point(space, fp)
     if not 0 <= factor < len(space.factors):
         raise DescriptorError("factor index out of range")
-    f = space.factors[factor]
-    i = fp[factor]
-    return f.w0 * i + f.w1 * (f.d - i)
+    return space.factors[factor].hyperplane_value(fp[factor])
 
 
-def fixed_point_substitution(space: SpaceDescriptor, fp: FixedPoint) -> Dict[str, Poly]:
-    return {
-        f.hvar: restrict_hyperplane(space, fp, k)
-        for k, f in enumerate(space.factors)
-    }
+def _point_classes(factor: SpaceFactor, indices: Iterable[int]) -> Dict[int, Poly]:
+    """`point_class(SpaceDescriptor([factor]), (i,))` for each index i.  With
+    X = h - d*w1 and Y = w0 - w1 each form h - j*w0 - (d-j)*w1 is X - j*Y, so
+    the class is sum_k (-1)^k e_k(S) X^(d-k) Y^k, S = {0..d} minus i: the
+    products are made once, and e_k(S) = e_k({0..d}) - i * e_(k-1)(S)."""
+    d, table = factor.d, factor.table
+    x = factor.hyperplane() - factor.w1 * d
+    y = factor.w0 - factor.w1
+    x_powers = [Poly.const(table, 1)]
+    for _ in range(d):
+        x_powers.append(x_powers[-1] * x)
+    products, y_power = [x_powers[d]], x_powers[0]
+    for k in range(1, d + 1):
+        y_power = y_power * y
+        products.append(x_powers[d - k] * y_power)
+    full = [1] + [0] * d  # e_k of {0..d}
+    for j in range(1, d + 1):
+        for k in range(j, 0, -1):
+            full[k] += j * full[k - 1]
+    classes: Dict[int, Poly] = {}
+    for i in indices:
+        acc: Dict[Tuple[int, ...], int] = {}
+        e = 0
+        for k, product in enumerate(products):
+            e = full[k] - i * e
+            if e:
+                scale = -e if k & 1 else e
+                for mono, c in product.terms.items():
+                    acc[mono] = acc.get(mono, 0) + scale * c
+        classes[i] = Poly._canonical(table, {m: c for m, c in acc.items() if c})
+    return classes
 
 
 def euler_constant(space: SpaceDescriptor, fp: FixedPoint) -> int:
@@ -287,8 +319,8 @@ def pushforward(mapping: MapDescriptor, cls: Poly) -> Poly:
     summed over the source points with the same image q, and then, last
     factor first, each partial sum keyed by a prefix of q is multiplied by
     the one-factor class of its last index and added into the sum of the
-    shorter prefix.  Each one-factor class is built with `point_class` the
-    first time an index needs it, and kept for this call only.
+    shorter prefix.  Each factor's one-factor classes, and the hyperplane
+    values of the source factors, are built once and kept for this call.
 
     Raises DenominatorResidue if the sum fails to clear its denominators,
     which signals an inconsistent descriptor.
@@ -297,24 +329,23 @@ def pushforward(mapping: MapDescriptor, cls: Poly) -> Poly:
         raise TableMismatch("class is not over the map's variable table")
     _check_class_variables(mapping, cls)
     source, target = mapping.source, mapping.target
+    table = source.table
     points = enumerate_fixed_points(source)
     consts = [euler_constant(source, fp) for fp in points]
     common = math.lcm(*consts)
+    slots = [table.index(h) for h in source.hvars]
+    values = [[f.hyperplane_value(i) for i in range(f.d + 1)] for f in source.factors]
     sums: Dict[FixedPoint, Poly] = {}
     for fp, const in zip(points, consts):
-        restricted = cls.substitute(fixed_point_substitution(source, fp))
-        term = restricted * (common // const)
+        images = {slot: vals[i] for slot, vals, i in zip(slots, values, fp)}
+        term = _map_terms(cls, table, images) * (common // const)
         image = map_image_fixed_point(mapping, fp)
         sums[image] = sums[image] + term if image in sums else term
     for factor in reversed(target.factors):
-        one = SpaceDescriptor([factor])
-        classes: Dict[int, Poly] = {}
+        classes = _point_classes(factor, {q[-1] for q in sums})
         contracted: Dict[FixedPoint, Poly] = {}
         for q, partial in sums.items():
-            i = q[-1]
-            if i not in classes:
-                classes[i] = point_class(one, (i,))
-            term = partial * classes[i]
+            term = partial * classes[q[-1]]
             prefix = q[:-1]
             contracted[prefix] = (
                 contracted[prefix] + term if prefix in contracted else term

@@ -65,15 +65,22 @@ def rng():
 
 @pytest.fixture
 def corrupt_point_class(monkeypatch):
-    """Add 1 to every class `point_class` returns for an all-zero index.
-    `pushforward` asks it only for one-factor classes, so the one at index
-    0 is off by 1; on the one-factor target of the cubing map that is the
-    class of the all-zero target point (the image of the all-zero source
-    point), and the fixed-point sum no longer clears the denominators."""
-    true_class = localization.point_class
+    """Add 1 to the index-0 class that `pushforward` builds for each target
+    factor.  On the one-factor target of the cubing map that is the class
+    of the all-zero target point (the image of the all-zero source point),
+    and the fixed-point sum no longer clears the denominators.  The
+    fixture fails the test if the corrupted function was never called, so
+    the control cannot pass against code that no longer uses it."""
+    true_classes = localization._point_classes
+    calls = []
 
-    def corrupted(space, fp):
-        cls = true_class(space, fp)
-        return cls if any(fp) else cls + 1
+    def corrupted(factor, indices):
+        calls.append(factor)
+        classes = true_classes(factor, indices)
+        if 0 in classes:
+            classes[0] = classes[0] + 1
+        return classes
 
-    monkeypatch.setattr(localization, "point_class", corrupted)
+    monkeypatch.setattr(localization, "_point_classes", corrupted)
+    yield
+    assert calls, "pushforward no longer calls localization._point_classes"

@@ -26,9 +26,9 @@ from equichow.localization import (
     enumerate_fixed_points,
     euler_constant,
     euler_forms,
-    fixed_point_substitution,
     map_image_fixed_point,
     point_class,
+    restrict_hyperplane,
 )
 from equichow.poly import GradeMismatch, exact_divide
 
@@ -398,6 +398,14 @@ def containment_ideal_equal(gens_a, gens_b, order=None):
     return all(normal_form(g, basis_b).is_zero() for g in live_a) and all(
         normal_form(g, basis_a).is_zero() for g in live_b
     )
+
+
+def fixed_point_substitution(space, fp):
+    """The value of every hyperplane variable of the space at the fixed point."""
+    return {
+        f.hvar: restrict_hyperplane(space, fp, k)
+        for k, f in enumerate(space.factors)
+    }
 
 
 def plain_pushforward(mapping, cls):

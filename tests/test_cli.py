@@ -98,6 +98,22 @@ def test_push_rejects_hyperplane_variable_in_weight(tmp_path, capsys, factor):
 @pytest.mark.parametrize(
     "text",
     [
+        push_job().replace("h1 1\n", "h1 2\n"),
+        push_job().replace("h 1\n", "h 2\n"),
+    ],
+    ids=["source", "target"],
+)
+def test_push_rejects_hyperplane_variable_of_degree_two(tmp_path, capsys, text):
+    job = tmp_path / "bad.job"
+    job.write_text(text)
+    code, out, err = run_cli(["push", str(job)], capsys)
+    assert (code, out) == (2, "")
+    assert "must have degree 1" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
         push_job(cls="h1^100000000"),
         push_job(cls="h1^20*h1^20"),
         push_job(factor="factor d=400 w0=g1 w1=g2 h=h1"),

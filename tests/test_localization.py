@@ -13,12 +13,14 @@ from equichow import (
     euler_constant,
     euler_forms,
     map_image_fixed_point,
+    parse_poly,
     point_class,
     pushforward,
     restrict_hyperplane,
     specialize_oracle,
 )
-from equichow.localization import DescriptorError
+from equichow.jobfile import MAX_TARGET_DIMENSION
+from equichow.localization import DescriptorError, _point_classes
 from oracles import plain_pushforward
 
 
@@ -70,6 +72,32 @@ def test_point_class_of_product_is_product():
     assert point_class(two, fp) == point_class(
         single(1, hvar="h1"), (1,)
     ) * point_class(single(3, hvar="h2"), (2,))
+
+
+CLASS_TABLE = VarTable([("g1", 1), ("g2", 1), ("h", 1)])
+CG1, CG2 = Poly.var(CLASS_TABLE, "g1"), Poly.var(CLASS_TABLE, "g2")
+CZERO = Poly.zero(CLASS_TABLE)
+LINEAR_FORMS = st.builds(
+    lambda a, b: a * CG1 + b * CG2, st.integers(-4, 4), st.integers(-4, 4)
+)
+CLASS_WEIGHT_PAIRS = st.one_of(
+    st.sampled_from([(CG1, CG2), (CG2, CG1)]),
+    st.sampled_from([(CG1, CZERO), (CZERO, CG1), (CG2, CZERO), (CZERO, CG2)]),
+    st.tuples(LINEAR_FORMS, LINEAR_FORMS),
+).filter(lambda pair: pair[0] != pair[1])
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(CLASS_WEIGHT_PAIRS)
+def test_shared_product_classes_equal_point_class(pair):
+    """The classes built from shared products X^(d-k) * Y^k are the
+    products of linear forms that `point_class` defines, at every index
+    of every degree up to the target-dimension cap."""
+    for d in range(1, MAX_TARGET_DIMENSION + 1):
+        factor = SpaceFactor(d, pair[0], pair[1], "h")
+        one = SpaceDescriptor([factor])
+        classes = _point_classes(factor, range(d + 1))
+        assert classes == {i: point_class(one, (i,)) for i in range(d + 1)}
 
 
 def test_point_class_rejects_bad_index():
@@ -211,6 +239,9 @@ def test_descriptor_invariants():
         MapDescriptor.multiplication(single(1), [0], "h")
     with pytest.raises(DescriptorError):
         MapDescriptor.multiplication(single(1), [3], "h1")
+    quadric = VarTable([("g1", 1), ("g2", 1), ("h", 2)])
+    with pytest.raises(DescriptorError, match="must have degree 1"):
+        SpaceFactor(1, Poly.var(quadric, "g1"), Poly.var(quadric, "g2"), "h")
 
 
 def test_denominator_residue_raised(corrupt_point_class):
@@ -355,4 +386,40 @@ def test_pushforward_agrees_with_the_plain_sum(product, data):
     multiplies each source point's term by its whole image class, on 2-3
     factors or blocks and classes of several terms."""
     mapping, cls = data.draw(random_push(2, product, max_terms=3))
+    assert pushforward(mapping, cls) == plain_pushforward(mapping, cls)
+
+
+def degree_fifteen_multiplication():
+    """Two P^3 factors under the exponents 2 and 3: one target factor of
+    degree 15."""
+    space = SpaceDescriptor(
+        [SpaceFactor(3, RG1, RG2, "u1"), SpaceFactor(3, RG1, RG2, "u2")]
+    )
+    return MapDescriptor.multiplication(space, [2, 3], "h")
+
+
+def product_at_the_target_dimension_cap():
+    """P^3 to P^15 and P^1 to itself, with different weight pairs."""
+    space = SpaceDescriptor(
+        [
+            SpaceFactor(3, RG1, Poly.zero(RANDOM_TABLE), "u1"),
+            SpaceFactor(1, RG1 + RG2, 2 * RG2, "u2"),
+        ]
+    )
+    return MapDescriptor.product(space, [5, 1])
+
+
+@pytest.mark.parametrize(
+    "build, degrees, cls",
+    [
+        (degree_fifteen_multiplication, (15,), "u1^3*u2^2"),
+        (product_at_the_target_dimension_cap, (15, 1), "u1^3*u2 + g2*u1^2"),
+    ],
+    ids=["degree-15-multiplication", "product-at-cap"],
+)
+def test_pushforward_agrees_with_the_plain_sum_at_high_degree(build, degrees, cls):
+    mapping = build()
+    assert tuple(f.d for f in mapping.target.factors) == degrees
+    assert sum(degrees) <= MAX_TARGET_DIMENSION
+    cls = parse_poly(cls, RANDOM_TABLE)
     assert pushforward(mapping, cls) == plain_pushforward(mapping, cls)
