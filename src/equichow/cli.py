@@ -13,6 +13,7 @@ The random seed comes from --seed, then EQUICHOW_SEED, then 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import Optional, Sequence
@@ -59,7 +60,9 @@ def _degree_bound(text: str) -> int:
     return _at_most(text, MAX_DEGREE_BOUND)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="equichow",
         description="exact equivariant-localization and integer Groebner engine",

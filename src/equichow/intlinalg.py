@@ -1,32 +1,35 @@
-"""Exact integer linear algebra: Smith normal form, relations, lattices.
+"""Exact integer linear algebra on sparse vectors: Smith normal form,
+relations, lattices.
 
-Matrices come in as plain lists of rows of Python ints, so nothing ever
-overflows or rounds.  The matrices of the patching step are nearly empty
-(at degree bound 10 the largest, 78 x 102, has 102 non-zero entries), so
-the Smith routine works on sparse vectors, dicts {index: value} holding
-only the non-zero entries: the matrix as sparse rows plus an index from
-each column to the rows where it is non-zero, and the row transform U as
-sparse rows.  A pivot search, a swap or an elementary operation touches
-only non-zero entries.  Only U is kept: the rows of U past the rank are
-the integer relations among the rows of M, and the lattice coordinates
-read U alone.
+Every vector is a dict {index: value} of Python ints holding only its
+non-zero entries, so nothing ever overflows or rounds and a vector costs
+only its support.  The matrices of the patching step are nearly empty (at
+degree bound 10 the largest, 78 x 102, has 102 non-zero entries).  The
+Smith routine takes a matrix as its sparse rows; `Lattice` and
+`quotient_invariants` take sparse columns and transpose them once.  The
+Smith routine keeps an index from each column to the rows where it is
+non-zero and the row transform U as sparse rows, so a pivot search, a swap
+or an elementary operation touches only non-zero entries.  Only U is kept:
+the rows of U past the rank are the integer relations among the rows of M,
+and the lattice coordinates read U alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-Matrix = List[List[int]]
 Sparse = Dict[int, int]
 
 
-def from_columns(columns: Sequence[Sequence[int]], rows: int) -> Matrix:
-    """The matrix whose columns, each of length `rows`, are given."""
-    if not columns:
-        return [[] for _ in range(rows)]
-    return [list(row) for row in zip(*columns)]
+def _transpose(vectors: Sequence[Sparse], size: int) -> List[Sparse]:
+    """The `size` sparse rows of the matrix whose columns are `vectors`
+    (every index below `size`), or its columns given its rows."""
+    out: List[Sparse] = [{} for _ in range(size)]
+    for j, vec in enumerate(vectors):
+        for i, x in vec.items():
+            out[i][j] = x
+    return out
 
 
 def _add_multiple(dst: Sparse, src: Sparse, q: int):
@@ -59,23 +62,26 @@ class SmithDecomposition:
         return len(self.factors)
 
 
-def smith_normal_form(m: Matrix) -> SmithDecomposition:
-    """Diagonalize an integer matrix by unimodular row/column operations.
+def smith_normal_form(m: Sequence[Sparse]) -> SmithDecomposition:
+    """Diagonalize an integer matrix, given as its sparse rows, by
+    unimodular row/column operations.
 
-    The matrix is copied into sparse rows, with `where[j]` the set of rows
-    non-zero in column j; every row operation is applied to U's sparse rows
-    as well.  Pivot choice is the smallest nonzero absolute value of the
-    remaining block (ties broken by position, row first), which keeps entry
-    growth mild.  Once a pivot has cleared its row and column, an entry of
-    the remaining block that it does not divide has its row added to the
-    pivot row, and the pivot is chosen again; so the divisibility chain
-    holds as each pivot is fixed, with no pass after the loop.  Rows and
-    columns before the pivot hold only their finished pivots, so the
-    remaining block is all of rows t onwards.
+    The rows are copied without their zero entries, so a stored 0 is never
+    taken for a pivot, and the column count is one past the largest index
+    left.  `where[j]` is the set of rows non-zero in column j; every row
+    operation is applied to U's sparse rows as well.  Pivot choice is the
+    smallest nonzero absolute value of the remaining block (ties broken by
+    position, row first), which keeps entry growth mild.  Once a pivot has
+    cleared its row and column, an entry of the remaining block that it
+    does not divide has its row added to the pivot row, and the pivot is
+    chosen again; so the divisibility chain holds as each pivot is fixed,
+    with no pass after the loop.  Rows and columns before the pivot hold
+    only their finished pivots, so the remaining block is all of rows t
+    onwards, and elimination ends when those rows are empty.
     """
     rows = len(m)
-    cols = len(m[0]) if rows else 0
-    a: List[Sparse] = [{j: row[j] for j in compress(range(cols), row)} for row in m]
+    a: List[Sparse] = [{j: x for j, x in row.items() if x} for row in m]
+    cols = 1 + max((max(row) for row in a if row), default=-1)
     where: List[Set[int]] = [set() for _ in range(cols)]
     for i, row in enumerate(a):
         for j in row:
@@ -170,10 +176,7 @@ def smith_normal_form(m: Matrix) -> SmithDecomposition:
         return True
 
     t = 0
-    limit = min(rows, cols)
-    while t < limit:
-        if not move_min_pivot(t):
-            break
+    while move_min_pivot(t):
         # Re-selecting the minimal pivot each round (with balanced
         # remainders) keeps entry growth tame and guarantees termination:
         # every retry strictly shrinks the smallest entry of the block.
@@ -211,7 +214,7 @@ def smith_normal_form(m: Matrix) -> SmithDecomposition:
 
 
 class Lattice:
-    """The sublattice of Z^dim spanned by integer columns.
+    """The sublattice of Z^dim spanned by sparse integer columns.
 
     With M the matrix of the non-zero columns and U M V = D its Smith
     decomposition, M V = U^-1 D, so the columns d_i * U^-1 e_i for i below
@@ -220,25 +223,20 @@ class Lattice:
     computation touches only the columns of U in the support of its vector.
     """
 
-    def __init__(self, columns: Sequence[Sequence[int]], dim: int):
-        live = [c for c in columns if any(c)]
-        self.dec = smith_normal_form(from_columns(live, dim))
+    def __init__(self, columns: Sequence[Sparse], dim: int):
+        self.dec = smith_normal_form(_transpose([c for c in columns if c], dim))
         self.rank = self.dec.rank
-        self._u_columns: List[Sparse] = [{} for _ in range(dim)]
-        for i, row in enumerate(self.dec.u):
-            for k, x in row.items():
-                self._u_columns[k][i] = x
+        self._u_columns = _transpose(self.dec.u, dim)
 
-    def coordinates(self, v: Sequence[int]) -> Optional[List[int]]:
-        """y = D^-1 U v truncated to the rank, so that v is the sum of
+    def coordinates(self, v: Sparse) -> Optional[Sparse]:
+        """y = D^-1 U v, sparse and below the rank, so that v is the sum of
         y_i * d_i * U^-1 e_i; None when v is not in the lattice."""
         uv: Sparse = {}
-        for k, x in enumerate(v):
-            if x:
-                for i, c in self._u_columns[k].items():
-                    uv[i] = uv.get(i, 0) + c * x
+        for k, x in v.items():
+            for i, c in self._u_columns[k].items():
+                uv[i] = uv.get(i, 0) + c * x
         factors = self.dec.factors
-        y = [0] * self.rank
+        y: Sparse = {}
         for i, c in uv.items():
             if not c:
                 continue
@@ -252,35 +250,28 @@ class Lattice:
 
 
 def quotient_invariants(
-    ambient_rank: int, subgroup_columns: Sequence[Sequence[int]]
+    ambient_rank: int, subgroup_columns: Sequence[Sparse]
 ) -> Tuple[int, Tuple[int, ...]]:
-    """Free rank and torsion of Z^ambient_rank / <columns>."""
-    live = [c for c in subgroup_columns if any(c)]
+    """Free rank and torsion of Z^ambient_rank / <sparse columns>."""
+    live = [c for c in subgroup_columns if c]
     if not live:
         return ambient_rank, ()
-    factors = smith_normal_form(from_columns(live, ambient_rank)).factors
+    factors = smith_normal_form(_transpose(live, ambient_rank)).factors
     free = ambient_rank - len(factors)
     torsion = tuple(f for f in factors if f != 1)
     return free, torsion
 
 
 def preimage_generators(
-    columns: Sequence[Sequence[int]], target_columns: Sequence[Sequence[int]], domain_dim: int
-) -> List[List[int]]:
-    """Generators of the lattice {v : M v lies in <target_columns>}, with
-    `columns` the domain_dim columns of M.
+    columns: Sequence[Sparse], target_columns: Sequence[Sparse], domain_dim: int
+) -> List[Sparse]:
+    """Sparse generators of the lattice {v : M v lies in <target_columns>},
+    with `columns` the domain_dim sparse columns of M.
 
     The rows of U past the rank, for the matrix whose rows are the columns
     of M and the non-zero targets, are a basis of the integer relations
-    among those vectors; their first `domain_dim` entries generate the
+    among those vectors; their entries below `domain_dim` generate the
     lattice.
     """
-    dec = smith_normal_form([*columns, *(c for c in target_columns if any(c))])
-    gens = []
-    for rel in dec.u[dec.rank :]:
-        vec = [0] * domain_dim
-        for k, x in rel.items():
-            if k < domain_dim:
-                vec[k] = x
-        gens.append(vec)
-    return gens
+    dec = smith_normal_form([*columns, *(c for c in target_columns if c)])
+    return [{k: x for k, x in rel.items() if k < domain_dim} for rel in dec.u[dec.rank :]]

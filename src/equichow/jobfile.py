@@ -284,7 +284,7 @@ class SquareJob:
 
 def parse_square_job(text: str) -> SquareJob:
     table: Optional[VarTable] = None
-    ring_specs: Dict[str, Tuple[List[str], List[Poly]]] = {}
+    ring_specs: Dict[str, Tuple[VarTable, List[Poly]]] = {}
     hom_specs: Dict[Tuple[str, str], Dict[str, str]] = {}
     degree_bound = 8
 
@@ -308,12 +308,8 @@ def parse_square_job(text: str) -> SquareJob:
                     raise ParseError(f"line {lineno}: unknown ring entry {key!r}")
             if not var_names:
                 raise ParseError(f"ring {corner} needs a 'vars =' line")
-            pairs = []
-            for v in var_names:
-                pairs.append((v, table.degrees[table.index(v)]))
-            sub = VarTable(pairs)
-            rels = [parse_poly(t, sub) for t in rel_texts]
-            ring_specs[corner] = (var_names, rels)
+            sub = VarTable([(v, table.degrees[table.index(v)]) for v in var_names])
+            ring_specs[corner] = (sub, [parse_poly(t, sub) for t in rel_texts])
         elif name.startswith("hom "):
             arrow = name[4:].replace(" ", "")
             if "->" not in arrow:
@@ -341,15 +337,7 @@ def parse_square_job(text: str) -> SquareJob:
         raise ParseError(f"missing hom sections: {missing_homs}")
 
     try:
-        rings = {
-            c: RingPresentation(
-                VarTable(
-                    [(v, table.degrees[table.index(v)]) for v in ring_specs[c][0]]
-                ),
-                ring_specs[c][1],
-            )
-            for c in _CORNERS
-        }
+        rings = {c: RingPresentation(*ring_specs[c]) for c in _CORNERS}
         homs = {}
         for src, dst in _HOMS:
             images = {

@@ -416,6 +416,7 @@ def specialize_oracle(
         for f, (w0, w1) in zip(source.factors, src_w):
             euler_forms *= (w1 - w0) ** f.d
         lhs = Fraction(0)
+        sub = dict(values)
         for fp, image, const in points:
             point_value = 1
             for f, (w0, w1), q in zip(target.factors, tgt_w, image):
@@ -425,7 +426,8 @@ def specialize_oracle(
                         point_value *= h - j * w0 - (f.d - j) * w1
             if not point_value:
                 continue
-            sub = dict(values)
+            # Every point sets all the source h-variables, so one copy of
+            # the trial's values serves them all.
             for f, (w0, w1), i in zip(source.factors, src_w, fp):
                 sub[f.hvar] = w0 * i + w1 * (f.d - i)
             lhs += Fraction(cls.evaluate(sub) * point_value, const * euler_forms)

@@ -18,7 +18,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .groebner import IdealBasis, Lead, MonomialOrder, ideal_intersection, normal_form
 from .groebner import _KeyCache, _lead, _mono_divides, _mono_sub, _reduce, strong_groebner
-from .intlinalg import Lattice, preimage_generators, quotient_invariants
+from .intlinalg import Lattice, Sparse, preimage_generators, quotient_invariants
 from .poly import GradeMismatch, Monomial, Poly, PolyError, VarTable, _map_terms, exact_divide
 
 
@@ -104,7 +104,7 @@ class GradedPiece:
         self._index = {m: i for i, m in enumerate(self.monomials)}
 
     @cached_property
-    def relations(self) -> List[List[int]]:
+    def relations(self) -> List[Sparse]:
         """Columns spanning the ideal in degree n: one per monomial with
         c_m > 1, triangular with pivot c_m."""
         return [
@@ -112,10 +112,9 @@ class GradedPiece:
             for m, (gm, _, g) in self._pivots.items()
         ]
 
-    def vector(self, p: Poly) -> List[int]:
-        """Coordinates on N of p reduced by the monic leads, each monomial
-        always by the same lead, so the map is linear."""
-        vec = [0] * len(self.monomials)
+    def vector(self, p: Poly) -> Sparse:
+        """Sparse coordinates on N of p reduced by the monic leads, each
+        monomial always by the same lead, so the map is linear."""
         index = self._index
         # A degree-n staircase monomial has no monic lead dividing it, so p
         # needs a reduction only when a term is off the staircase.
@@ -126,13 +125,11 @@ class GradedPiece:
             # Order keys are cached for one reduction only, so a memoized
             # piece holds no table of them.
             p = _reduce(p, self._monic, _KeyCache(self._order_key).__getitem__)
-        for mono, coeff in p.terms.items():
-            vec[index[mono]] = coeff
-        return vec
+        return {index[mono]: coeff for mono, coeff in p.terms.items()}
 
     def image_columns(
         self, source: GradedPiece, hom: RingHom, memo: Dict[int, Dict[Monomial, Poly]]
-    ) -> List[List[int]]:
+    ) -> List[Sparse]:
         """The columns vector(hom(m)) for the monomials m of `source`.  `memo`
         maps degree to {monomial: image} for one caller that asks for degrees
         0, 1, ... in turn.  The image of m is that of m / x_i, x_i the first
@@ -307,17 +304,21 @@ def verify_cartesian(square: CartesianSquareSpec, degree_bound: int) -> Cartesia
 
 def _check_degree(square: CartesianSquareSpec, n: int, memo: Tuple[dict, ...]) -> DegreeCheck:
     pa, pb, pc, pd = (ring.piece(n) for ring in (square.a, square.b, square.c, square.d))
-    mon_b, mon_c = len(pb.monomials), len(pc.monomials)
-    dim = mon_b + mon_c
+    mon_b = len(pb.monomials)
+    dim = mon_b + len(pc.monomials)
+
+    def shifted(col: Sparse) -> Sparse:
+        """A column of C_n as a column of B_n + C_n."""
+        return {k + mon_b: x for k, x in col.items()}
 
     # Columns of the difference map B_n + C_n -> D_n over the monomial bases.
     # `vector` reduces what it is given, so the images skip the normal form.
     cols_bd = pd.image_columns(pb, square.bd, memo[0])
     cols_cd = pd.image_columns(pc, square.cd, memo[1])
-    diff = cols_bd + [[-x for x in col] for col in cols_cd]
+    diff = cols_bd + [{k: -x for k, x in col.items()} for col in cols_cd]
     fiber_lattice = Lattice(preimage_generators(diff, pd.relations, dim), dim)
 
-    def coords(columns: List[List[int]]) -> List[List[int]]:
+    def coords(columns: List[Sparse]) -> List[Sparse]:
         out = []
         for col in columns:
             y = fiber_lattice.coordinates(col)
@@ -326,10 +327,7 @@ def _check_degree(square: CartesianSquareSpec, n: int, memo: Tuple[dict, ...]) -
             out.append(y)
         return out
 
-    sub = coords(
-        [col + [0] * mon_c for col in pb.relations]
-        + [[0] * mon_b + col for col in pc.relations]
-    )
+    sub = coords(pb.relations + [shifted(col) for col in pc.relations])
     fiber = quotient_invariants(fiber_lattice.rank, sub)
 
     corner = pa.invariants()
@@ -337,7 +335,7 @@ def _check_degree(square: CartesianSquareSpec, n: int, memo: Tuple[dict, ...]) -
     # A_n maps onto the fiber product iff its images and the relations of
     # B_n + C_n span the fiber lattice.
     images = [
-        ab_col + ac_col
+        {**ab_col, **shifted(ac_col)}
         for ab_col, ac_col in zip(
             pb.image_columns(pa, square.ab, memo[2]),
             pc.image_columns(pa, square.ac, memo[3]),

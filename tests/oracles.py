@@ -1,4 +1,5 @@
-"""Test-only oracles: dense matrix helpers, the dense Smith normal form,
+"""Test-only oracles: dense matrix helpers, converters between dense
+lists and the engine's sparse vectors, the dense Smith normal form,
 lattice and preimage generators that the sparse ones are checked against,
 the defining check of a strong Groebner basis, the relation-times-monomial
 graded pieces that the Groebner-staircase pieces are checked against,
@@ -21,7 +22,7 @@ from equichow.groebner import (
     gpolynomial,
     spolynomial,
 )
-from equichow.intlinalg import Lattice, from_columns, preimage_generators, quotient_invariants
+from equichow.intlinalg import Lattice, preimage_generators, quotient_invariants
 from equichow.localization import (
     enumerate_fixed_points,
     euler_constant,
@@ -31,6 +32,26 @@ from equichow.localization import (
     restrict_hyperplane,
 )
 from equichow.poly import GradeMismatch, exact_divide
+
+
+def sparse(v):
+    """The sparse vector {index: value} of a dense list, zeros dropped."""
+    return {i: x for i, x in enumerate(v) if x}
+
+
+def dense(v, n):
+    """The dense list of length n of a sparse vector."""
+    out = [0] * n
+    for i, x in v.items():
+        out[i] = x
+    return out
+
+
+def from_columns(columns, rows):
+    """The dense matrix whose columns, each of length `rows`, are given."""
+    if not columns:
+        return [[] for _ in range(rows)]
+    return [list(row) for row in zip(*columns)]
 
 
 def identity(n):
@@ -278,7 +299,7 @@ class MonomialPiece:
 def monomial_piece_invariants(pres, n):
     """(free rank, torsion) of the degree-n piece from the monomial builder."""
     piece = MonomialPiece(pres, n)
-    return quotient_invariants(len(piece.monomials), piece.relations)
+    return quotient_invariants(len(piece.monomials), [sparse(c) for c in piece.relations])
 
 
 def naive_image_columns(target, source, fn):
@@ -290,11 +311,8 @@ def naive_image_columns(target, source, fn):
 
 def reduced_vector(piece, p):
     """piece.vector(p), always through the reduction by the monic leads."""
-    vec = [0] * len(piece.monomials)
     key = _KeyCache(piece._order_key).__getitem__
-    for mono, coeff in _reduce(p, piece._monic, key).terms.items():
-        vec[piece._index[mono]] = coeff
-    return vec
+    return {piece._index[mono]: c for mono, c in _reduce(p, piece._monic, key).terms.items()}
 
 
 def nonzerodivisor_up_to(pres, elt, degree_bound):
@@ -333,11 +351,13 @@ def monomial_nonzerodivisor_up_to(pres, elt, degree_bound):
             continue
         target = MonomialPiece(pres, n + g)
         mult = [
-            target.vector(pres.normal_form(elt * Poly(pres.table, {m: 1})))
+            sparse(target.vector(pres.normal_form(elt * Poly(pres.table, {m: 1}))))
             for m in piece.monomials
         ]
-        kernel_gens = preimage_generators(mult, target.relations, len(piece.monomials))
-        relations = Lattice(piece.relations, len(piece.monomials))
+        kernel_gens = preimage_generators(
+            mult, [sparse(c) for c in target.relations], len(piece.monomials)
+        )
+        relations = Lattice([sparse(c) for c in piece.relations], len(piece.monomials))
         if any(relations.coordinates(k) is None for k in kernel_gens):
             return False
     return True

@@ -316,6 +316,44 @@ def test_degree_bound_flag_is_capped(capsys, args):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("[ring C]\nvars = l1 l2\n", "[ring C]\nvars = l1 q\n", "unknown variable 'q'"),
+        (
+            "[ring C]\nvars = l1 l2\n",
+            "[ring C]\nvars = l1 l1\n",
+            "duplicate variable names in table",
+        ),
+        (
+            "[ring C]\nvars = l1 l2\n",
+            "[ring C]\nvars = l1 l2\nrelation = x\n",
+            "unknown variable 'x' (column 1)",
+        ),
+        ("relation = 2*e\n", "relation = 2*e + l1\n", "relation 2*e + l1 is not homogeneous"),
+    ],
+    ids=["unknown-var", "duplicate-var", "foreign-relation", "inhomogeneous"],
+)
+def test_hostile_square_ring(tmp_path, capsys, old, new, message):
+    """A bad [ring] section exits 2 with one error line and no traceback."""
+    with open(os.path.join(JOBS, "patch_square.job"), "r", encoding="utf-8") as fh:
+        text = fh.read()
+    job = tmp_path / "hostile.job"
+    job.write_text(text.replace(old, new, 1))
+    code, out, err = run_cli(["fiber-check", str(job), "--degree-bound", "2"], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_parser_is_built_once(capsys):
+    """Every call reads one parser, and a rejected command line leaves it
+    as it was."""
+    assert build_parser() is build_parser()
+    with pytest.raises(SystemExit):
+        main(["pipeline", "--degree-bound", "-1"])
+    assert build_parser().parse_args(["pipeline"]).degree_bound == 8
+    capsys.readouterr()
+
+
 def test_fiber_check_detects_failure(tmp_path, capsys):
     with open(os.path.join(JOBS, "patch_square.job"), "r", encoding="utf-8") as fh:
         text = fh.read()

@@ -22,7 +22,7 @@ from equichow.groebner import IdealBasis
 from equichow.intlinalg import Lattice
 from equichow.pipeline import double_triple_value, eliminated_node_ideal
 from conftest import random_homogeneous
-from oracles import containment_ideal_equal, plain_strong_groebner, verify_strong
+from oracles import containment_ideal_equal, plain_strong_groebner, sparse, verify_strong
 
 
 def v(table, name):
@@ -152,7 +152,8 @@ def _naive_membership(p, gens):
     target = [0] * len(monos)
     for mono, coeff in p.terms.items():
         target[index[mono]] = coeff
-    return Lattice(columns, len(monos)).coordinates(target) is not None
+    lattice = Lattice([sparse(c) for c in columns], len(monos))
+    return lattice.coordinates(sparse(target)) is not None
 
 
 def test_membership_agrees_with_naive_search(ambient_table):

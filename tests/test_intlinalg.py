@@ -15,6 +15,7 @@ from equichow.intlinalg import (
 )
 from oracles import (
     DenseLattice,
+    dense,
     dense_preimage_generators,
     dense_smith_normal_form,
     dense_u,
@@ -22,23 +23,35 @@ from oracles import (
     identity,
     mat_mul,
     mat_vec,
+    sparse,
 )
 
 
+def _rows(m):
+    """The sparse rows of a dense matrix."""
+    return [sparse(row) for row in m]
+
+
 def test_coprime_diagonal():
-    dec = smith_normal_form([[2, 0], [0, 3]])
+    dec = smith_normal_form(_rows([[2, 0], [0, 3]]))
     assert dec.factors == (1, 6)
 
 
 def test_zero_matrix():
-    dec = smith_normal_form([[0, 0, 0], [0, 0, 0]])
+    dec = smith_normal_form(_rows([[0, 0, 0], [0, 0, 0]]))
     assert dec.factors == ()
     assert dec.rank == 0
 
 
 def test_identity_matrix():
-    dec = smith_normal_form(identity(4))
+    dec = smith_normal_form(_rows(identity(4)))
     assert dec.factors == (1, 1, 1, 1)
+
+
+def test_stored_zero_is_never_a_pivot():
+    dec = smith_normal_form([{0: 0, 1: 2}])
+    assert dec.factors == (2,)
+    assert dec.u == [{0: 1}]
 
 
 def _random_matrix(rng, rows, cols, bound=9):
@@ -64,7 +77,7 @@ def test_decomposition_reassembles():
     for _ in range(25):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         m = _random_matrix(rng, rows, cols)
-        _check_decomposition(m, smith_normal_form(m))
+        _check_decomposition(m, smith_normal_form(_rows(m)))
 
 
 def _random_unimodular(rng, n):
@@ -84,21 +97,23 @@ def test_invariant_factors_unchanged_by_unimodular_transforms():
     for _ in range(20):
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
         m = _random_matrix(rng, rows, cols)
-        base = smith_normal_form(m).factors
+        base = smith_normal_form(_rows(m)).factors
         left = _random_unimodular(rng, rows)
         right = _random_unimodular(rng, cols)
         transformed = mat_mul(mat_mul(left, m), right)
-        assert smith_normal_form(transformed).factors == base
+        assert smith_normal_form(_rows(transformed)).factors == base
 
 
 def _columns(m):
-    return [list(col) for col in zip(*m)]
+    """The sparse columns of a dense matrix."""
+    return [sparse(col) for col in zip(*m)]
 
 
 def _check_coordinates(lattice, b, y):
-    """U b = D y: b is the sum of y_i * d_i * U^-1 e_i."""
-    assert len(y) == lattice.rank
-    scaled = [f * c for f, c in zip(lattice.dec.factors, y)]
+    """U b = D y: b is the sum of y_i * d_i * U^-1 e_i, for b dense and y
+    sparse below the rank."""
+    assert all(i < lattice.rank and c for i, c in y.items())
+    scaled = [f * c for f, c in zip(lattice.dec.factors, dense(y, lattice.rank))]
     assert mat_vec(dense_u(lattice.dec), b) == scaled + [0] * (len(b) - lattice.rank)
 
 
@@ -110,20 +125,20 @@ def test_lattice_finds_integer_coordinates():
             m = _matrix_of_kind(rng, kind, rows, cols)
             lattice = Lattice(_columns(m), rows)
             b = mat_vec(m, [rng.randint(-5, 5) for _ in range(cols)])
-            y = lattice.coordinates(b)
+            y = lattice.coordinates(sparse(b))
             assert y is not None
             _check_coordinates(lattice, b, y)
 
 
 def test_lattice_rejects_non_members():
-    lattice = Lattice([[2, 0], [0, 2]], 2)
+    lattice = Lattice(_columns([[2, 0], [0, 2]]), 2)
     assert lattice.rank == 2
-    assert lattice.coordinates([1, 0]) is None
-    assert lattice.coordinates([2, -4]) == [1, -2]
-    empty = Lattice([[0, 0]], 2)
+    assert lattice.coordinates(sparse([1, 0])) is None
+    assert lattice.coordinates(sparse([2, -4])) == sparse([1, -2])
+    empty = Lattice([sparse([0, 0])], 2)
     assert empty.rank == 0
-    assert empty.coordinates([0, 0]) == []
-    assert empty.coordinates([0, 1]) is None
+    assert empty.coordinates(sparse([0, 0])) == {}
+    assert empty.coordinates(sparse([0, 1])) is None
 
 
 def test_kernel_vectors_annihilate():
@@ -132,16 +147,16 @@ def test_kernel_vectors_annihilate():
         rows, cols = rng.randint(1, 4), rng.randint(2, 5)
         m = _random_matrix(rng, rows, cols, bound=4)
         kernel = preimage_generators(_columns(m), [], cols)
-        assert len(kernel) == cols - smith_normal_form(m).rank
+        assert len(kernel) == cols - smith_normal_form(_rows(m)).rank
         for vec in kernel:
-            assert mat_vec(m, vec) == [0] * rows
+            assert mat_vec(m, dense(vec, cols)) == [0] * rows
 
 
 def test_decomposition_on_larger_matrices():
     rng = random.Random(101)
     for _ in range(5):
         m = _random_matrix(rng, 7, 9, bound=25)
-        dec = smith_normal_form(m)
+        dec = smith_normal_form(_rows(m))
         factors, u, _ = dense_smith_normal_form(m)
         assert dec.factors == factors
         assert _check_decomposition(m, dec) == u
@@ -149,10 +164,10 @@ def test_decomposition_on_larger_matrices():
 
 def test_quotient_invariants():
     # Z^2 / <(2,0),(0,3)> has no free part and torsion 1|6 -> report (6,)
-    free, torsion = quotient_invariants(2, [[2, 0], [0, 3]])
+    free, torsion = quotient_invariants(2, _columns([[2, 0], [0, 3]]))
     assert free == 0
     assert torsion == (6,)
-    free, torsion = quotient_invariants(3, [[2, 0, 0]])
+    free, torsion = quotient_invariants(3, [sparse([2, 0, 0])])
     assert free == 2
     assert torsion == (2,)
     assert quotient_invariants(2, []) == (2, ())
@@ -190,7 +205,7 @@ def test_invariant_factors_match_sympy():
     for kind in KINDS:
         for _ in range(15):
             m = _matrix_of_kind(rng, kind, rng.randint(1, 7), rng.randint(1, 7))
-            assert smith_normal_form(m).factors == _sympy_factors(m), m
+            assert smith_normal_form(_rows(m)).factors == _sympy_factors(m), m
 
 
 def test_lattice_membership_agrees_with_quotient_invariants():
@@ -207,9 +222,9 @@ def test_lattice_membership_agrees_with_quotient_invariants():
             image = mat_vec(m, [rng.randint(-3, 3) for _ in range(cols)])
             stray = [rng.randint(-3, 3) for _ in range(rows)]
             for b in (image, stray, [0] * rows):
-                y = lattice.coordinates(b)
+                y = lattice.coordinates(sparse(b))
                 inside = quotient_invariants(rows, columns) == quotient_invariants(
-                    rows, columns + [b]
+                    rows, columns + [sparse(b)]
                 )
                 assert (y is not None) == inside
                 if y is not None:
@@ -238,30 +253,33 @@ def sparse_matrices(draw):
 @given(m=sparse_matrices(), data=st.data())
 def test_sparse_smith_agrees_with_dense_oracle(m, data):
     rows = len(m)
-    dec = smith_normal_form(m)
+    dec = smith_normal_form(_rows(m))
     factors, u, _ = dense_smith_normal_form(m)
     assert dec.factors == factors
     assert dec.factors == (_sympy_factors(m) if rows and m[0] else ())
     # Same pivot rule and repair, so the very same U.
     assert _check_decomposition(m, dec) == u
+    # Stored zeros are dropped on the way in.
+    assert smith_normal_form([dict(enumerate(row)) for row in m]) == dec
 
-    columns = _columns(m) if rows else []
-    lattice = Lattice(columns, rows)
-    dense = DenseLattice(columns, rows)
+    columns = [list(col) for col in zip(*m)]
+    lattice = Lattice([sparse(c) for c in columns], rows)
+    oracle = DenseLattice(columns, rows)
 
     def vector(size):
         return data.draw(st.lists(st.integers(-4, 4), min_size=size, max_size=size))
 
     image = mat_vec(m, vector(len(columns)))
     for b in (image, vector(rows), [2 * x for x in vector(rows)]):
-        y = lattice.coordinates(b)
-        assert y == dense.coordinates(b)
+        y = lattice.coordinates(sparse(b))
+        want = oracle.coordinates(b)
+        assert y == (None if want is None else sparse(want))
         if y is not None:
             _check_coordinates(lattice, b, y)
 
 
 def _agrees_with_dense_oracle(m):
-    dec = smith_normal_form(m)
+    dec = smith_normal_form(_rows(m))
     factors, u, _ = dense_smith_normal_form(m)
     assert dec.factors == factors
     assert _check_decomposition(m, dec) == u
@@ -306,15 +324,17 @@ def preimage_cases(draw):
 @given(case=preimage_cases())
 def test_preimage_generators_agree_with_dense_oracle(case):
     """The lattice {v : M v in <T>} read from U equals the one read from the
-    dense oracle's V, by mutual membership; every generator maps into <T>."""
+    dense oracle's V, by mutual membership; every generator is sparse in
+    Z^domain and maps into <T>."""
     columns, targets, dim = case
     domain = len(columns)
-    got = preimage_generators(columns, targets, domain)
-    want = dense_preimage_generators(columns, targets, domain)
+    got = preimage_generators([sparse(c) for c in columns], [sparse(t) for t in targets], domain)
+    assert all(k < domain and x for v in got for k, x in v.items())
+    want = [sparse(v) for v in dense_preimage_generators(columns, targets, domain)]
     got_lattice, want_lattice = Lattice(got, domain), Lattice(want, domain)
     assert all(want_lattice.coordinates(v) is not None for v in got)
     assert all(got_lattice.coordinates(v) is not None for v in want)
-    image = Lattice(targets, dim)
+    image = Lattice([sparse(t) for t in targets], dim)
     for v in got:
-        mv = [sum(c[i] * x for c, x in zip(columns, v)) for i in range(dim)]
-        assert image.coordinates(mv) is not None
+        mv = [sum(c[i] * x for c, x in zip(columns, dense(v, domain))) for i in range(dim)]
+        assert image.coordinates(sparse(mv)) is not None
