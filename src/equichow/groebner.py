@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from operator import add, le, sub
+from operator import add, le, mul, neg, sub
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .poly import Monomial, Poly, PolyError, TableMismatch, VarTable
@@ -76,12 +76,12 @@ class MonomialOrder:
             raise PolyError("order priority does not cover the table")
         perm = tuple(table.index(n) for n in self.priority)
         if self.kind == "lex":
-            return lambda mono: tuple(mono[i] for i in perm)
+            return lambda mono: tuple(map(mono.__getitem__, perm))
         degs = table.degrees
+        rev = perm[::-1]
 
         def grevlex_key(mono: Monomial):
-            grade = sum(e * d for e, d in zip(mono, degs))
-            return (grade, tuple(-mono[i] for i in reversed(perm)))
+            return (sum(map(mul, mono, degs)), tuple(map(neg, map(mono.__getitem__, rev))))
 
         if self.kind == "elim":
             first = perm[0]
@@ -154,8 +154,12 @@ def _combination(f: Lead, a: int, g: Lead, b: int) -> Poly:
         shift = _mono_sub(m, lm)
         for mono, coeff in p.terms.items():
             k = tuple(map(add, mono, shift))
-            terms[k] = terms.get(k, 0) + c * coeff
-    return Poly(f[2].table, terms)
+            val = terms.get(k, 0) + c * coeff
+            if val:
+                terms[k] = val
+            elif k in terms:  # a Bezout coefficient c may be 0
+                del terms[k]
+    return Poly._canonical(f[2].table, terms)
 
 
 def spolynomial(f: Lead, g: Lead) -> Poly:
@@ -191,19 +195,36 @@ def _reduce(p: Poly, leads: Sequence[Lead], key: Callable[[Monomial], tuple]) ->
     first one on a tie."""
     if not leads:
         return p
-    work = dict(p.terms)
+    return Poly._canonical(p.table, _reduce_terms(dict(p.terms), leads, key, {}))
+
+
+def _reduce_terms(
+    work: Dict[Monomial, int],
+    leads: Sequence[Lead],
+    key: Callable[[Monomial], tuple],
+    divisors: Dict[Monomial, Tuple[int, int]],
+) -> Dict[Monomial, int]:
+    """The remainder terms of `_reduce`, consuming `work`.  `divisors`
+    memoizes {monomial: (leads scanned, index of the best lead or -1)} for
+    callers that only ever append to `leads`, so a later call scans only
+    the leads added since."""
     out: Dict[Monomial, int] = {}
+    n = len(leads)
     while work:
         mono = max(work, key=key)
         coeff = work.pop(mono)
-        best: Optional[Lead] = None
-        for lead in leads:
-            if (best is None or lead[1] < best[1]) and all(map(le, lead[0], mono)):
-                best = lead
-        if best is None:
+        seen, best = divisors.get(mono, (0, -1))
+        if seen < n:
+            best_c = leads[best][1] if best >= 0 else 0
+            for idx in range(seen, n):
+                lm, lc, _ = leads[idx]
+                if (best < 0 or lc < best_c) and all(map(le, lm, mono)):
+                    best, best_c = idx, lc
+            divisors[mono] = (n, best)
+        if best < 0:
             out[mono] = coeff
             continue
-        gm, gc, g = best
+        gm, gc, g = leads[best]
         q, r = divmod(coeff, gc)
         if q:
             shift = _mono_sub(mono, gm)
@@ -218,7 +239,7 @@ def _reduce(p: Poly, leads: Sequence[Lead], key: Callable[[Monomial], tuple]) ->
                     del work[k]
         if r:
             out[mono] = r
-    return Poly(p.table, out)
+    return out
 
 
 def strong_groebner(gens: Sequence[Poly], order: MonomialOrder) -> IdealBasis:
@@ -251,9 +272,12 @@ def strong_groebner(gens: Sequence[Poly], order: MonomialOrder) -> IdealBasis:
         if all(lead[2] != b[2] for b in basis):
             basis.append(lead)
 
+    degs = table.degrees
+    divisors: Dict[Monomial, Tuple[int, int]] = {}
+
     def pair(i: int, j: int) -> Tuple[int, int, int, Monomial]:
         m = _mono_lcm(basis[i][0], basis[j][0])
-        return table.grade(m), j, i, m
+        return sum(map(mul, m, degs)), j, i, m
 
     pairs = [pair(i, j) for j in range(len(basis)) for i in range(j)]
     heapify(pairs)
@@ -261,10 +285,10 @@ def strong_groebner(gens: Sequence[Poly], order: MonomialOrder) -> IdealBasis:
     partners = [set(range(len(basis))) - {i} for i in range(len(basis))]
 
     def extend(p: Poly):
-        rem = _reduce(p, basis, key)
-        if rem.is_zero():
+        rem = _reduce_terms(dict(p.terms), basis, key, divisors)
+        if not rem:
             return
-        basis.append(_lead(rem, key))
+        basis.append(_lead(Poly._canonical(table, rem), key))
         new = len(basis) - 1
         partners.append(set(range(new)))
         for k in range(new):
@@ -287,7 +311,7 @@ def strong_groebner(gens: Sequence[Poly], order: MonomialOrder) -> IdealBasis:
                     and k != j
                     and k not in waiting_i
                     and k not in waiting_j
-                    and _mono_divides(km, m)
+                    and all(map(le, km, m))
                 ):
                     break  # the chain criterion
             else:
@@ -296,7 +320,7 @@ def strong_groebner(gens: Sequence[Poly], order: MonomialOrder) -> IdealBasis:
         if (
             fc % gc
             and gc % fc
-            and not any(d % kc == 0 and _mono_divides(km, m) for km, kc, _ in basis)
+            and not any(d % kc == 0 and all(map(le, km, m)) for km, kc, _ in basis)
         ):
             extend(gpolynomial(f, g))
 
@@ -316,7 +340,7 @@ def _minimize(basis: List[Lead], key: Callable[[Monomial], tuple]) -> List[Lead]
         for jdx, (hm, hc, _) in enumerate(basis):
             if jdx == idx:
                 continue
-            if _mono_divides(hm, gm) and gc % hc == 0:
+            if gc % hc == 0 and _mono_divides(hm, gm):
                 if (hm, hc) == (gm, gc) and jdx > idx:
                     continue
                 redundant = True
@@ -378,21 +402,34 @@ def ideal_equal(
     gens_b: Sequence[Poly],
     order: Optional[MonomialOrder] = None,
 ) -> bool:
-    """Compare the reduced strong bases of the two generating sets.
+    """Decide whether the two generating sets span the same ideal.
 
-    The reduced strong basis is unique for the ideal and the order.  Both
-    bases have the minimal terms of the leading-term ideal as their leading
-    terms.  Two elements with the same leading term differ by an ideal
-    element all of whose terms are canonical remainders, and a nonzero ideal
-    element has a leading term that some basis term divides, which a
-    canonical remainder forbids; so the difference is 0.
+    Complete `gens_b` first.  A generator of a outside I_b decides False,
+    and a's generators holding the whole reduced basis of b decide True.
+    Otherwise compare the reduced strong bases, which are unique for the
+    ideal and the order.  Both bases have the minimal terms of the
+    leading-term ideal as their leading terms.  Two elements with the same
+    leading term differ by an ideal element all of whose terms are
+    canonical remainders, and a nonzero ideal element has a leading term
+    that some basis term divides, which a canonical remainder forbids; so
+    the difference is 0.  Raises TableMismatch unless both sets use one
+    table.
     """
-    live = [g for g in (*gens_a, *gens_b) if not g.is_zero()]
+    live_a = [g for g in gens_a if not g.is_zero()]
+    live = live_a + [g for g in gens_b if not g.is_zero()]
     if not live:
         return True
+    table = live[0].table
+    if any(g.table != table for g in live):
+        raise TableMismatch("the generating sets use different variable tables")
     if order is None:
-        order = MonomialOrder.grevlex(live[0].table)
-    return strong_groebner(gens_a, order).polys == strong_groebner(gens_b, order).polys
+        order = MonomialOrder.grevlex(table)
+    basis_b = strong_groebner(gens_b, order)
+    if any(not normal_form(g, basis_b).is_zero() for g in live_a):
+        return False
+    if set(basis_b.polys) <= set(live_a):
+        return True
+    return strong_groebner(gens_a, order).polys == basis_b.polys
 
 
 def ideal_intersection(gens_a: Sequence[Poly], gens_b: Sequence[Poly]) -> Tuple[Poly, ...]:

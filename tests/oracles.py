@@ -5,11 +5,13 @@ the defining check of a strong Groebner basis, the relation-times-monomial
 graded pieces that the Groebner-staircase pieces are checked against,
 ring-map columns with each image built from scratch, vectors always taken
 through the reduction, the non-zero-divisor check degree by degree up to a
-bound, completion without pair criteria, ideal equality by mutual
-containment, and the fixed-point sum taken one source point at a time."""
+bound, division with a full scan of the leads for every term, completion
+without pair criteria, ideal equality by mutual containment, and the
+fixed-point sum taken one source point at a time."""
 
 import math
 from heapq import heapify, heappop, heappush
+from operator import add, le
 
 from equichow import MonomialOrder, Poly, normal_form, strong_groebner
 from equichow.groebner import (
@@ -18,7 +20,7 @@ from equichow.groebner import (
     _lead,
     _minimize,
     _mono_lcm,
-    _reduce,
+    _mono_sub,
     gpolynomial,
     spolynomial,
 )
@@ -263,9 +265,9 @@ def verify_strong(basis):
     key = _KeyCache(key).__getitem__
     for j in range(len(leads)):
         for i in range(j):
-            if not _reduce(spolynomial(leads[i], leads[j]), leads, key).is_zero():
+            if not plain_reduce(spolynomial(leads[i], leads[j]), leads, key).is_zero():
                 return False
-            if not _reduce(gpolynomial(leads[i], leads[j]), leads, key).is_zero():
+            if not plain_reduce(gpolynomial(leads[i], leads[j]), leads, key).is_zero():
                 return False
     return True
 
@@ -312,7 +314,8 @@ def naive_image_columns(target, source, fn):
 def reduced_vector(piece, p):
     """piece.vector(p), always through the reduction by the monic leads."""
     key = _KeyCache(piece._order_key).__getitem__
-    return {piece._index[mono]: c for mono, c in _reduce(p, piece._monic, key).terms.items()}
+    reduced = plain_reduce(p, piece._monic, key)
+    return {piece._index[mono]: c for mono, c in reduced.terms.items()}
 
 
 def nonzerodivisor_up_to(pres, elt, degree_bound):
@@ -363,10 +366,48 @@ def monomial_nonzerodivisor_up_to(pres, elt, degree_bound):
     return True
 
 
+def plain_reduce(p, leads, key):
+    """Full division remainder: every coefficient of the result is the
+    canonical Euclidean remainder modulo the applicable leading coefficients.
+    Each term is divided by the dividing lead of smallest coefficient, the
+    first one on a tie, found by scanning every lead."""
+    if not leads:
+        return p
+    work = dict(p.terms)
+    out = {}
+    while work:
+        mono = max(work, key=key)
+        coeff = work.pop(mono)
+        best = None
+        for lead in leads:
+            if (best is None or lead[1] < best[1]) and all(map(le, lead[0], mono)):
+                best = lead
+        if best is None:
+            out[mono] = coeff
+            continue
+        gm, gc, g = best
+        q, r = divmod(coeff, gc)
+        if q:
+            shift = _mono_sub(mono, gm)
+            for m2, c2 in g.terms.items():
+                if m2 == gm:
+                    continue
+                k = tuple(map(add, shift, m2))
+                val = work.get(k, 0) - q * c2
+                if val:
+                    work[k] = val
+                elif k in work:
+                    del work[k]
+        if r:
+            out[mono] = r
+    return Poly(p.table, out)
+
+
 def plain_strong_groebner(gens, order):
     """Strong Groebner completion with no pair criteria: every pair forms
     its S-polynomial, and its G-polynomial unless one leading coefficient
-    divides the other; pairs are taken by lcm grade, oldest first."""
+    divides the other; pairs are taken by lcm grade, oldest first, and
+    reduced by `plain_reduce`."""
     polys = [g for g in gens if not g.is_zero()]
     if not polys:
         return IdealBasis((), order, True)
@@ -391,7 +432,7 @@ def plain_strong_groebner(gens, order):
         if f[1] % g[1] and g[1] % f[1]:
             candidates.append(gpolynomial(f, g))
         for cand in candidates:
-            rem = _reduce(cand, basis, key)
+            rem = plain_reduce(cand, basis, key)
             if rem.is_zero():
                 continue
             basis.append(_lead(rem, key))

@@ -10,6 +10,7 @@ from equichow import (
     MonomialOrder,
     Poly,
     PolyError,
+    TableMismatch,
     VarTable,
     ideal_contains,
     ideal_equal,
@@ -18,11 +19,17 @@ from equichow import (
     strong_groebner,
 )
 from equichow import groebner
-from equichow.groebner import IdealBasis
+from equichow.groebner import IdealBasis, _KeyCache, _lead, _reduce_terms
 from equichow.intlinalg import Lattice
 from equichow.pipeline import double_triple_value, eliminated_node_ideal
 from conftest import random_homogeneous
-from oracles import containment_ideal_equal, plain_strong_groebner, sparse, verify_strong
+from oracles import (
+    containment_ideal_equal,
+    plain_reduce,
+    plain_strong_groebner,
+    sparse,
+    verify_strong,
+)
 
 
 def v(table, name):
@@ -379,14 +386,108 @@ def test_completing_a_reduced_basis_reduces_no_tail(monkeypatch):
     gens=st.lists(xy_polys, min_size=1, max_size=2),
     multipliers=st.lists(xy_polys, min_size=2, max_size=2),
     scale=st.sampled_from((1, 2, 3)),
+    reduced=st.booleans(),
 )
-def test_ideal_equal_agrees_with_mutual_containment(gens, multipliers, scale):
+def test_ideal_equal_agrees_with_mutual_containment(gens, multipliers, scale, reduced):
     """The same ideal with a member added, and the ideal with its first
-    generator scaled, which may or may not be the same ideal."""
+    generator scaled, which may or may not be the same ideal; the first
+    side is either the generators or their reduced strong basis."""
     member = sum((m * g for m, g in zip(multipliers, gens)), Poly.zero(XY))
+    first = list(strong_groebner(gens, MonomialOrder.grevlex(XY)).polys) if reduced else gens
     for other in (gens + [member], [scale * gens[0]] + gens[1:]):
-        assert ideal_equal(gens, other) == containment_ideal_equal(gens, other)
-    assert ideal_equal(gens, gens + [member])
+        want = containment_ideal_equal(gens, other)
+        assert ideal_equal(first, other) == want
+        assert ideal_equal(other, first) == want
+    assert ideal_equal(first, gens + [member])
+
+
+def test_ideal_equal_completion_count(monkeypatch):
+    """One completion decides when the first side holds the second side's
+    reduced basis or leaves its ideal; only the remaining case needs two."""
+    x, y = v(XY, "x"), v(XY, "y")
+    order = MonomialOrder.grevlex(XY)
+    gens = [2 * x * y + x * x, 3 * y * y]
+    reduced = list(strong_groebner(gens, order).polys)
+    true_groebner = groebner.strong_groebner
+    calls = []
+
+    def counting_groebner(gens, order):
+        calls.append(gens)
+        return true_groebner(gens, order)
+
+    monkeypatch.setattr(groebner, "strong_groebner", counting_groebner)
+    for a, b, want, completions in (
+        (reduced, gens, True, 1),
+        ([x], [2 * x], False, 1),
+        ([x + y, x - y], [2 * x, x + y], True, 2),
+    ):
+        calls.clear()
+        assert ideal_equal(a, b, order) == want
+        assert len(calls) == completions
+
+
+def test_ideal_equal_rejects_mixed_tables():
+    """Z[x,y] with deg y = 1 and with deg y = 2 are different rings."""
+    heavy = VarTable([("x", 1), ("y", 2)])
+    x, y = v(XY, "x"), v(XY, "y")
+    with pytest.raises(TableMismatch):
+        ideal_equal([x, y], [v(heavy, "x"), v(heavy, "y")])
+    with pytest.raises(TableMismatch):
+        ideal_equal([x, v(heavy, "y")], [x, y])
+
+
+def test_completion_calls_the_traced_kernels(monkeypatch):
+    """The benchmark's trace counts pairs and G-polynomials by rebinding
+    these module globals, so completion must call them through the module."""
+    x, y = v(XY, "x"), v(XY, "y")
+    counts = {}
+    for name in ("spolynomial", "gpolynomial", "_reduce"):
+        true_fn = getattr(groebner, name)
+
+        def counting(*args, _fn=true_fn, _name=name):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _fn(*args)
+
+        monkeypatch.setattr(groebner, name, counting)
+    strong_groebner([2 * x * y + x * x, 3 * y * y], MonomialOrder.grevlex(XY))
+    assert set(counts) == {"spolynomial", "gpolynomial", "_reduce"}
+    assert min(counts.values()) > 0
+
+
+@pytest.mark.parametrize("name", sorted(ORDERS))
+@small
+@given(data=st.data())
+def test_reduce_terms_matches_plain_reduce(name, data):
+    """One divisor memo serves a growing list of leads, as in completion."""
+    polys, order = ORDERS[name]
+    table = XY if name.startswith("xy") else W
+    key = _KeyCache(order.key(table)).__getitem__
+    nonzero = polys.filter(lambda p: not p.is_zero())
+    pending = [_lead(p, key) for p in data.draw(st.lists(nonzero, min_size=2, max_size=4))]
+    targets = data.draw(st.lists(polys, min_size=len(pending), max_size=len(pending)))
+    leads, divisors = [], {}
+    for lead, p in zip(pending, targets):
+        leads.append(lead)
+        got = _reduce_terms(dict(p.terms), leads, key, divisors)
+        assert Poly(table, got) == plain_reduce(p, leads, key)
+
+
+MONOS3 = st.tuples(*[st.integers(0, 4)] * 3)
+T3 = VarTable([("a", 1), ("b", 1), ("c", 1)])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(m=MONOS3)
+def test_order_keys_match_formulas(m):
+    a, b, c = m
+    for order, table, want in (
+        (MonomialOrder.grevlex(T3), T3, (a + b + c, (-a, -b, -c))),
+        (MonomialOrder("grevlex", ("a", "b", "c")), T3, (a + b + c, (-c, -b, -a))),
+        (MonomialOrder.grevlex(W), W, (a + b + 2 * c, (-a, -b, -c))),
+        (MonomialOrder.lex(("b", "a", "c")), T3, (b, a, c)),
+        (MonomialOrder("elim", ("c", "a", "b")), T3, (c, (a + b + c, (-b, -a, -c)))),
+    ):
+        assert order.key(table)(m) == want
 
 
 def test_ideal_equal_sees_both_answers():
