@@ -21,7 +21,6 @@ from .localization import (
     map_image_fixed_point,
     point_class,
     pushforward,
-    restrict_hyperplane,
     specialize_oracle,
 )
 from .poly import (
@@ -78,7 +77,6 @@ __all__ = [
     "parse_poly",
     "point_class",
     "pushforward",
-    "restrict_hyperplane",
     "specialize_oracle",
     "strong_groebner",
     "to_elementary_symmetric",

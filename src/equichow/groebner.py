@@ -38,7 +38,7 @@ from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import add, le, mul, neg, sub
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .poly import Monomial, Poly, PolyError, TableMismatch, VarTable
 
@@ -399,13 +399,15 @@ def ideal_contains(
 
 def ideal_equal(
     gens_a: Sequence[Poly],
-    gens_b: Sequence[Poly],
+    gens_b: Union[Sequence[Poly], IdealBasis],
     order: Optional[MonomialOrder] = None,
 ) -> bool:
     """Decide whether the two generating sets span the same ideal.
 
-    Complete `gens_b` first.  A generator of a outside I_b decides False,
-    and a's generators holding the whole reduced basis of b decide True.
+    Complete `gens_b` first, unless it is a strong basis already (then an
+    `order` other than its own raises PolyError).  A generator of a
+    outside I_b decides False, and a's generators holding the whole
+    reduced basis of b decide True.
     Otherwise compare the reduced strong bases, which are unique for the
     ideal and the order.  Both bases have the minimal terms of the
     leading-term ideal as their leading terms.  Two elements with the same
@@ -415,6 +417,11 @@ def ideal_equal(
     the difference is 0.  Raises TableMismatch unless both sets use one
     table.
     """
+    basis_b = gens_b if isinstance(gens_b, IdealBasis) else None
+    if basis_b is not None:
+        if order not in (None, basis_b.order):
+            raise PolyError("the order differs from the basis's order")
+        gens_b, order = basis_b.polys, basis_b.order
     live_a = [g for g in gens_a if not g.is_zero()]
     live = live_a + [g for g in gens_b if not g.is_zero()]
     if not live:
@@ -424,7 +431,8 @@ def ideal_equal(
         raise TableMismatch("the generating sets use different variable tables")
     if order is None:
         order = MonomialOrder.grevlex(table)
-    basis_b = strong_groebner(gens_b, order)
+    if basis_b is None:
+        basis_b = strong_groebner(gens_b, order)
     if any(not normal_form(g, basis_b).is_zero() for g in live_a):
         return False
     if set(basis_b.polys) <= set(live_a):

@@ -22,13 +22,16 @@ multiplies every partial sum by one of its one-factor point classes once
 per prefix of the image index vector, not once per source point.  All
 one-factor classes of a factor are integer combinations of the same few
 products, built once (`_point_classes`).
+
+The specialization oracle checks a pushforward at random integer weights
+without these classes: at the drawn target point only the fibre over it
+contributes, and each trial is one identity in integers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from random import Random
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -153,14 +156,6 @@ def point_class(space: SpaceDescriptor, fp: FixedPoint) -> Poly:
             if j != i:
                 out = out * (h - f.w0 * j - f.w1 * (f.d - j))
     return out
-
-
-def restrict_hyperplane(space: SpaceDescriptor, fp: FixedPoint, factor: int) -> Poly:
-    """Value of the factor's hyperplane class at the fixed point."""
-    _check_point(space, fp)
-    if not 0 <= factor < len(space.factors):
-        raise DescriptorError("factor index out of range")
-    return space.factors[factor].hyperplane_value(fp[factor])
 
 
 def _point_classes(factor: SpaceFactor, indices: Iterable[int]) -> Dict[int, Poly]:
@@ -369,14 +364,15 @@ def specialize_oracle(
 
     Each trial draws integer weights (redrawing degenerate ones), picks a
     target fixed point, sets the target hyperplane values there, and
-    compares the exact rational localization sum with the symbolic result
-    evaluated at the same point.
-
-    The sum is evaluated in integers from the descriptor alone: the point
-    classes, Euler classes and hyperplane restrictions are products of
-    linear forms in the weights, so each is computed from the integer
-    weights of the trial instead of through the symbolic `point_class`,
-    `euler_constant` and `euler_forms` that `pushforward` uses.
+    compares the localization sum with the symbolic result evaluated at
+    the same point.  The sum is evaluated in integers from the descriptor
+    alone, not through the `point_class`, `euler_constant` and
+    `euler_forms` that `pushforward` uses.  Each target h is then
+    i*w0 + (d-i)*w1, so the form with j = i vanishes and the class of
+    every image but the drawn point is 0: only the fibre over that point
+    is summed.  With its point value P, its Euler constants c_p and
+    C = lcm(c_p) (1 for an empty fibre), and F = prod (w1 - w0)^d, the
+    trial passes iff P * sum cls(p) * (C // c_p) == symbolic * C * F.
     """
     if symbolic is None:
         symbolic = pushforward(mapping, cls)
@@ -387,19 +383,17 @@ def specialize_oracle(
         for n in source.table.names
         if n not in source.hvars and n not in target.hvars
     ]
-    # Per fixed point: its image in the target and the sign-and-factorial
-    # constant of its Euler class, prod (-1)^i * i! * (d-i)!.
-    points = []
+    # The source points by image, each with the sign-and-factorial constant
+    # of its Euler class, prod (-1)^i * i! * (d-i)!.
+    fibres: Dict[FixedPoint, List[Tuple[FixedPoint, int]]] = {}
     for fp in enumerate_fixed_points(source):
         const = 1
         for i, f in zip(fp, source.factors):
             const *= (-1) ** i * math.factorial(i) * math.factorial(f.d - i)
-        points.append((fp, map_image_fixed_point(mapping, fp), const))
+        fibres.setdefault(map_image_fixed_point(mapping, fp), []).append((fp, const))
     for _ in range(trials):
         while True:
-            values: Dict[str, object] = {
-                n: rng.randint(-12, 12) for n in base_names
-            }
+            values: Dict[str, int] = {n: rng.randint(-12, 12) for n in base_names}
             src_w = [
                 (f.w0.evaluate(values), f.w1.evaluate(values))
                 for f in source.factors
@@ -410,28 +404,25 @@ def specialize_oracle(
             (f.w0.evaluate(values), f.w1.evaluate(values)) for f in target.factors
         ]
         target_point = tuple(rng.randint(0, f.d) for f in target.factors)
+        point_value = 1
         for f, (w0, w1), i in zip(target.factors, tgt_w, target_point):
-            values[f.hvar] = w0 * i + w1 * (f.d - i)
+            h = values[f.hvar] = w0 * i + w1 * (f.d - i)
+            for j in range(f.d + 1):
+                if j != i:
+                    point_value *= h - j * w0 - (f.d - j) * w1
         euler_forms = 1
         for f, (w0, w1) in zip(source.factors, src_w):
             euler_forms *= (w1 - w0) ** f.d
-        lhs = Fraction(0)
+        fibre = fibres.get(target_point, ())
+        common = math.lcm(*(const for _, const in fibre))
+        total = 0
+        # Every point sets all the source h-variables, so one copy of the
+        # trial's values serves them all.
         sub = dict(values)
-        for fp, image, const in points:
-            point_value = 1
-            for f, (w0, w1), q in zip(target.factors, tgt_w, image):
-                h = values[f.hvar]
-                for j in range(f.d + 1):
-                    if j != q:
-                        point_value *= h - j * w0 - (f.d - j) * w1
-            if not point_value:
-                continue
-            # Every point sets all the source h-variables, so one copy of
-            # the trial's values serves them all.
+        for fp, const in fibre:
             for f, (w0, w1), i in zip(source.factors, src_w, fp):
                 sub[f.hvar] = w0 * i + w1 * (f.d - i)
-            lhs += Fraction(cls.evaluate(sub) * point_value, const * euler_forms)
-        rhs = symbolic.evaluate(values)
-        if lhs != rhs:
+            total += cls.evaluate(sub) * (common // const)
+        if total * point_value != symbolic.evaluate(values) * common * euler_forms:
             return False
     return True

@@ -578,8 +578,8 @@ def step_final_presentation(fx: Fixtures) -> StepReport:
         fx.residual_class,
         double_triple_value(fx),
     ]
-    equal = ideal_equal(assembled, list(fx.final_ideal))
     final_ring = RingPresentation(fx.ambient, fx.final_ideal)
+    equal = ideal_equal(assembled, final_ring.groebner())
     pieces = [graded_piece_invariants(final_ring, n).describe() for n in range(7)]
     details = (
         "assembled: " + "; ".join(p.render() for p in assembled),

@@ -6,12 +6,17 @@ graded pieces that the Groebner-staircase pieces are checked against,
 ring-map columns with each image built from scratch, vectors always taken
 through the reduction, the non-zero-divisor check degree by degree up to a
 bound, division with a full scan of the leads for every term, completion
-without pair criteria, ideal equality by mutual containment, and the
-fixed-point sum taken one source point at a time."""
+without pair criteria, ideal equality by mutual containment, the
+hyperplane value at a fixed point, the fixed-point sum taken one source
+point at a time, and the specialization oracle that visits every source
+point with a rational running sum."""
 
 import math
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import add, le
+from random import Random
+from typing import Dict, Optional
 
 from equichow import MonomialOrder, Poly, normal_form, strong_groebner
 from equichow.groebner import (
@@ -26,12 +31,15 @@ from equichow.groebner import (
 )
 from equichow.intlinalg import Lattice, preimage_generators, quotient_invariants
 from equichow.localization import (
+    DescriptorError,
+    MapDescriptor,
+    _check_point,
     enumerate_fixed_points,
     euler_constant,
     euler_forms,
     map_image_fixed_point,
     point_class,
-    restrict_hyperplane,
+    pushforward,
 )
 from equichow.poly import GradeMismatch, exact_divide
 
@@ -461,6 +469,14 @@ def containment_ideal_equal(gens_a, gens_b, order=None):
     )
 
 
+def restrict_hyperplane(space, fp, factor):
+    """Value of the factor's hyperplane class at the fixed point."""
+    _check_point(space, fp)
+    if not 0 <= factor < len(space.factors):
+        raise DescriptorError("factor index out of range")
+    return space.factors[factor].hyperplane_value(fp[factor])
+
+
 def fixed_point_substitution(space, fp):
     """The value of every hyperplane variable of the space at the fixed point."""
     return {
@@ -483,3 +499,82 @@ def plain_pushforward(mapping, cls):
         image = point_class(target, map_image_fixed_point(mapping, fp))
         numerator = numerator + restricted * image * (common // const)
     return exact_divide(numerator, euler_forms(source) * common)
+
+
+def plain_specialize_oracle(
+    mapping: MapDescriptor,
+    cls: Poly,
+    trials: int = 20,
+    seed: int = 0,
+    symbolic: Optional[Poly] = None,
+) -> bool:
+    """Numeric check of the pushforward against the raw fixed-point sum.
+
+    Each trial draws integer weights (redrawing degenerate ones), picks a
+    target fixed point, sets the target hyperplane values there, and
+    compares the exact rational localization sum with the symbolic result
+    evaluated at the same point.
+
+    The sum is evaluated in integers from the descriptor alone: the point
+    classes, Euler classes and hyperplane restrictions are products of
+    linear forms in the weights, so each is computed from the integer
+    weights of the trial instead of through the symbolic `point_class`,
+    `euler_constant` and `euler_forms` that `pushforward` uses.
+    """
+    if symbolic is None:
+        symbolic = pushforward(mapping, cls)
+    rng = Random(seed)
+    source, target = mapping.source, mapping.target
+    base_names = [
+        n
+        for n in source.table.names
+        if n not in source.hvars and n not in target.hvars
+    ]
+    # Per fixed point: its image in the target and the sign-and-factorial
+    # constant of its Euler class, prod (-1)^i * i! * (d-i)!.
+    points = []
+    for fp in enumerate_fixed_points(source):
+        const = 1
+        for i, f in zip(fp, source.factors):
+            const *= (-1) ** i * math.factorial(i) * math.factorial(f.d - i)
+        points.append((fp, map_image_fixed_point(mapping, fp), const))
+    for _ in range(trials):
+        while True:
+            values: Dict[str, object] = {
+                n: rng.randint(-12, 12) for n in base_names
+            }
+            src_w = [
+                (f.w0.evaluate(values), f.w1.evaluate(values))
+                for f in source.factors
+            ]
+            if all(w0 != w1 for w0, w1 in src_w):
+                break
+        tgt_w = [
+            (f.w0.evaluate(values), f.w1.evaluate(values)) for f in target.factors
+        ]
+        target_point = tuple(rng.randint(0, f.d) for f in target.factors)
+        for f, (w0, w1), i in zip(target.factors, tgt_w, target_point):
+            values[f.hvar] = w0 * i + w1 * (f.d - i)
+        euler_forms = 1
+        for f, (w0, w1) in zip(source.factors, src_w):
+            euler_forms *= (w1 - w0) ** f.d
+        lhs = Fraction(0)
+        sub = dict(values)
+        for fp, image, const in points:
+            point_value = 1
+            for f, (w0, w1), q in zip(target.factors, tgt_w, image):
+                h = values[f.hvar]
+                for j in range(f.d + 1):
+                    if j != q:
+                        point_value *= h - j * w0 - (f.d - j) * w1
+            if not point_value:
+                continue
+            # Every point sets all the source h-variables, so one copy of
+            # the trial's values serves them all.
+            for f, (w0, w1), i in zip(source.factors, src_w, fp):
+                sub[f.hvar] = w0 * i + w1 * (f.d - i)
+            lhs += Fraction(cls.evaluate(sub) * point_value, const * euler_forms)
+        rhs = symbolic.evaluate(values)
+        if lhs != rhs:
+            return False
+    return True

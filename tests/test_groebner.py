@@ -403,11 +403,22 @@ def test_ideal_equal_agrees_with_mutual_containment(gens, multipliers, scale, re
 
 def test_ideal_equal_completion_count(monkeypatch):
     """One completion decides when the first side holds the second side's
-    reduced basis or leaves its ideal; only the remaining case needs two."""
+    reduced basis or leaves its ideal; only the remaining case needs two.
+    A strong basis as the second side is used as it is: that side is never
+    completed."""
     x, y = v(XY, "x"), v(XY, "y")
     order = MonomialOrder.grevlex(XY)
     gens = [2 * x * y + x * x, 3 * y * y]
     reduced = list(strong_groebner(gens, order).polys)
+    cases = [
+        (reduced, gens, True, 1),
+        ([x], [2 * x], False, 1),
+        ([x + y, x - y], [2 * x, x + y], True, 2),
+    ]
+    cases += [
+        (a, strong_groebner(b, order), want, completions - 1)
+        for a, b, want, completions in cases
+    ]
     true_groebner = groebner.strong_groebner
     calls = []
 
@@ -416,14 +427,20 @@ def test_ideal_equal_completion_count(monkeypatch):
         return true_groebner(gens, order)
 
     monkeypatch.setattr(groebner, "strong_groebner", counting_groebner)
-    for a, b, want, completions in (
-        (reduced, gens, True, 1),
-        ([x], [2 * x], False, 1),
-        ([x + y, x - y], [2 * x, x + y], True, 2),
-    ):
+    for a, b, want, completions in cases:
         calls.clear()
         assert ideal_equal(a, b, order) == want
         assert len(calls) == completions
+        if isinstance(b, IdealBasis):
+            assert ideal_equal(a, b) == want
+
+
+def test_ideal_equal_rejects_a_basis_in_another_order():
+    x, y = v(XY, "x"), v(XY, "y")
+    basis = strong_groebner([x * x + y * y, x * y], MonomialOrder.lex(("x", "y")))
+    assert ideal_equal([x * y, x * x + y * y], basis)
+    with pytest.raises(PolyError):
+        ideal_equal([x * y, x * x + y * y], basis, MonomialOrder.grevlex(XY))
 
 
 def test_ideal_equal_rejects_mixed_tables():

@@ -12,16 +12,16 @@ from equichow import (
     enumerate_fixed_points,
     euler_constant,
     euler_forms,
+    localization,
     map_image_fixed_point,
     parse_poly,
     point_class,
     pushforward,
-    restrict_hyperplane,
     specialize_oracle,
 )
 from equichow.jobfile import MAX_TARGET_DIMENSION
 from equichow.localization import DescriptorError, _point_classes
-from oracles import plain_pushforward
+from oracles import plain_pushforward, plain_specialize_oracle, restrict_hyperplane
 
 
 TABLE = VarTable([("g1", 1), ("g2", 1), ("h1", 1), ("h2", 1), ("h", 1)])
@@ -262,6 +262,22 @@ def test_oracle_rejects_corrupted_value():
     )
 
 
+def test_oracle_rejects_a_corruption_off_the_fibres():
+    """The cubing map hits only target points 0 and 3, where this
+    corruption vanishes; at the points 1 and 2 the fibre is empty and the
+    corrupted value must evaluate to 0 there, which it does not."""
+    good = pushforward(cubing_map(), ONE)
+    corrupted = good + (H - 3 * G2) * (H - 3 * G1)
+    assert not specialize_oracle(
+        cubing_map(), ONE, trials=20, seed=0, symbolic=corrupted
+    )
+    verdicts = [
+        specialize_oracle(cubing_map(), ONE, trials=1, seed=s, symbolic=corrupted)
+        for s in range(8)
+    ]
+    assert verdicts == [True, True, False, False, True, False, False, True]
+
+
 def three_factor_product():
     t = VarTable(
         [("g1", 1), ("g2", 1), ("g3", 1)]
@@ -301,6 +317,28 @@ def test_oracle_rejects_corruption_of_the_right_degree():
         assert not specialize_oracle(
             mapping, cls, trials=20, seed=0, symbolic=corrupted
         )
+
+
+def test_oracle_is_independent_of_pushforward(monkeypatch):
+    """The oracle still passes true values with every symbolic kernel of
+    `pushforward` made to raise."""
+    t, product = three_factor_product()
+    cases = [(mixed_map(), H1 * H1), (product, Poly.var(t, "u1") * Poly.var(t, "u2"))]
+    values = [pushforward(mapping, cls) for mapping, cls in cases]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle used the engine it checks")
+
+    for name in (
+        "pushforward",
+        "_point_classes",
+        "point_class",
+        "euler_constant",
+        "euler_forms",
+    ):
+        monkeypatch.setattr(localization, name, forbidden)
+    for (mapping, cls), good in zip(cases, values):
+        assert specialize_oracle(mapping, cls, trials=20, seed=0, symbolic=good)
 
 
 def test_oracle_handles_zero_weight():
@@ -376,6 +414,23 @@ def test_pushforward_agrees_with_oracle_on_random_descriptors(push, seed):
     mapping, cls = push
     value = pushforward(mapping, cls)
     assert specialize_oracle(mapping, cls, trials=3, seed=seed, symbolic=value)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(random_push(), st.integers(0, 2**16))
+def test_oracle_verdicts_match_the_plain_oracle(push, seed):
+    """The fibre sum in integers gives the verdict of the rational sum over
+    every source point, for the true value and two corruptions."""
+    mapping, cls = push
+    good = pushforward(mapping, cls)
+    grade = (
+        cls.homogeneous_grade()
+        + mapping.target.dimension
+        - mapping.source.dimension
+    )
+    for value in (good, good + RG1**grade, good + 1):
+        args = (mapping, cls, 3, seed, value)  # trials, seed, symbolic
+        assert specialize_oracle(*args) == plain_specialize_oracle(*args)
 
 
 @pytest.mark.parametrize("product", [False, True])

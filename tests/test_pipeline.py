@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from equichow import Poly, RingPresentation, pipeline
+from equichow import Poly, RingPresentation, groebner, pipeline, presentation
 from equichow.jobfile import MAX_DEGREE_BOUND
 from equichow.pipeline import (
     Fixtures,
@@ -216,6 +216,22 @@ def test_step_double_triple_class(fx):
 
 def test_step_final_presentation(fx):
     assert step_final_presentation(fx).verdict == "match"
+
+
+def test_final_presentation_completes_the_final_ideal_once(fx, monkeypatch):
+    """The ideal comparison and the graded pieces share one completion of
+    the final ideal."""
+    true_groebner = groebner.strong_groebner
+    completed = []
+
+    def counting_groebner(gens, order):
+        completed.append(tuple(gens))
+        return true_groebner(gens, order)
+
+    monkeypatch.setattr(groebner, "strong_groebner", counting_groebner)
+    monkeypatch.setattr(presentation, "strong_groebner", counting_groebner)
+    assert step_final_presentation(fx).verdict == "match"
+    assert completed.count(tuple(fx.final_ideal)) == 1
 
 
 def test_final_ring_low_degree_pieces(fx):
