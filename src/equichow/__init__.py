@@ -19,7 +19,6 @@ from .localization import (
     euler_constant,
     euler_forms,
     map_image_fixed_point,
-    point_class,
     pushforward,
     specialize_oracle,
 )
@@ -37,8 +36,6 @@ from .poly import (
 from .presentation import (
     RingHom,
     RingPresentation,
-    c1_of_character,
-    graded_piece_invariants,
     is_nonzerodivisor,
     verify_cartesian,
 )
@@ -62,12 +59,10 @@ __all__ = [
     "SpaceFactor",
     "TableMismatch",
     "VarTable",
-    "c1_of_character",
     "enumerate_fixed_points",
     "euler_constant",
     "euler_forms",
     "exact_divide",
-    "graded_piece_invariants",
     "ideal_contains",
     "ideal_equal",
     "ideal_intersection",
@@ -75,7 +70,6 @@ __all__ = [
     "map_image_fixed_point",
     "normal_form",
     "parse_poly",
-    "point_class",
     "pushforward",
     "specialize_oracle",
     "strong_groebner",

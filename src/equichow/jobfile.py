@@ -7,9 +7,11 @@ Four small section-based formats share one scanner:
   square files   [vars] [ring A|B|C|D] [hom X->Y] [options]
   fixture files  [final] [candidate]
 
-Blank lines and '#' comments are ignored.  Parsing either succeeds or
-raises ParseError with the offending line number; parse -> render -> parse
-is the identity on the parsed values.
+Blank lines and '#' comments are ignored.  A section may appear once;
+headers that differ only in whitespace, such as [hom A->B] and
+[hom A -> B], name the same section.  Parsing either succeeds or raises
+ParseError with the offending line number; parse -> render -> parse is the
+identity on the parsed values.
 
 A push job's work grows with the target dimension, the number of fixed
 points of the source and of the target, and the oracle trials, and a
@@ -80,12 +82,17 @@ class PushJob:
 def _sections(text: str) -> List[Tuple[str, List[Tuple[int, str]]]]:
     sections: List[Tuple[str, List[Tuple[int, str]]]] = []
     current: Optional[List[Tuple[int, str]]] = None
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
+            key = "".join(name.split())
+            if key in seen:
+                raise ParseError(f"line {lineno}: repeated section [{name}]")
+            seen.add(key)
             current = []
             sections.append((name, current))
             continue
@@ -125,9 +132,14 @@ def _keyvals(entries: Sequence[Tuple[int, str]]) -> List[Tuple[int, str, str]]:
     return out
 
 
-def _parse_options(entries: Sequence[Tuple[int, str]]) -> JobOptions:
+def _parse_options(
+    entries: Sequence[Tuple[int, str]],
+    keys: Tuple[str, ...] = ("degree_bound", "oracle_trials", "seed"),
+) -> JobOptions:
     opts = JobOptions()
     for lineno, key, value in _keyvals(entries):
+        if key not in keys:
+            raise ParseError(f"line {lineno}: unknown option {key!r}")
         try:
             if key == "degree_bound":
                 opts.degree_bound = int(value)
@@ -137,10 +149,8 @@ def _parse_options(entries: Sequence[Tuple[int, str]]) -> JobOptions:
                 opts.oracle_trials = int(value)
                 if not 0 <= opts.oracle_trials <= MAX_ORACLE_TRIALS:
                     raise ValueError
-            elif key == "seed":
-                opts.seed = int(value)
             else:
-                raise ParseError(f"line {lineno}: unknown option {key!r}")
+                opts.seed = int(value)
         except ValueError:
             raise ParseError(f"line {lineno}: bad value for {key!r}") from None
     return opts
@@ -322,8 +332,8 @@ def parse_square_job(text: str) -> SquareJob:
                 images[key] = value
             hom_specs[(src, dst)] = images
         elif name == "options":
-            opts = _parse_options(entries)
-            degree_bound = opts.degree_bound
+            # fiber-check has no oracle and no randomness
+            degree_bound = _parse_options(entries, ("degree_bound",)).degree_bound
         else:
             raise ParseError(f"unknown section [{name}]")
 

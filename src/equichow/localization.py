@@ -125,9 +125,6 @@ class SpaceDescriptor:
     def dimension(self) -> int:
         return sum(f.d for f in self.factors)
 
-    def __len__(self) -> int:
-        return len(self.factors)
-
 
 def enumerate_fixed_points(space: SpaceDescriptor) -> List[FixedPoint]:
     """All index vectors (i_j), 0 <= i_j <= d_j, in lexicographic order."""
@@ -145,24 +142,12 @@ def _check_point(space: SpaceDescriptor, fp: FixedPoint):
             raise DescriptorError(f"index {i} out of range for degree {f.d}")
 
 
-def point_class(space: SpaceDescriptor, fp: FixedPoint) -> Poly:
-    """Equivariant class of the fixed point: per factor, the product over
-    the omitted indices j of (h - j*w0 - (d-j)*w1)."""
-    _check_point(space, fp)
-    out = Poly.const(space.table, 1)
-    for i, f in zip(fp, space.factors):
-        h = f.hyperplane()
-        for j in range(f.d + 1):
-            if j != i:
-                out = out * (h - f.w0 * j - f.w1 * (f.d - j))
-    return out
-
-
 def _point_classes(factor: SpaceFactor, indices: Iterable[int]) -> Dict[int, Poly]:
-    """`point_class(SpaceDescriptor([factor]), (i,))` for each index i.  With
-    X = h - d*w1 and Y = w0 - w1 each form h - j*w0 - (d-j)*w1 is X - j*Y, so
-    the class is sum_k (-1)^k e_k(S) X^(d-k) Y^k, S = {0..d} minus i: the
-    products are made once, and e_k(S) = e_k({0..d}) - i * e_(k-1)(S)."""
+    """The class of the fixed point with index i on the one-factor space,
+    the product of the forms h - j*w0 - (d-j)*w1 over j != i, for each index
+    i.  With X = h - d*w1 and Y = w0 - w1 each form is X - j*Y, so the class
+    is sum_k (-1)^k e_k(S) X^(d-k) Y^k, S = {0..d} minus i: the products are
+    made once, and e_k(S) = e_k({0..d}) - i * e_(k-1)(S)."""
     d, table = factor.d, factor.table
     x = factor.hyperplane() - factor.w1 * d
     y = factor.w0 - factor.w1
@@ -366,7 +351,7 @@ def specialize_oracle(
     target fixed point, sets the target hyperplane values there, and
     compares the localization sum with the symbolic result evaluated at
     the same point.  The sum is evaluated in integers from the descriptor
-    alone, not through the `point_class`, `euler_constant` and
+    alone, not through the `_point_classes`, `euler_constant` and
     `euler_forms` that `pushforward` uses.  Each target h is then
     i*w0 + (d-i)*w1, so the form with j = i vanishes and the class of
     every image but the drawn point is 0: only the fibre over that point

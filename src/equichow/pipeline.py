@@ -21,7 +21,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .groebner import ideal_contains, ideal_equal
 from .localization import (
@@ -31,15 +31,11 @@ from .localization import (
     pushforward,
     specialize_oracle,
 )
-from .poly import Poly, VarTable, to_elementary_symmetric
+from .poly import Poly, PolyError, VarTable, to_elementary_symmetric
 from .presentation import (
     CartesianSquareSpec,
-    CharacterBasis,
     RingHom,
     RingPresentation,
-    c1_of_character,
-    graded_piece_invariants,
-    gysin_boundary_to_total,
     is_nonzerodivisor,
     verify_cartesian,
 )
@@ -85,6 +81,8 @@ class Fixtures:
     open_part: Z[l1,l2].
     boundary_mod_normal: boundary with the normal class d1 killed.
     ambient: Z[l1,l2,d1], where the final presentation lives.
+    character_basis: the c1 value on the boundary of each character
+        generator.
     """
 
     total: RingPresentation
@@ -92,7 +90,7 @@ class Fixtures:
     open_part: RingPresentation
     boundary_mod_normal: RingPresentation
     ambient: VarTable
-    character_basis: CharacterBasis
+    character_basis: Dict[str, Poly]
     node_character: Dict[str, int]
     triple_root_class: Poly
     residual_class: Poly
@@ -132,13 +130,11 @@ class Fixtures:
             td, [2 * xd, xd * (xd + Poly.var(td, "l1"))]
         )
 
-        basis = CharacterBasis(
-            {
-                "det_sgn": Poly.var(tb, "l1") + Poly.var(tb, "x"),
-                "normal": Poly.var(tb, "d1"),
-                "sgn": Poly.var(tb, "x"),
-            }
-        )
+        basis = {
+            "det_sgn": Poly.var(tb, "l1") + Poly.var(tb, "x"),
+            "normal": Poly.var(tb, "d1"),
+            "sgn": Poly.var(tb, "x"),
+        }
         node_character = {"det_sgn": 1, "normal": 1}
 
         l1, l2, d1 = (Poly.var(ambient, n) for n in ("l1", "l2", "d1"))
@@ -212,7 +208,33 @@ class Fixtures:
         )
 
     def gysin(self, p: Poly) -> Poly:
-        return gysin_boundary_to_total(p, self.boundary, self.total)
+        """Pushforward along the boundary inclusion.
+
+        Reduce p in the boundary presentation to the unique shape a + b*x,
+        then send it to a*d1 + b*e, normal-formed in the total ring.  The
+        two generator values (1 -> d1, x -> e) plus linearity over the
+        x-free subring determine the operator.
+        """
+        boundary, total = self.boundary, self.total
+        reduced = boundary.normal_form(p)
+        x_index = boundary.table.index("x")
+        a_terms: Dict[Tuple[int, ...], int] = {}
+        b_terms: Dict[Tuple[int, ...], int] = {}
+        for mono, coeff in reduced.terms.items():
+            k = mono[x_index]
+            if k == 0:
+                a_terms[mono] = coeff
+            elif k == 1:
+                stripped = list(mono)
+                stripped[x_index] = 0
+                b_terms[tuple(stripped)] = coeff
+            else:
+                raise PolyError("normal form kept x-degree >= 2; basis is broken")
+        rename = {n: n for n in boundary.table.names if n != "x"}
+        a_part = Poly(boundary.table, a_terms).change_table(total.table, rename)
+        b_part = Poly(boundary.table, b_terms).change_table(total.table, rename)
+        image = a_part * Poly.var(total.table, "d1") + b_part * Poly.var(total.table, "e")
+        return total.normal_form(image)
 
 
 @dataclass(frozen=True)
@@ -300,12 +322,8 @@ def step_transfer(fx: Fixtures) -> StepReport:
     return StepReport("transfer", _verdict(ok), computed, expected, details)
 
 
-def _formula_table() -> VarTable:
-    return _vt(("g1", 1), ("g2", 1), ("h1", 1), ("h2", 1), ("h", 1))
-
-
 def _localization_values():
-    t = _formula_table()
+    t = _vt(("g1", 1), ("g2", 1), ("h1", 1), ("h2", 1), ("h", 1))
     g1, g2, h1, h2, h = (Poly.var(t, n) for n in ("g1", "g2", "h1", "h2", "h"))
     one = Poly.const(t, 1)
 
@@ -410,6 +428,19 @@ def step_localization(
         tuple(details),
     )
     return [main, rho2]
+
+
+def c1_of_character(basis: Mapping[str, Poly], character: Mapping[str, int]) -> Poly:
+    """Z-linear extension of the basis c1 assignments."""
+    out = None
+    for name, mult in character.items():
+        if name not in basis:
+            raise PolyError(f"unknown character generator {name!r}")
+        term = basis[name] * mult
+        out = term if out is None else out + term
+    if out is None:
+        raise PolyError("empty character")
+    return out
 
 
 def step_node_locus_class(fx: Fixtures) -> StepReport:
@@ -580,7 +611,11 @@ def step_final_presentation(fx: Fixtures) -> StepReport:
     ]
     final_ring = RingPresentation(fx.ambient, fx.final_ideal)
     equal = ideal_equal(assembled, final_ring.groebner())
-    pieces = [graded_piece_invariants(final_ring, n).describe() for n in range(7)]
+    pieces = []
+    for n in range(7):
+        free, torsion = final_ring.piece(n).invariants()
+        tors = ",".join(map(str, torsion)) or "-"
+        pieces.append(f"deg {n}: free {free}, torsion {tors}")
     details = (
         "assembled: " + "; ".join(p.render() for p in assembled),
         "reference: " + "; ".join(p.render() for p in fx.final_ideal),

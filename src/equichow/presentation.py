@@ -6,8 +6,7 @@ group (the monomials off the monic leads of a strong Groebner basis, modulo
 the multiples of the other leads), which Smith normal form turns into rank
 and torsion data.  That is enough to verify, degree by degree, that a
 commuting square of presentations is cartesian.  The module also decides
-in every degree whether an element is a non-zero-divisor, by a colon ideal,
-and runs the Gysin pushforward between the two boundary presentations.
+in every degree whether an element is a non-zero-divisor, by a colon ideal.
 """
 
 from __future__ import annotations
@@ -151,25 +150,6 @@ class GradedPiece:
     def invariants(self) -> Tuple[int, Tuple[int, ...]]:
         """Free rank and torsion of the piece."""
         return quotient_invariants(len(self.monomials), self.relations)
-
-
-@dataclass(frozen=True)
-class GradedPieceReport:
-    """Rank and torsion of one graded piece."""
-
-    degree: int
-    free_rank: int
-    torsion: Tuple[int, ...]
-
-    def describe(self) -> str:
-        tors = ",".join(str(t) for t in self.torsion) if self.torsion else "-"
-        return f"deg {self.degree}: free {self.free_rank}, torsion {tors}"
-
-
-def graded_piece_invariants(pres: RingPresentation, n: int) -> GradedPieceReport:
-    """Degree-n piece of the presentation as a finitely generated group."""
-    free, torsion = pres.piece(n).invariants()
-    return GradedPieceReport(n, free, torsion)
 
 
 class RingHom:
@@ -362,67 +342,3 @@ def is_nonzerodivisor(pres: RingPresentation, f: Poly) -> bool:
         pres.contains(exact_divide(h, f))
         for h in ideal_intersection(pres.relations, [f])
     )
-
-
-# -- characters ------------------------------------------------------------
-
-
-class CharacterBasis:
-    """Declared character generators with their first Chern class values."""
-
-    def __init__(self, assignments: Mapping[str, Poly]):
-        if not assignments:
-            raise PolyError("empty character basis")
-        self.assignments = dict(assignments)
-
-
-def c1_of_character(basis: CharacterBasis, character: Mapping[str, int]) -> Poly:
-    """Z-linear extension of the basis c1 assignments."""
-    out = None
-    for name, mult in character.items():
-        if name not in basis.assignments:
-            raise PolyError(f"unknown character generator {name!r}")
-        term = basis.assignments[name] * mult
-        out = term if out is None else out + term
-    if out is None:
-        raise PolyError("empty character")
-    return out
-
-
-# -- Gysin pushforward -------------------------------------------------------
-
-
-def gysin_boundary_to_total(
-    p: Poly,
-    boundary: RingPresentation,
-    total: RingPresentation,
-    xi: str = "x",
-    delta: str = "d1",
-    eta: str = "e",
-) -> Poly:
-    """Pushforward along the boundary inclusion.
-
-    Reduce p in the boundary presentation to the unique shape a + b*xi,
-    then send it to a*delta + b*eta, normal-formed in the total ring.  The
-    two generator values (1 -> delta, xi -> eta) plus linearity over the
-    xi-free subring determine the operator.
-    """
-    reduced = boundary.normal_form(p)
-    xi_index = boundary.table.index(xi)
-    a_terms: Dict[Tuple[int, ...], int] = {}
-    b_terms: Dict[Tuple[int, ...], int] = {}
-    for mono, coeff in reduced.terms.items():
-        e = mono[xi_index]
-        if e == 0:
-            a_terms[mono] = coeff
-        elif e == 1:
-            stripped = list(mono)
-            stripped[xi_index] = 0
-            b_terms[tuple(stripped)] = coeff
-        else:
-            raise PolyError("normal form kept xi-degree >= 2; basis is broken")
-    rename = {n: n for n in boundary.table.names if n != xi}
-    a_part = Poly(boundary.table, a_terms).change_table(total.table, rename)
-    b_part = Poly(boundary.table, b_terms).change_table(total.table, rename)
-    image = a_part * Poly.var(total.table, delta) + b_part * Poly.var(total.table, eta)
-    return total.normal_form(image)

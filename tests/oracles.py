@@ -7,9 +7,9 @@ ring-map columns with each image built from scratch, vectors always taken
 through the reduction, the non-zero-divisor check degree by degree up to a
 bound, division with a full scan of the leads for every term, completion
 without pair criteria, ideal equality by mutual containment, the
-hyperplane value at a fixed point, the fixed-point sum taken one source
-point at a time, and the specialization oracle that visits every source
-point with a rational running sum."""
+hyperplane value and the point class at a fixed point, the fixed-point sum
+taken one source point at a time, and the specialization oracle that visits
+every source point with a rational running sum."""
 
 import math
 from fractions import Fraction
@@ -38,7 +38,6 @@ from equichow.localization import (
     euler_constant,
     euler_forms,
     map_image_fixed_point,
-    point_class,
     pushforward,
 )
 from equichow.poly import GradeMismatch, exact_divide
@@ -475,6 +474,19 @@ def restrict_hyperplane(space, fp, factor):
     if not 0 <= factor < len(space.factors):
         raise DescriptorError("factor index out of range")
     return space.factors[factor].hyperplane_value(fp[factor])
+
+
+def point_class(space, fp):
+    """Equivariant class of the fixed point: per factor, the product over
+    the omitted indices j of (h - j*w0 - (d-j)*w1)."""
+    _check_point(space, fp)
+    out = Poly.const(space.table, 1)
+    for i, f in zip(fp, space.factors):
+        h = f.hyperplane()
+        for j in range(f.d + 1):
+            if j != i:
+                out = out * (h - f.w0 * j - f.w1 * (f.d - j))
+    return out
 
 
 def fixed_point_substitution(space, fp):

@@ -344,6 +344,50 @@ def test_hostile_square_ring(tmp_path, capsys, old, new, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+FINAL_GEN = "[final]\ngen = 2*d1^2 + 2*l1*d1\n"
+
+
+@pytest.mark.parametrize(
+    "command, base, extra, header",
+    [
+        (["push"], "cubing.job", "[class]\nh1\n", "class"),
+        (["nf", "x^3", "--gens"], "involution_ideal.gens", "[vars]\nl1 1\n", "vars"),
+        (["fiber-check"], "patch_square.job", "[ring B]\nvars = l1 l2 d1 x\n", "ring B"),
+        (["fiber-check"], "patch_square.job", "[ring  B]\nvars = l1 l2 d1 x\n", "ring  B"),
+        (["fiber-check"], "patch_square.job", "[hom A -> B]\nl1 = l1\n", "hom A -> B"),
+        (["pipeline", "--fixtures"], None, FINAL_GEN, "final"),
+    ],
+    ids=["push", "ideal", "square-ring", "square-ring-spacing", "square-hom-spacing", "fixture"],
+)
+def test_repeated_section_is_rejected(tmp_path, capsys, command, base, extra, header):
+    """A section given twice exits 2 naming the second header's line; it is
+    not read as its last copy."""
+    if base is None:
+        text = FINAL_GEN
+    else:
+        with open(os.path.join(JOBS, base), "r", encoding="utf-8") as fh:
+            text = fh.read()
+    job = tmp_path / "repeated.job"
+    job.write_text(text + extra)
+    lineno = len(text.splitlines()) + 1
+    code, out, err = run_cli([*command, str(job)], capsys)
+    assert (code, out, err) == (2, "", f"error: line {lineno}: repeated section [{header}]\n")
+
+
+@pytest.mark.parametrize("option", ["oracle_trials = 20", "seed = 7"])
+def test_square_job_rejects_oracle_options(tmp_path, capsys, option):
+    """fiber-check draws nothing at random and runs no oracle, so a square
+    file may not set either option."""
+    with open(os.path.join(JOBS, "patch_square.job"), "r", encoding="utf-8") as fh:
+        text = fh.read()
+    job = tmp_path / "square.job"
+    job.write_text(text + option + "\n")
+    lineno = len(text.splitlines()) + 1
+    code, out, err = run_cli(["fiber-check", str(job)], capsys)
+    key = option.split()[0]
+    assert (code, out, err) == (2, "", f"error: line {lineno}: unknown option {key!r}\n")
+
+
 def test_parser_is_built_once(capsys):
     """Every call reads one parser, and a rejected command line leaves it
     as it was."""

@@ -15,13 +15,17 @@ from equichow import (
     localization,
     map_image_fixed_point,
     parse_poly,
-    point_class,
     pushforward,
     specialize_oracle,
 )
 from equichow.jobfile import MAX_TARGET_DIMENSION
 from equichow.localization import DescriptorError, _point_classes
-from oracles import plain_pushforward, plain_specialize_oracle, restrict_hyperplane
+from oracles import (
+    plain_pushforward,
+    plain_specialize_oracle,
+    point_class,
+    restrict_hyperplane,
+)
 
 
 TABLE = VarTable([("g1", 1), ("g2", 1), ("h1", 1), ("h2", 1), ("h", 1)])
@@ -329,13 +333,7 @@ def test_oracle_is_independent_of_pushforward(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle used the engine it checks")
 
-    for name in (
-        "pushforward",
-        "_point_classes",
-        "point_class",
-        "euler_constant",
-        "euler_forms",
-    ):
+    for name in ("pushforward", "_point_classes", "euler_constant", "euler_forms"):
         monkeypatch.setattr(localization, name, forbidden)
     for (mapping, cls), good in zip(cases, values):
         assert specialize_oracle(mapping, cls, trials=20, seed=0, symbolic=good)

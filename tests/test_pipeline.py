@@ -1,5 +1,7 @@
+import hashlib
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -235,13 +237,9 @@ def test_final_presentation_completes_the_final_ideal_once(fx, monkeypatch):
 
 
 def test_final_ring_low_degree_pieces(fx):
-    from equichow import RingPresentation, graded_piece_invariants
-
     final_ring = RingPresentation(fx.ambient, fx.final_ideal)
-    deg0 = graded_piece_invariants(final_ring, 0)
-    assert (deg0.free_rank, deg0.torsion) == (1, ())
-    deg1 = graded_piece_invariants(final_ring, 1)
-    assert (deg1.free_rank, deg1.torsion) == (2, ())
+    assert final_ring.piece(0).invariants() == (1, ())
+    assert final_ring.piece(1).invariants() == (2, ())
 
 
 def test_run_all_small_bound():
@@ -260,6 +258,25 @@ def test_run_all_small_bound():
         "double-triple-class",
         "final-presentation",
     ]
+
+
+CERTIFY_D10 = Path(__file__).resolve().parents[1] / "bench" / "golden" / "certify-d10.tsv"
+
+
+def test_run_all_reports_are_pinned():
+    """The whole degree-10 report: the machine lines equal the benchmark's
+    golden file, and the text report, with each step's timing masked, and
+    the final-presentation details hash as they were measured."""
+    report = run_all(degree_bound=10, oracle_trials=20, seed=0)
+    assert report.render_machine() == CERTIFY_D10.read_text(encoding="utf-8")
+
+    def sha1(text):
+        return hashlib.sha1(text.encode()).hexdigest()[:12]
+
+    masked = re.sub(r"\(\d+\.\d{3}s\)", "(-s)", report.render_text())
+    assert sha1(masked) == "503db7d15806"
+    (final,) = [s for s in report.steps if s.name == "final-presentation"]
+    assert sha1("\n".join(final.details)) == "550894a926c0"
 
 
 def test_run_all_zero_bound_degenerate():

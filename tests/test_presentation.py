@@ -11,11 +11,10 @@ from equichow import (
     RingHom,
     RingPresentation,
     VarTable,
-    c1_of_character,
-    graded_piece_invariants,
     is_nonzerodivisor,
     verify_cartesian,
 )
+from equichow.pipeline import c1_of_character
 from equichow.presentation import CartesianSquareSpec, WellDefinednessError
 from conftest import doubling_square, random_homogeneous
 from oracles import nonzerodivisor_up_to
@@ -26,30 +25,26 @@ def v(table, name):
 
 
 def test_graded_piece_of_patched_ring(fixtures):
-    report = graded_piece_invariants(fixtures.total, 1)
-    assert (report.free_rank, report.torsion) == (2, ())
+    assert fixtures.total.piece(1).invariants() == (2, ())
 
 
 def test_graded_piece_free_polynomial_ring():
     t = VarTable([("l1", 1), ("l2", 2)])
-    report = graded_piece_invariants(RingPresentation(t, []), 2)
-    assert (report.free_rank, report.torsion) == (2, ())
+    assert RingPresentation(t, []).piece(2).invariants() == (2, ())
 
 
 def test_graded_piece_pure_torsion():
     t = VarTable([("x", 1)])
     pres = RingPresentation(t, [2 * v(t, "x")])
-    report = graded_piece_invariants(pres, 1)
-    assert (report.free_rank, report.torsion) == (0, (2,))
+    assert pres.piece(1).invariants() == (0, (2,))
 
 
 def test_graded_piece_independent_of_orderings(fixtures):
-    base = graded_piece_invariants(fixtures.boundary, 4)
+    base = fixtures.boundary.piece(4).invariants()
     permuted_table = VarTable([("x", 1), ("d1", 1), ("l2", 2), ("l1", 1)])
     rels = [r.change_table(permuted_table) for r in fixtures.boundary.relations]
     permuted = RingPresentation(permuted_table, list(reversed(rels)))
-    other = graded_piece_invariants(permuted, 4)
-    assert (base.free_rank, base.torsion) == (other.free_rank, other.torsion)
+    assert permuted.piece(4).invariants() == base
 
 
 def test_graded_piece_rejects_inhomogeneous():
@@ -342,5 +337,9 @@ def test_character_c1_values(fixtures):
 
 
 def test_character_rejects_unknown_generator(fixtures):
-    with pytest.raises(PolyError):
+    with pytest.raises(PolyError, match="unknown character generator"):
         c1_of_character(fixtures.character_basis, {"mystery": 1})
+    with pytest.raises(PolyError, match="unknown character generator"):
+        c1_of_character({}, {"sgn": 1})
+    with pytest.raises(PolyError, match="empty character"):
+        c1_of_character(fixtures.character_basis, {})
