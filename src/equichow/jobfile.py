@@ -9,9 +9,10 @@ Four small section-based formats share one scanner:
 
 Blank lines and '#' comments are ignored.  A section may appear once;
 headers that differ only in whitespace, such as [hom A->B] and
-[hom A -> B], name the same section.  Parsing either succeeds or raises
-ParseError with the offending line number; parse -> render -> parse is the
-identity on the parsed values.
+[hom A -> B], name the same section.  A key may appear once in its
+section, except the list entries `relation` and `gen`.  Parsing either
+succeeds or raises ParseError with the offending line number;
+parse -> render -> parse is the identity on the parsed values.
 
 A push job's work grows with the target dimension, the number of fixed
 points of the source and of the target, and the oracle trials, and a
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .localization import MapDescriptor, SpaceDescriptor, SpaceFactor
 from .pipeline import Fixtures
@@ -121,15 +122,16 @@ def _parse_vars(entries: Sequence[Tuple[int, str]]) -> VarTable:
         raise ParseError(str(exc)) from None
 
 
-def _keyvals(entries: Sequence[Tuple[int, str]]) -> List[Tuple[int, str, str]]:
-    out = []
+def _keyvals(entries: Sequence[Tuple[int, str]], section: str, repeatable=()) -> Iterator:
+    """(lineno, key, value) per line, value "" without '='; keys recur only if repeatable."""
+    seen = set()
     for lineno, line in entries:
-        if "=" not in line:
-            out.append((lineno, line, ""))
-            continue
-        key, value = line.split("=", 1)
-        out.append((lineno, key.strip(), value.strip()))
-    return out
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key in seen and key not in repeatable:
+            raise ParseError(f"line {lineno}: repeated key {key!r} in [{section}]")
+        seen.add(key)
+        yield lineno, key, value.strip()
 
 
 def _parse_options(
@@ -137,7 +139,7 @@ def _parse_options(
     keys: Tuple[str, ...] = ("degree_bound", "oracle_trials", "seed"),
 ) -> JobOptions:
     opts = JobOptions()
-    for lineno, key, value in _keyvals(entries):
+    for lineno, key, value in _keyvals(entries, "options"):
         if key not in keys:
             raise ParseError(f"line {lineno}: unknown option {key!r}")
         try:
@@ -195,7 +197,7 @@ def parse_push_job(text: str) -> PushJob:
                     raise ParseError(f"line {lineno}: {exc}") from None
                 factors.append(factor)
         elif name == "map":
-            for lineno, key, value in _keyvals(entries):
+            for lineno, key, value in _keyvals(entries, name):
                 if key == "product" and not value:
                     product = True
                 elif key == "exponents":
@@ -271,7 +273,7 @@ def parse_ideal_job(text: str) -> IdealJob:
         elif name == "ideal":
             if table is None:
                 raise ParseError("[ideal] must come after [vars]")
-            for lineno, key, value in _keyvals(entries):
+            for lineno, key, value in _keyvals(entries, name, ("gen",)):
                 if key != "gen":
                     raise ParseError(f"line {lineno}: expected 'gen = <poly>'")
                 gens.append(parse_poly(value, table))
@@ -309,7 +311,7 @@ def parse_square_job(text: str) -> SquareJob:
                 raise ParseError("[ring ...] must come after [vars]")
             var_names: List[str] = []
             rel_texts: List[str] = []
-            for lineno, key, value in _keyvals(entries):
+            for lineno, key, value in _keyvals(entries, name, ("relation",)):
                 if key == "vars":
                     var_names = value.split()
                 elif key == "relation":
@@ -327,9 +329,7 @@ def parse_square_job(text: str) -> SquareJob:
             src, dst = arrow.split("->", 1)
             if (src, dst) not in _HOMS:
                 raise ParseError(f"unexpected hom {src}->{dst}")
-            images: Dict[str, str] = {}
-            for lineno, key, value in _keyvals(entries):
-                images[key] = value
+            images = {key: value for _, key, value in _keyvals(entries, name)}
             hom_specs[(src, dst)] = images
         elif name == "options":
             # fiber-check has no oracle and no randomness
@@ -380,7 +380,7 @@ def parse_fixture_overrides(text: str) -> Fixtures:
         if name not in fields:
             raise ParseError(f"unknown fixture section [{name}]")
         want, table = fields[name]
-        for lineno, key, value in _keyvals(entries):
+        for lineno, key, value in _keyvals(entries, name, (want,)):
             if key != want:
                 raise ParseError(f"line {lineno}: expected '{want} = <poly>'")
             polys[name].append(parse_poly(value, table))

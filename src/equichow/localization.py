@@ -23,9 +23,17 @@ per prefix of the image index vector, not once per source point.  All
 one-factor classes of a factor are integer combinations of the same few
 products, built once (`_point_classes`).
 
+All of it runs on packed monomials (`poly._Packing`), one integer each,
+so a product of monomials is one addition.  The exponent bound is the
+class's plain degree (sum of exponents) plus the target dimension, as the
+weights are linear and a one-factor class has the degree of its factor;
+the numerator is unpacked once, before the division.
+
 The specialization oracle checks a pushforward at random integer weights
 without these classes: at the drawn target point only the fibre over it
-contributes, and each trial is one identity in integers.
+contributes, and each trial is one identity in integers.  It compiles the
+weights, the class and the value once per call and evaluates them on one
+list of values by table slot.
 """
 
 from __future__ import annotations
@@ -41,7 +49,8 @@ from .poly import (
     PolyError,
     TableMismatch,
     VarTable,
-    _map_terms,
+    _add_product,
+    _Packing,
     exact_divide,
 )
 
@@ -142,37 +151,35 @@ def _check_point(space: SpaceDescriptor, fp: FixedPoint):
             raise DescriptorError(f"index {i} out of range for degree {f.d}")
 
 
-def _point_classes(factor: SpaceFactor, indices: Iterable[int]) -> Dict[int, Poly]:
-    """The class of the fixed point with index i on the one-factor space,
-    the product of the forms h - j*w0 - (d-j)*w1 over j != i, for each index
-    i.  With X = h - d*w1 and Y = w0 - w1 each form is X - j*Y, so the class
-    is sum_k (-1)^k e_k(S) X^(d-k) Y^k, S = {0..d} minus i: the products are
-    made once, and e_k(S) = e_k({0..d}) - i * e_(k-1)(S)."""
-    d, table = factor.d, factor.table
-    x = factor.hyperplane() - factor.w1 * d
-    y = factor.w0 - factor.w1
-    x_powers = [Poly.const(table, 1)]
+def _point_classes(factor: SpaceFactor, indices: Iterable[int], packing: _Packing) -> Dict:
+    """The packed class of the fixed point with index i on the one-factor
+    space, the product of the forms h - j*w0 - (d-j)*w1 over j != i, for
+    each index i.  With X = h - d*w1 and Y = w0 - w1 each form is X - j*Y,
+    so the class is sum_k (-1)^k e_k(S) X^(d-k) Y^k, S = {0..d} minus i:
+    the products are made once, and e_k(S) = e_k({0..d}) - i * e_(k-1)(S)."""
+    d = factor.d
+    x = packing.terms(factor.hyperplane() - factor.w1 * d)
+    y = packing.terms(factor.w0 - factor.w1)
+    x_powers = [{0: 1}]
     for _ in range(d):
-        x_powers.append(x_powers[-1] * x)
+        x_powers.append(_add_product({}, x_powers[-1], x))
     products, y_power = [x_powers[d]], x_powers[0]
     for k in range(1, d + 1):
-        y_power = y_power * y
-        products.append(x_powers[d - k] * y_power)
+        y_power = _add_product({}, y_power, y)
+        products.append(_add_product({}, x_powers[d - k], y_power))
     full = [1] + [0] * d  # e_k of {0..d}
     for j in range(1, d + 1):
         for k in range(j, 0, -1):
             full[k] += j * full[k - 1]
-    classes: Dict[int, Poly] = {}
+    classes: Dict[int, Dict[int, int]] = {}
     for i in indices:
-        acc: Dict[Tuple[int, ...], int] = {}
+        acc: Dict[int, int] = {}
         e = 0
         for k, product in enumerate(products):
             e = full[k] - i * e
             if e:
-                scale = -e if k & 1 else e
-                for mono, c in product.terms.items():
-                    acc[mono] = acc.get(mono, 0) + scale * c
-        classes[i] = Poly._canonical(table, {m: c for m, c in acc.items() if c})
+                _add_product(acc, product, {0: -e if k & 1 else e})
+        classes[i] = {m: c for m, c in acc.items() if c}
     return classes
 
 
@@ -299,8 +306,9 @@ def pushforward(mapping: MapDescriptor, cls: Poly) -> Poly:
     summed over the source points with the same image q, and then, last
     factor first, each partial sum keyed by a prefix of q is multiplied by
     the one-factor class of its last index and added into the sum of the
-    shorter prefix.  Each factor's one-factor classes, and the hyperplane
-    values of the source factors, are built once and kept for this call.
+    shorter prefix.  Each power of a source hyperplane value and each
+    factor's one-factor classes are built once per call, on monomials
+    packed with the exponent bound: plain degree of cls + target dimension.
 
     Raises DenominatorResidue if the sum fails to clear its denominators,
     which signals an inconsistent descriptor.
@@ -309,33 +317,64 @@ def pushforward(mapping: MapDescriptor, cls: Poly) -> Poly:
         raise TableMismatch("class is not over the map's variable table")
     _check_class_variables(mapping, cls)
     source, target = mapping.source, mapping.target
-    table = source.table
     points = enumerate_fixed_points(source)
     consts = [euler_constant(source, fp) for fp in points]
     common = math.lcm(*consts)
-    slots = [table.index(h) for h in source.hvars]
-    values = [[f.hyperplane_value(i) for i in range(f.d + 1)] for f in source.factors]
-    sums: Dict[FixedPoint, Poly] = {}
+    packing = _Packing(cls.table, max(map(sum, cls.terms), default=0) + target.dimension)
+    slots = [cls.table.index(h) for h in source.hvars]
+    # The class's terms by their exponents of the source h-variables.
+    groups: Dict[Tuple[int, ...], Dict[int, int]] = {}
+    for mono, coeff in cls.terms.items():
+        rest = packing.pack(0 if s in slots else e for s, e in enumerate(mono))
+        groups.setdefault(tuple(mono[s] for s in slots), {})[rest] = coeff
+    values = [
+        [packing.terms(f.hyperplane_value(i)) for i in range(f.d + 1)]
+        for f in source.factors
+    ]
+    powers: Dict[Tuple[int, int], List[Dict[int, int]]] = {}
+    sums: Dict[FixedPoint, Dict[int, int]] = {}
     for fp, const in zip(points, consts):
-        images = {slot: vals[i] for slot, vals, i in zip(slots, values, fp)}
-        term = _map_terms(cls, table, images) * (common // const)
-        image = map_image_fixed_point(mapping, fp)
-        sums[image] = sums[image] + term if image in sums else term
+        acc = sums.setdefault(map_image_fixed_point(mapping, fp), {})
+        for exps, rest in groups.items():
+            term = rest
+            for j, (i, e) in enumerate(zip(fp, exps)):
+                if e:
+                    power = powers.setdefault((j, i), [{0: 1}])
+                    while len(power) <= e:
+                        power.append(_add_product({}, power[-1], values[j][i]))
+                    term = _add_product({}, term, power[e])
+            _add_product(acc, term, {0: common // const})
     for factor in reversed(target.factors):
-        classes = _point_classes(factor, {q[-1] for q in sums})
-        contracted: Dict[FixedPoint, Poly] = {}
+        classes = _point_classes(factor, {q[-1] for q in sums}, packing)
+        contracted: Dict[FixedPoint, Dict[int, int]] = {}
         for q, partial in sums.items():
-            term = partial * classes[q[-1]]
-            prefix = q[:-1]
-            contracted[prefix] = (
-                contracted[prefix] + term if prefix in contracted else term
-            )
+            _add_product(contracted.setdefault(q[:-1], {}), partial, classes[q[-1]])
         sums = contracted
-    numerator = sums[()]
+    numerator = packing.poly(sums[()])
     try:
         return exact_divide(numerator, euler_forms(source) * common)
     except NotDivisible as exc:
         raise DenominatorResidue(str(exc)) from None
+
+
+def _compiled(p: Poly) -> List[Tuple[int, Tuple[Tuple[int, int], ...]]]:
+    """The terms of p as (coeff, ((slot, exp), ...)), zero exponents left out."""
+    return [
+        (c, tuple((slot, e) for slot, e in enumerate(m) if e))
+        for m, c in p.terms.items()
+    ]
+
+
+def _evaluate(compiled, values: Sequence[Optional[int]], names: Sequence[str]) -> int:
+    """A compiled polynomial at the values by slot, None for no value."""
+    total = 0
+    for coeff, factors in compiled:
+        for slot, e in factors:
+            if values[slot] is None:
+                raise PolyError(f"no value supplied for {names[slot]!r}")
+            coeff *= values[slot] ** e
+        total += coeff
+    return total
 
 
 def specialize_oracle(
@@ -363,11 +402,18 @@ def specialize_oracle(
         symbolic = pushforward(mapping, cls)
     rng = Random(seed)
     source, target = mapping.source, mapping.target
-    base_names = [
-        n
-        for n in source.table.names
-        if n not in source.hvars and n not in target.hvars
-    ]
+    if not cls.table == symbolic.table == source.table:
+        raise TableMismatch("class or value is not over the map's variable table")
+    names = source.table.names
+    base_slots = [s for s, n in enumerate(names) if n not in source.hvars + target.hvars]
+    # Each distinct weight form is evaluated once per draw.
+    forms = list(dict.fromkeys(w for f in source.factors + target.factors for w in (f.w0, f.w1)))
+    compiled_forms = [_compiled(w) for w in forms]
+    src, tgt = (
+        [(forms.index(f.w0), forms.index(f.w1), names.index(f.hvar), f.d) for f in side.factors]
+        for side in (source, target)
+    )
+    cls_terms, symbolic_terms = _compiled(cls), _compiled(symbolic)
     # The source points by image, each with the sign-and-factorial constant
     # of its Euler class, prod (-1)^i * i! * (d-i)!.
     fibres: Dict[FixedPoint, List[Tuple[FixedPoint, int]]] = {}
@@ -376,38 +422,35 @@ def specialize_oracle(
         for i, f in zip(fp, source.factors):
             const *= (-1) ** i * math.factorial(i) * math.factorial(f.d - i)
         fibres.setdefault(map_image_fixed_point(mapping, fp), []).append((fp, const))
+    values: List[Optional[int]] = [None] * len(names)
     for _ in range(trials):
         while True:
-            values: Dict[str, int] = {n: rng.randint(-12, 12) for n in base_names}
-            src_w = [
-                (f.w0.evaluate(values), f.w1.evaluate(values))
-                for f in source.factors
-            ]
+            for slot in base_slots:
+                values[slot] = rng.randint(-12, 12)
+            weights = [_evaluate(w, values, names) for w in compiled_forms]
+            src_w = [(weights[a], weights[b]) for a, b, _, _ in src]
             if all(w0 != w1 for w0, w1 in src_w):
                 break
-        tgt_w = [
-            (f.w0.evaluate(values), f.w1.evaluate(values)) for f in target.factors
-        ]
-        target_point = tuple(rng.randint(0, f.d) for f in target.factors)
+        target_point = tuple(rng.randint(0, d) for _, _, _, d in tgt)
         point_value = 1
-        for f, (w0, w1), i in zip(target.factors, tgt_w, target_point):
-            h = values[f.hvar] = w0 * i + w1 * (f.d - i)
-            for j in range(f.d + 1):
+        for (a, b, slot, d), i in zip(tgt, target_point):
+            w0, w1 = weights[a], weights[b]
+            h = values[slot] = w0 * i + w1 * (d - i)
+            for j in range(d + 1):
                 if j != i:
-                    point_value *= h - j * w0 - (f.d - j) * w1
-        euler_forms = 1
-        for f, (w0, w1) in zip(source.factors, src_w):
-            euler_forms *= (w1 - w0) ** f.d
+                    point_value *= h - j * w0 - (d - j) * w1
+        euler_forms = math.prod((w1 - w0) ** d for (w0, w1), (*_, d) in zip(src_w, src))
         fibre = fibres.get(target_point, ())
         common = math.lcm(*(const for _, const in fibre))
         total = 0
         # Every point sets all the source h-variables, so one copy of the
         # trial's values serves them all.
-        sub = dict(values)
+        sub = list(values)
         for fp, const in fibre:
-            for f, (w0, w1), i in zip(source.factors, src_w, fp):
-                sub[f.hvar] = w0 * i + w1 * (f.d - i)
-            total += cls.evaluate(sub) * (common // const)
-        if total * point_value != symbolic.evaluate(values) * common * euler_forms:
+            for (w0, w1), (_, _, slot, d), i in zip(src_w, src, fp):
+                sub[slot] = w0 * i + w1 * (d - i)
+            total += _evaluate(cls_terms, sub, names) * (common // const)
+        value = _evaluate(symbolic_terms, values, names)
+        if total * point_value != value * common * euler_forms:
             return False
     return True

@@ -4,7 +4,8 @@ Polynomials live over a fixed table of graded variables.  Coefficients are
 arbitrary-precision Python ints; monomials are dense exponent tuples, one
 slot per table variable.  Every operation returns a canonical value: zero
 coefficients are never stored, so two polynomials are equal iff their term
-mappings are equal.
+mappings are equal.  Exact division and the fixed-point sums pack each
+monomial into one int (`_Packing`) under an exponent bound of the call.
 
 Rendering follows one fixed convention (terms sorted by total grade, then
 lexicographically over the table order, both descending) so that rendered
@@ -341,22 +342,6 @@ class Poly:
             images[i] = Poly.var(new_table, target)
         return _map_terms(self, new_table, images)
 
-    # -- evaluation ----------------------------------------------------------
-
-    def evaluate(self, values: Mapping[str, object]):
-        """Evaluate at integer (or Fraction) values for every used variable."""
-        total = 0
-        for mono, coeff in self.terms.items():
-            term = coeff
-            for i, e in enumerate(mono):
-                if e:
-                    name = self.table.names[i]
-                    if name not in values:
-                        raise PolyError(f"no value supplied for {name!r}")
-                    term = term * values[name] ** e
-            total = total + term
-        return total
-
     # -- rendering -------------------------------------------------------------
 
     def sorted_terms(self) -> Tuple[Tuple[Monomial, int], ...]:
@@ -424,51 +409,103 @@ def _map_terms(p: Poly, table: VarTable, images: Mapping[int, Poly]) -> Poly:
     return Poly._canonical(table, {m: c for m, c in acc.items() if c})
 
 
+# -- packed monomials -----------------------------------------------------------
+
+
+class _Packing:
+    """One integer per monomial of a table with exponents at most `bound`:
+    the grade in the top bits, then one field per variable, slot 0 most
+    significant, each of bound.bit_length() bits plus a guard bit above
+    them.  A product of monomials is one addition, a field that overflows
+    or goes negative sets its guard bit, and integer order is the
+    canonical term order (grade, then table-lex)."""
+
+    def __init__(self, table: VarTable, bound: int):
+        n, width = len(table), bound.bit_length() + 1
+        self.table, self.mask = table, (1 << width) - 1
+        self.shifts = [(n - 1 - i) * width for i in range(n)]
+        self.guards = sum(1 << s + width - 1 for s in self.shifts)
+        self.units = [(1 << s) + (d << n * width) for s, d in zip(self.shifts, table.degrees)]
+
+    def pack(self, mono: Iterable[int]) -> int:
+        return sum(e * unit for e, unit in zip(mono, self.units) if e)
+
+    def terms(self, p: Poly) -> Dict[int, int]:
+        return {self.pack(m): c for m, c in p.terms.items()}
+
+    def poly(self, terms: Mapping[int, int]) -> Poly:
+        """The Poly of packed terms, zero coefficients dropped."""
+        shifts, mask = self.shifts, self.mask
+        terms = {tuple(k >> s & mask for s in shifts): c for k, c in terms.items() if c}
+        return Poly._canonical(self.table, terms)
+
+
+def _add_product(acc: Dict[int, int], a: Mapping, b: Mapping) -> Dict[int, int]:
+    """Add a * b into the packed terms acc (zeros may stay); return acc."""
+    get = acc.get
+    right = tuple(b.items())
+    for m1, c1 in a.items():
+        for m2, c2 in right:
+            m = m1 + m2
+            acc[m] = get(m, 0) + c1 * c2
+    return acc
+
+
 # -- exact division -------------------------------------------------------------
 
 
 def exact_divide(p: Poly, q: Poly) -> Poly:
     """Return r with r*q == p over the integers, or raise NotDivisible.
 
-    Greedy leading-term division under the canonical term order; any failed
-    step (monomial or coefficient non-divisibility) means no such r exists.
+    Greedy leading-term division under the canonical term order on packed
+    monomials whose exponent bound is the largest plain degree (sum of
+    exponents) of p: every term of an exact quotient times q stays within
+    it, so a difference or product that sets a guard bit, like any
+    coefficient non-divisibility, means no such r exists.
     """
     if q.table != p.table:
         raise TableMismatch("operands use different variable tables")
     if q.is_zero():
         raise PolyError("division by the zero polynomial")
-    table = p.table
-    q_terms = q.sorted_terms()
-    q_mono, q_coeff = q_terms[0]
-    rest = dict(p.terms)
+    if p.is_zero():
+        return p
 
-    def entry(m: Monomial) -> Tuple[int, Tuple[int, ...], Monomial]:
-        return -table.grade(m), tuple(-e for e in m), m  # negated render key
+    def not_divisible() -> NotDivisible:
+        return NotDivisible(f"{p.render()} is not divisible by {q.render()}")
 
-    # The leading term of `rest` is the first popped entry still in it.
-    heap = [entry(m) for m in rest]
+    bound = max(map(sum, p.terms))
+    if max(map(sum, q.terms)) > bound:
+        raise not_divisible()
+    packing = _Packing(p.table, bound)
+    guards = packing.guards
+    rest = packing.terms(p)
+    q_terms = sorted(packing.terms(q).items(), reverse=True)
+    q_lead, q_coeff = q_terms[0]
+    # The leading term of `rest` is the largest popped key still in it.
+    heap = [-key for key in rest]
     heapify(heap)
-    out: Dict[Monomial, int] = {}
+    out: Dict[int, int] = {}
     while heap:
-        mono = heappop(heap)[2]
-        if mono not in rest:
+        key = -heappop(heap)
+        coeff = rest.get(key)
+        if coeff is None:
             continue
-        coeff = rest[mono]
-        diff = tuple(a - b for a, b in zip(mono, q_mono))
-        if any(e < 0 for e in diff) or coeff % q_coeff:
-            raise NotDivisible(f"{p.render()} is not divisible by {q.render()}")
-        c = coeff // q_coeff
-        out[diff] = c
+        diff = key - q_lead
+        if diff & guards or coeff % q_coeff:
+            raise not_divisible()
+        c = out[diff] = coeff // q_coeff
         for m2, c2 in q_terms:
-            key = tuple(a + b for a, b in zip(diff, m2))
+            key = diff + m2
+            if key & guards:
+                raise not_divisible()
             val = rest.get(key, 0) - c * c2
             if val:
                 if key not in rest:
-                    heappush(heap, entry(key))
+                    heappush(heap, -key)
                 rest[key] = val
             else:
                 rest.pop(key, None)
-    return Poly(table, out)
+    return packing.poly(out)
 
 
 # -- symmetric rewriting ---------------------------------------------------------

@@ -40,7 +40,7 @@ from equichow.localization import (
     map_image_fixed_point,
     pushforward,
 )
-from equichow.poly import GradeMismatch, exact_divide
+from equichow.poly import GradeMismatch, NotDivisible, PolyError, TableMismatch
 
 
 def sparse(v):
@@ -468,6 +468,62 @@ def containment_ideal_equal(gens_a, gens_b, order=None):
     )
 
 
+def evaluate(p, values):
+    """p at integer (or Fraction) values for every used variable, by name."""
+    total = 0
+    for mono, coeff in p.terms.items():
+        term = coeff
+        for name, e in zip(p.table.names, mono):
+            if e:
+                if name not in values:
+                    raise PolyError(f"no value supplied for {name!r}")
+                term = term * values[name] ** e
+        total = total + term
+    return total
+
+
+def plain_exact_divide(p, q):
+    """r with r*q == p over the integers, or NotDivisible: greedy
+    leading-term division on exponent tuples under the canonical term
+    order, with no exponent bound."""
+    if q.table != p.table:
+        raise TableMismatch("operands use different variable tables")
+    if q.is_zero():
+        raise PolyError("division by the zero polynomial")
+    table = p.table
+    q_terms = q.sorted_terms()
+    q_mono, q_coeff = q_terms[0]
+    rest = dict(p.terms)
+
+    def entry(m):
+        return -table.grade(m), tuple(-e for e in m), m  # negated render key
+
+    # The leading term of `rest` is the first popped entry still in it.
+    heap = [entry(m) for m in rest]
+    heapify(heap)
+    out = {}
+    while heap:
+        mono = heappop(heap)[2]
+        if mono not in rest:
+            continue
+        coeff = rest[mono]
+        diff = tuple(a - b for a, b in zip(mono, q_mono))
+        if any(e < 0 for e in diff) or coeff % q_coeff:
+            raise NotDivisible(f"{p.render()} is not divisible by {q.render()}")
+        c = coeff // q_coeff
+        out[diff] = c
+        for m2, c2 in q_terms:
+            key = tuple(a + b for a, b in zip(diff, m2))
+            val = rest.get(key, 0) - c * c2
+            if val:
+                if key not in rest:
+                    heappush(heap, entry(key))
+                rest[key] = val
+            else:
+                rest.pop(key, None)
+    return Poly(table, out)
+
+
 def restrict_hyperplane(space, fp, factor):
     """Value of the factor's hyperplane class at the fixed point."""
     _check_point(space, fp)
@@ -510,7 +566,7 @@ def plain_pushforward(mapping, cls):
         restricted = cls.substitute(fixed_point_substitution(source, fp))
         image = point_class(target, map_image_fixed_point(mapping, fp))
         numerator = numerator + restricted * image * (common // const)
-    return exact_divide(numerator, euler_forms(source) * common)
+    return plain_exact_divide(numerator, euler_forms(source) * common)
 
 
 def plain_specialize_oracle(
@@ -556,13 +612,13 @@ def plain_specialize_oracle(
                 n: rng.randint(-12, 12) for n in base_names
             }
             src_w = [
-                (f.w0.evaluate(values), f.w1.evaluate(values))
+                (evaluate(f.w0, values), evaluate(f.w1, values))
                 for f in source.factors
             ]
             if all(w0 != w1 for w0, w1 in src_w):
                 break
         tgt_w = [
-            (f.w0.evaluate(values), f.w1.evaluate(values)) for f in target.factors
+            (evaluate(f.w0, values), evaluate(f.w1, values)) for f in target.factors
         ]
         target_point = tuple(rng.randint(0, f.d) for f in target.factors)
         for f, (w0, w1), i in zip(target.factors, tgt_w, target_point):
@@ -585,8 +641,8 @@ def plain_specialize_oracle(
             # the trial's values serves them all.
             for f, (w0, w1), i in zip(source.factors, src_w, fp):
                 sub[f.hvar] = w0 * i + w1 * (f.d - i)
-            lhs += Fraction(cls.evaluate(sub) * point_value, const * euler_forms)
-        rhs = symbolic.evaluate(values)
+            lhs += Fraction(evaluate(cls, sub) * point_value, const * euler_forms)
+        rhs = evaluate(symbolic, values)
         if lhs != rhs:
             return False
     return True

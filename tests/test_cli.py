@@ -374,6 +374,42 @@ def test_repeated_section_is_rejected(tmp_path, capsys, command, base, extra, he
     assert (code, out, err) == (2, "", f"error: line {lineno}: repeated section [{header}]\n")
 
 
+@pytest.mark.parametrize(
+    "command, base, old, new, key, section",
+    [
+        (["push"], "cubing.job", "seed = 7\n", "oracle_trials = 5\n", "oracle_trials", "options"),
+        (["push"], "cubing.job", "exponents = 3\n", "exponents = 2\n", "exponents", "map"),
+        (["push"], "cubing.job", "target_h = h\n", "target_h = h\n", "target_h", "map"),
+        (["push"], "cubing.job", "[map]\n", "product\nproduct\n", "product", "map"),
+        (["fiber-check"], "patch_square.job", "vars = l1 l2\n", "vars = l1\n", "vars", "ring C"),
+        (["fiber-check"], "patch_square.job", "e = d1*x\n", "e = 0\n", "e", "hom A->B"),
+        (
+            ["fiber-check"],
+            "patch_square.job",
+            "degree_bound = 8\n",
+            "degree_bound = 2\n",
+            "degree_bound",
+            "options",
+        ),
+    ],
+    ids=["options", "exponents", "target-h", "product", "ring-vars", "hom-image", "square-options"],
+)
+def test_repeated_key_is_rejected(tmp_path, capsys, command, base, old, new, key, section):
+    """A single-valued key given twice in one section exits 2 naming the
+    line of the repeat; it is not read as its last value.  The lines in
+    `new` go right after `old`, and the last of them repeats the key."""
+    with open(os.path.join(JOBS, base), "r", encoding="utf-8") as fh:
+        text = fh.read()
+    end = text.index(old) + len(old)
+    text = text[:end] + new + text[end:]
+    job = tmp_path / "repeated.job"
+    job.write_text(text)
+    lineno = text[: end + len(new)].count("\n")
+    code, out, err = run_cli([*command, str(job)], capsys)
+    message = f"error: line {lineno}: repeated key {key!r} in [{section}]\n"
+    assert (code, out, err) == (2, "", message)
+
+
 @pytest.mark.parametrize("option", ["oracle_trials = 20", "seed = 7"])
 def test_square_job_rejects_oracle_options(tmp_path, capsys, option):
     """fiber-check draws nothing at random and runs no oracle, so a square

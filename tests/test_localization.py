@@ -20,6 +20,7 @@ from equichow import (
 )
 from equichow.jobfile import MAX_TARGET_DIMENSION
 from equichow.localization import DescriptorError, _point_classes
+from equichow.poly import _Packing
 from oracles import (
     plain_pushforward,
     plain_specialize_oracle,
@@ -100,8 +101,11 @@ def test_shared_product_classes_equal_point_class(pair):
     for d in range(1, MAX_TARGET_DIMENSION + 1):
         factor = SpaceFactor(d, pair[0], pair[1], "h")
         one = SpaceDescriptor([factor])
-        classes = _point_classes(factor, range(d + 1))
-        assert classes == {i: point_class(one, (i,)) for i in range(d + 1)}
+        packing = _Packing(CLASS_TABLE, d)
+        classes = _point_classes(factor, range(d + 1), packing)
+        assert {i: packing.poly(c) for i, c in classes.items()} == {
+            i: point_class(one, (i,)) for i in range(d + 1)
+        }
 
 
 def test_point_class_rejects_bad_index():
@@ -325,7 +329,7 @@ def test_oracle_rejects_corruption_of_the_right_degree():
 
 def test_oracle_is_independent_of_pushforward(monkeypatch):
     """The oracle still passes true values with every symbolic kernel of
-    `pushforward` made to raise."""
+    `pushforward`, the packed ones too, made to raise."""
     t, product = three_factor_product()
     cases = [(mixed_map(), H1 * H1), (product, Poly.var(t, "u1") * Poly.var(t, "u2"))]
     values = [pushforward(mapping, cls) for mapping, cls in cases]
@@ -333,7 +337,9 @@ def test_oracle_is_independent_of_pushforward(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle used the engine it checks")
 
-    for name in ("pushforward", "_point_classes", "euler_constant", "euler_forms"):
+    kernels = ("pushforward", "_point_classes", "euler_constant", "euler_forms")
+    packed = ("_Packing", "_add_product", "exact_divide")
+    for name in kernels + packed:
         monkeypatch.setattr(localization, name, forbidden)
     for (mapping, cls), good in zip(cases, values):
         assert specialize_oracle(mapping, cls, trials=20, seed=0, symbolic=good)
@@ -442,11 +448,12 @@ def test_pushforward_agrees_with_the_plain_sum(product, data):
     assert pushforward(mapping, cls) == plain_pushforward(mapping, cls)
 
 
-def degree_fifteen_multiplication():
+def degree_fifteen_multiplication(table=RANDOM_TABLE):
     """Two P^3 factors under the exponents 2 and 3: one target factor of
     degree 15."""
+    g1, g2 = Poly.var(table, "g1"), Poly.var(table, "g2")
     space = SpaceDescriptor(
-        [SpaceFactor(3, RG1, RG2, "u1"), SpaceFactor(3, RG1, RG2, "u2")]
+        [SpaceFactor(3, g1, g2, "u1"), SpaceFactor(3, g1, g2, "u2")]
     )
     return MapDescriptor.multiplication(space, [2, 3], "h")
 
@@ -475,4 +482,18 @@ def test_pushforward_agrees_with_the_plain_sum_at_high_degree(build, degrees, cl
     assert tuple(f.d for f in mapping.target.factors) == degrees
     assert sum(degrees) <= MAX_TARGET_DIMENSION
     cls = parse_poly(cls, RANDOM_TABLE)
+    assert pushforward(mapping, cls) == plain_pushforward(mapping, cls)
+
+
+# RANDOM_TABLE with a variable of degree 2 that no weight uses.
+CAP_TABLE = VarTable(list(zip(RANDOM_TABLE.names, RANDOM_TABLE.degrees)) + [("l", 2)])
+
+
+@pytest.mark.parametrize("cls", ["g1^31*u1 + l^7*u2^3 + 5", "l^32*u1^3*u2^3 - g1"])
+def test_pushforward_agrees_with_the_plain_sum_at_the_exponent_cap(cls):
+    """Inhomogeneous classes with exponents up to the parser's cap, one in
+    a variable of degree 2, on the target factor of degree 15: the packed
+    fields must hold deg(cls) + 15 in every slot."""
+    mapping = degree_fifteen_multiplication(CAP_TABLE)
+    cls = parse_poly(cls, CAP_TABLE)
     assert pushforward(mapping, cls) == plain_pushforward(mapping, cls)

@@ -23,6 +23,7 @@ from equichow.pipeline import (
     step_transfer,
     step_triple_root_class,
 )
+from oracles import evaluate
 
 
 @pytest.fixture(scope="module")
@@ -190,7 +191,7 @@ def test_triple_root_class_symmetric_before_restriction(fx):
     assert value.substitute({"t1": t2, "t2": t1}) == value
     # independent integer specialization of the restricted value
     restricted = value.substitute({"h": 2 * (t1 + t2)})
-    lhs = restricted.evaluate({"t1": 2, "t2": 5, "h1": 0, "h2": 0, "h": 0})
+    lhs = evaluate(restricted, {"t1": 2, "t2": 5, "h1": 0, "h2": 0, "h": 0})
     e1, e2 = 2 + 5, 2 * 5
     assert lhs == 24 * e1**2 - 48 * e2
 

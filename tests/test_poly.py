@@ -16,7 +16,10 @@ from equichow import (
     parse_poly,
     to_elementary_symmetric,
 )
+from equichow.poly import _Packing
+from equichow.textio import MAX_EXPONENT
 from conftest import random_poly
+from oracles import evaluate, plain_exact_divide
 
 
 def v(table, name):
@@ -182,9 +185,9 @@ def test_change_table_roundtrip(ambient_table):
 def test_evaluate():
     t = VarTable([("a", 1), ("b", 1)])
     p = 3 * v(t, "a") ** 2 - v(t, "b")
-    assert p.evaluate({"a": 2, "b": 5}) == 7
-    with pytest.raises(PolyError):
-        p.evaluate({"a": 2})
+    assert evaluate(p, {"a": 2, "b": 5}) == 7
+    with pytest.raises(PolyError, match="no value supplied for 'b'"):
+        evaluate(p, {"a": 2})
 
 
 # Property tests on a small weighted table.  Draws include zero
@@ -229,3 +232,47 @@ def test_results_are_canonical(p, q, n):
 @given(polys)
 def test_render_parse_round_trip(p):
     assert parse_poly(p.render(), WT) == p
+
+
+# Exact division on packed monomials against the division on exponent
+# tuples, with exponents up to the parser's cap and c of degree 2.
+capped_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, MAX_EXPONENT)] * len(WT)),
+    st.integers(-5, 5),
+    max_size=3,
+).map(lambda terms: Poly(WT, terms))
+
+
+def division_outcome(divide, p, q):
+    try:
+        return divide(p, q)
+    except NotDivisible:
+        return NotDivisible
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(capped_polys, capped_polys.filter(bool), polys, st.integers(-3, 3))
+def test_exact_divide_matches_the_plain_division(p, q, small, c):
+    """Exact products give p back; products plus a small polynomial or
+    plus c times a monomial of q (perturbed, almost never exact) get the
+    verdict and the quotient of the division on exponent tuples."""
+    assert exact_divide(p * q, q) == p
+    top = max(q.terms)
+    for dividend in (p * q + small, p * q + Poly(WT, {top: c}), p):
+        assert division_outcome(exact_divide, dividend, q) == division_outcome(
+            plain_exact_divide, dividend, q
+        )
+
+
+def test_exact_divide_rejects_before_a_field_overflows():
+    """y^9 over y + x^9 (y of grade 10, so y leads) is not exact.  The
+    greedy quotient y^8 - x^9*y^7 + x^18*y^6 - x^27*y^5 + x^36*y^4 ...
+    passes the dividend's exponent bound 9, and x^36 does not fit the
+    5-bit field with its guard bit: unchecked, it would carry into the
+    field of y above it."""
+    t = VarTable([("y", 10), ("x", 1)])
+    y, x = v(t, "y"), v(t, "x")
+    assert _Packing(t, 9).mask == 2**5 - 1 < 36
+    for divide in (exact_divide, plain_exact_divide):
+        with pytest.raises(NotDivisible, match=r"y\^9 is not divisible by y \+ x\^9"):
+            divide(y**9, y + x**9)
