@@ -1,35 +1,24 @@
-"""Exact integer linear algebra on sparse vectors: Smith normal form,
-relations, lattices.
+"""Exact integer linear algebra on sparse vectors: Smith invariants,
+echelon forms, relations and lattice membership.
 
 Every vector is a dict {index: value} of Python ints holding only its
 non-zero entries, so nothing ever overflows or rounds and a vector costs
 only its support.  The matrices of the patching step are nearly empty (at
-degree bound 10 the largest, 78 x 102, has 102 non-zero entries).  The
-Smith routine takes a matrix as its sparse rows; `Lattice` and
-`quotient_invariants` take sparse columns and transpose them once.  The
-Smith routine keeps an index from each column to the rows where it is
-non-zero and the row transform U as sparse rows, so a pivot search, a swap
-or an elementary operation touches only non-zero entries.  Only U is kept:
-the rows of U past the rank are the integer relations among the rows of M,
-and the lattice coordinates read U alone.
+degree bound 10 the largest, 78 x 102, has 102 non-zero entries).  Both
+routines take a matrix as its sparse rows and use the same pivot rule: the
+smallest |entry| reduces the others by balanced remainders.  `echelon`
+does the kernels and the memberships: its pivot rows are a basis of the
+lattice the rows span, which `coordinates` reads, and the transforms of
+the rows that reach zero are a basis of the relations among the rows.
+Only the invariants need `smith_normal_form`, which keeps no transform.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 Sparse = Dict[int, int]
-
-
-def _transpose(vectors: Sequence[Sparse], size: int) -> List[Sparse]:
-    """The `size` sparse rows of the matrix whose columns are `vectors`
-    (every index below `size`), or its columns given its rows."""
-    out: List[Sparse] = [{} for _ in range(size)]
-    for j, vec in enumerate(vectors):
-        for i, x in vec.items():
-            out[i][j] = x
-    return out
 
 
 def _add_multiple(dst: Sparse, src: Sparse, q: int):
@@ -43,41 +32,30 @@ def _add_multiple(dst: Sparse, src: Sparse, q: int):
             del dst[k]
 
 
-@dataclass
-class SmithDecomposition:
-    """D = U * M * V with U, V unimodular and D diagonal, d1 | d2 | ...
-
-    `factors` lists the nonzero diagonal entries (all positive).  `u` holds
-    the rows of U, each a sparse dict {index: value}: row i of U combines
-    the rows of M into a row that is d_i times a row of V^-1 for i below
-    `rank` and zero from `rank` on, so those later rows of U are a basis of
-    the integer relations among the rows of M.  V is not kept.
-    """
-
-    factors: Tuple[int, ...]
-    u: List[Sparse]
-
-    @property
-    def rank(self) -> int:
-        return len(self.factors)
+def _balanced_quotient(value: int, pivot: int) -> int:
+    """q with |value - q * pivot| <= |pivot| / 2."""
+    q, r = divmod(value, pivot)
+    if 2 * abs(r) > abs(pivot):
+        q += 1
+    return q
 
 
-def smith_normal_form(m: Sequence[Sparse]) -> SmithDecomposition:
-    """Diagonalize an integer matrix, given as its sparse rows, by
-    unimodular row/column operations.
+def smith_normal_form(m: Sequence[Sparse]) -> Tuple[int, ...]:
+    """The invariant factors d1 | d2 | ... (the non-zero diagonal entries,
+    all positive) of an integer matrix given as its sparse rows, found by
+    unimodular row/column operations that keep no transform.
 
     The rows are copied without their zero entries, so a stored 0 is never
     taken for a pivot, and the column count is one past the largest index
-    left.  `where[j]` is the set of rows non-zero in column j; every row
-    operation is applied to U's sparse rows as well.  Pivot choice is the
-    smallest nonzero absolute value of the remaining block (ties broken by
-    position, row first), which keeps entry growth mild.  Once a pivot has
-    cleared its row and column, an entry of the remaining block that it
-    does not divide has its row added to the pivot row, and the pivot is
-    chosen again; so the divisibility chain holds as each pivot is fixed,
-    with no pass after the loop.  Rows and columns before the pivot hold
-    only their finished pivots, so the remaining block is all of rows t
-    onwards, and elimination ends when those rows are empty.
+    left.  `where[j]` is the set of rows non-zero in column j.  Pivot choice
+    is the smallest nonzero absolute value of the remaining block (ties
+    broken by position, row first), which keeps entry growth mild.  Once a
+    pivot has cleared its row and column, an entry of the remaining block
+    that it does not divide has its row added to the pivot row, and the
+    pivot is chosen again; so the divisibility chain holds as each pivot is
+    fixed, with no pass after the loop.  Rows and columns before the pivot
+    hold only their finished pivots, so the remaining block is all of rows
+    t onwards, and elimination ends when those rows are empty.
     """
     rows = len(m)
     a: List[Sparse] = [{j: x for j, x in row.items() if x} for row in m]
@@ -86,7 +64,6 @@ def smith_normal_form(m: Sequence[Sparse]) -> SmithDecomposition:
     for i, row in enumerate(a):
         for j in row:
             where[j].add(i)
-    u: List[Sparse] = [{i: 1} for i in range(rows)]
 
     def swap_rows(i, j):
         if i == j:
@@ -96,7 +73,6 @@ def smith_normal_form(m: Sequence[Sparse]) -> SmithDecomposition:
         for k in a[j]:
             where[k].remove(j)
         a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
         for k in a[i]:
             where[k].add(i)
         for k in a[j]:
@@ -128,7 +104,6 @@ def smith_normal_form(m: Sequence[Sparse]) -> SmithDecomposition:
             else:
                 del row[k]
                 where[k].remove(dst)
-        _add_multiple(u[dst], u[src], q)
 
     def add_col(src, dst, q):
         # col dst += q * col src
@@ -145,12 +120,6 @@ def smith_normal_form(m: Sequence[Sparse]) -> SmithDecomposition:
             else:
                 del row[dst]
                 col.remove(r)
-
-    def balanced_quotient(value, pivot):
-        q, r = divmod(value, pivot)
-        if 2 * abs(r) > abs(pivot):
-            q += 1
-        return q
 
     # Every entry of the remaining block is a multiple of `known`: of 1 at
     # the start, and of a pivot once the scan below has found no stray
@@ -184,11 +153,11 @@ def smith_normal_form(m: Sequence[Sparse]) -> SmithDecomposition:
             p = a[t][t]
             clean = True
             for i in [i for i in where[t] if i != t]:
-                add_row(t, i, -balanced_quotient(a[i][t], p))
+                add_row(t, i, -_balanced_quotient(a[i][t], p))
                 if t in a[i]:
                     clean = False
             for j, x in [(j, x) for j, x in a[t].items() if j != t]:
-                add_col(t, j, -balanced_quotient(x, p))
+                add_col(t, j, -_balanced_quotient(x, p))
                 if j in a[t]:
                     clean = False
             if not clean:
@@ -204,74 +173,89 @@ def smith_normal_form(m: Sequence[Sparse]) -> SmithDecomposition:
                 known = abs(p)
                 break
             add_row(stray, t, 1)
-        if a[t][t] < 0:
-            a[t][t] = -a[t][t]
-            u[t] = {k: -x for k, x in u[t].items()}
         t += 1
 
-    factors = tuple(a[i][i] for i in range(t))
-    return SmithDecomposition(factors, u)
+    return tuple(abs(a[i][i]) for i in range(t))
 
 
-class Lattice:
-    """The sublattice of Z^dim spanned by sparse integer columns.
+def echelon(rows: Sequence[Sparse]) -> Tuple[Dict[int, Sparse], List[Sparse]]:
+    """A row echelon form of the sparse rows by unimodular row operations,
+    and the relations among the rows from its transform (Cohen, A Course in
+    Computational Algebraic Number Theory, section 2.4).
 
-    With M the matrix of the non-zero columns and U M V = D its Smith
-    decomposition, M V = U^-1 D, so the columns d_i * U^-1 e_i for i below
-    `rank` are a basis of the lattice, and `coordinates` works in that
-    basis.  U is transposed once into sparse columns, so a coordinate
-    computation touches only the columns of U in the support of its vector.
+    Columns are cleared in increasing order.  Among the rows whose first
+    non-zero entry lies in column j, the one of smallest |lead| reduces the
+    others by balanced remainders, and the smallest is chosen again until
+    one row is left: the pivot row of column j.  The others move on to
+    their new first column.  Every row carries its transform, the sparse
+    combination of the input rows that it equals.
+
+    Returns `pivots`, {column: pivot row} in increasing column order, a
+    basis of the lattice the rows span; and `kernel`, the transforms of the
+    rows that reached zero, a basis of the integer relations among the rows.
     """
+    pivots: Dict[int, Sparse] = {}
+    kernel: List[Sparse] = []
+    waiting: Dict[int, List[Tuple[Sparse, Sparse]]] = {}
+    columns: List[int] = []
 
-    def __init__(self, columns: Sequence[Sparse], dim: int):
-        self.dec = smith_normal_form(_transpose([c for c in columns if c], dim))
-        self.rank = self.dec.rank
-        self._u_columns = _transpose(self.dec.u, dim)
+    def place(row: Sparse, transform: Sparse):
+        if not row:
+            kernel.append(transform)
+            return
+        j = min(row)
+        if j not in waiting:
+            waiting[j] = []
+            heappush(columns, j)
+        waiting[j].append((row, transform))
 
-    def coordinates(self, v: Sparse) -> Optional[Sparse]:
-        """y = D^-1 U v, sparse and below the rank, so that v is the sum of
-        y_i * d_i * U^-1 e_i; None when v is not in the lattice."""
-        uv: Sparse = {}
-        for k, x in v.items():
-            for i, c in self._u_columns[k].items():
-                uv[i] = uv.get(i, 0) + c * x
-        factors = self.dec.factors
-        y: Sparse = {}
-        for i, c in uv.items():
-            if not c:
-                continue
-            if i >= self.rank:
-                return None
-            q, r = divmod(c, factors[i])
-            if r:
-                return None
-            y[i] = q
-        return y
+    for i, row in enumerate(rows):
+        place({j: x for j, x in row.items() if x}, {i: 1})
+    while columns:
+        j = heappop(columns)
+        group = waiting.pop(j)
+        while len(group) > 1:
+            pivot, transform = group.pop(min(range(len(group)), key=lambda k: abs(group[k][0][j])))
+            rest = [(pivot, transform)]
+            for row, t in group:
+                # |row[j]| >= |pivot[j]|, so the quotient is not zero.
+                q = -_balanced_quotient(row[j], pivot[j])
+                _add_multiple(row, pivot, q)
+                _add_multiple(t, transform, q)
+                if j in row:
+                    rest.append((row, t))
+                else:
+                    place(row, t)
+            group = rest
+        pivots[j] = group[0][0]
+    return pivots, kernel
+
+
+def coordinates(pivots: Dict[int, Sparse], v: Sparse) -> Optional[Sparse]:
+    """y with v = sum of y[j] * pivots[j], for `pivots` from `echelon`; None
+    when v is not in the lattice they span.  Each step clears the first
+    entry left of v with the pivot row of its column, so only the pivots v
+    reaches are read."""
+    rest = {k: x for k, x in v.items() if x}
+    y: Sparse = {}
+    while rest:
+        j = min(rest)
+        row = pivots.get(j)
+        if row is None:
+            return None
+        q, r = divmod(rest[j], row[j])
+        if r:
+            return None
+        y[j] = q
+        _add_multiple(rest, row, -q)
+    return y
 
 
 def quotient_invariants(
     ambient_rank: int, subgroup_columns: Sequence[Sparse]
 ) -> Tuple[int, Tuple[int, ...]]:
-    """Free rank and torsion of Z^ambient_rank / <sparse columns>."""
-    live = [c for c in subgroup_columns if c]
-    if not live:
-        return ambient_rank, ()
-    factors = smith_normal_form(_transpose(live, ambient_rank)).factors
-    free = ambient_rank - len(factors)
-    torsion = tuple(f for f in factors if f != 1)
-    return free, torsion
-
-
-def preimage_generators(
-    columns: Sequence[Sparse], target_columns: Sequence[Sparse], domain_dim: int
-) -> List[Sparse]:
-    """Sparse generators of the lattice {v : M v lies in <target_columns>},
-    with `columns` the domain_dim sparse columns of M.
-
-    The rows of U past the rank, for the matrix whose rows are the columns
-    of M and the non-zero targets, are a basis of the integer relations
-    among those vectors; their entries below `domain_dim` generate the
-    lattice.
-    """
-    dec = smith_normal_form([*columns, *(c for c in target_columns if c)])
-    return [{k: x for k, x in rel.items() if k < domain_dim} for rel in dec.u[dec.rank :]]
+    """Free rank and torsion of Z^ambient_rank / <sparse columns>.  The
+    columns go to the Smith form as its rows: a matrix and its transpose
+    have the same invariant factors."""
+    factors = smith_normal_form(subgroup_columns) if any(subgroup_columns) else ()
+    return ambient_rank - len(factors), tuple(f for f in factors if f != 1)

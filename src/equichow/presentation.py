@@ -4,9 +4,10 @@ A presentation is a graded variable table plus homogeneous relation
 polynomials.  Degree by degree the ring is a finitely generated abelian
 group (the monomials off the monic leads of a strong Groebner basis, modulo
 the multiples of the other leads), which Smith normal form turns into rank
-and torsion data.  That is enough to verify, degree by degree, that a
-commuting square of presentations is cartesian.  The module also decides
-in every degree whether an element is a non-zero-divisor, by a colon ideal.
+and torsion data.  Echelon forms of the same lattices verify, degree by
+degree, that a commuting square of presentations is cartesian.  The module
+also decides in every degree whether an element is a non-zero-divisor, by
+a colon ideal.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .groebner import IdealBasis, Lead, MonomialOrder, ideal_intersection, normal_form
 from .groebner import _KeyCache, _lead, _mono_divides, _mono_sub, _reduce, strong_groebner
-from .intlinalg import Lattice, Sparse, preimage_generators, quotient_invariants
+from .intlinalg import Sparse, coordinates, echelon, quotient_invariants
 from .poly import GradeMismatch, Monomial, Poly, PolyError, VarTable, _map_terms, exact_divide
 
 
@@ -271,11 +272,15 @@ def verify_cartesian(square: CartesianSquareSpec, degree_bound: int) -> Cartesia
     """Check degree by degree that A maps isomorphically onto the fiber
     product of B and C over D.
 
-    For each degree n the fiber product is the kernel of the difference map
-    B_n + C_n -> D_n computed on integer lattices; the corner map is an
-    isomorphism iff it is surjective onto the fiber product and both groups
-    have equal Smith invariants (finitely generated abelian groups are
-    Hopfian, so a surjection between isomorphic groups is injective).
+    In degree n the fiber product is the kernel of the difference map
+    B_n + C_n -> D_n, so the square is cartesian there iff
+    0 -> A_n -> B_n + C_n -> D_n is exact: A_n -> B_n + C_n is injective
+    and its image is the whole kernel.  Three echelon forms decide both on
+    integer lattices, with no Smith form.  On a pass A_n is isomorphic
+    to the fiber product, so the fiber invariants are the corner's; only a
+    failing degree computes them.  The verdict equals "equal invariants and
+    surjective onto the fiber product": a surjection between isomorphic
+    finitely generated abelian groups is injective (they are Hopfian).
     Each of bd, cd, ab and ac has its own image memo, for this call only.
     """
     memo: Tuple[Dict[int, Dict[Monomial, Poly]], ...] = ({}, {}, {}, {})
@@ -284,36 +289,26 @@ def verify_cartesian(square: CartesianSquareSpec, degree_bound: int) -> Cartesia
 
 def _check_degree(square: CartesianSquareSpec, n: int, memo: Tuple[dict, ...]) -> DegreeCheck:
     pa, pb, pc, pd = (ring.piece(n) for ring in (square.a, square.b, square.c, square.d))
-    mon_b = len(pb.monomials)
+    mon_a, mon_b = len(pa.monomials), len(pb.monomials)
     dim = mon_b + len(pc.monomials)
 
     def shifted(col: Sparse) -> Sparse:
         """A column of C_n as a column of B_n + C_n."""
         return {k + mon_b: x for k, x in col.items()}
 
-    # Columns of the difference map B_n + C_n -> D_n over the monomial bases.
+    # F_n, the lattice over the fiber product: the relations among the rows
+    # [difference map; relations of D_n], cut to B_n + C_n's coordinates.
     # `vector` reduces what it is given, so the images skip the normal form.
     cols_bd = pd.image_columns(pb, square.bd, memo[0])
     cols_cd = pd.image_columns(pc, square.cd, memo[1])
     diff = cols_bd + [{k: -x for k, x in col.items()} for col in cols_cd]
-    fiber_lattice = Lattice(preimage_generators(diff, pd.relations, dim), dim)
+    _, relations_d = echelon(diff + pd.relations)
+    fiber = [{k: x for k, x in rel.items() if k < dim} for rel in relations_d]
 
-    def coords(columns: List[Sparse]) -> List[Sparse]:
-        out = []
-        for col in columns:
-            y = fiber_lattice.coordinates(col)
-            if y is None:
-                raise PolyError("a column escapes the fiber lattice")
-            out.append(y)
-        return out
-
-    sub = coords(pb.relations + [shifted(col) for col in pc.relations])
-    fiber = quotient_invariants(fiber_lattice.rank, sub)
-
-    corner = pa.invariants()
-
-    # A_n maps onto the fiber product iff its images and the relations of
-    # B_n + C_n span the fiber lattice.
+    # One echelon form of the rows [images of A's monomials; relations of
+    # B_n + C_n]: its pivots span the image, and the relations among its
+    # rows, cut to A's coordinates, span the kernel of Z^N_A -> B_n + C_n.
+    relations = pb.relations + [shifted(col) for col in pc.relations]
     images = [
         {**ab_col, **shifted(ac_col)}
         for ab_col, ac_col in zip(
@@ -321,10 +316,24 @@ def _check_degree(square: CartesianSquareSpec, n: int, memo: Tuple[dict, ...]) -
             pc.image_columns(pa, square.ac, memo[3]),
         )
     ]
-    surjective = quotient_invariants(fiber_lattice.rank, sub + coords(images)) == (0, ())
+    span, relations_a = echelon(images + relations)
+    surjective = all(coordinates(span, f) is not None for f in fiber)
+    corner_span, _ = echelon(pa.relations)
+    injective = all(
+        coordinates(corner_span, {k: x for k, x in rel.items() if k < mon_a}) is not None
+        for rel in relations_a
+    )
 
-    passed = corner == fiber and surjective
-    return DegreeCheck(n, passed, corner, fiber, surjective)
+    corner = pa.invariants()
+    if injective and surjective:
+        return DegreeCheck(n, True, corner, corner, True)
+    # The fiber product is F_n modulo the relations of B_n + C_n, read in a
+    # basis of F_n.
+    basis, _ = echelon(fiber)
+    sub = [coordinates(basis, col) for col in relations]
+    if None in sub:
+        raise PolyError("a column escapes the fiber lattice")
+    return DegreeCheck(n, False, corner, quotient_invariants(len(basis), sub), surjective)
 
 
 def is_nonzerodivisor(pres: RingPresentation, f: Poly) -> bool:

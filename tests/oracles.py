@@ -1,15 +1,17 @@
 """Test-only oracles: dense matrix helpers, converters between dense
 lists and the engine's sparse vectors, the dense Smith normal form,
-lattice and preimage generators that the sparse ones are checked against,
-the defining check of a strong Groebner basis, the relation-times-monomial
-graded pieces that the Groebner-staircase pieces are checked against,
-ring-map columns with each image built from scratch, vectors always taken
-through the reduction, the non-zero-divisor check degree by degree up to a
-bound, division with a full scan of the leads for every term, completion
-without pair criteria, ideal equality by mutual containment, the
-hyperplane value and the point class at a fixed point, the fixed-point sum
-taken one source point at a time, and the specialization oracle that visits
-every source point with a rational running sum."""
+lattice and preimage generators that the sparse Smith form and echelon
+form are checked against, the cartesian check of one degree by five
+dense Smith forms, the defining check of a strong Groebner basis, the
+relation-times-monomial graded pieces that the Groebner-staircase pieces
+are checked against, ring-map columns with each image built from
+scratch, vectors always taken through the reduction, the
+non-zero-divisor check degree by degree up to a bound, division with a
+full scan of the leads for every term, completion without pair criteria,
+ideal equality by mutual containment, the hyperplane value and the point
+class at a fixed point, the fixed-point sum taken one source point at a
+time, and the specialization oracle that visits every source point with
+a rational running sum."""
 
 import math
 from fractions import Fraction
@@ -29,7 +31,7 @@ from equichow.groebner import (
     gpolynomial,
     spolynomial,
 )
-from equichow.intlinalg import Lattice, preimage_generators, quotient_invariants
+from equichow.intlinalg import quotient_invariants
 from equichow.localization import (
     DescriptorError,
     MapDescriptor,
@@ -41,6 +43,7 @@ from equichow.localization import (
     pushforward,
 )
 from equichow.poly import GradeMismatch, NotDivisible, PolyError, TableMismatch
+from equichow.presentation import DegreeCheck
 
 
 def sparse(v):
@@ -71,12 +74,6 @@ def mat_vec(a, v):
     """A * v, multiplying only the non-zero entries of v."""
     support = [(k, x) for k, x in enumerate(v) if x]
     return [sum(row[k] * x for k, x in support) for row in a]
-
-
-def dense_u(dec):
-    """The U of a Smith decomposition as a dense matrix."""
-    size = len(dec.u)
-    return [[row.get(k, 0) for k in range(size)] for row in dec.u]
 
 
 def dense_smith_normal_form(m):
@@ -208,8 +205,9 @@ def dense_preimage_generators(columns, target_columns, domain_dim):
 
 
 class DenseLattice:
-    """`Lattice` on the dense Smith normal form: the span of the non-zero
-    columns, with coordinates D^-1 U v over the first rank columns of M V."""
+    """The lattice spanned by the non-zero dense columns, on the dense Smith
+    normal form, with coordinates D^-1 U v over the first rank columns of
+    M V."""
 
     def __init__(self, columns, dim):
         live = [c for c in columns if any(c)]
@@ -325,9 +323,28 @@ def reduced_vector(piece, p):
     return {piece._index[mono]: c for mono, c in reduced.terms.items()}
 
 
+def dense_quotient_invariants(rank, columns):
+    """Free rank and torsion of Z^rank / <dense columns>, from the dense
+    Smith normal form."""
+    live = [c for c in columns if any(c)]
+    if not live:
+        return rank, ()
+    factors = dense_smith_normal_form(from_columns(live, rank))[0]
+    return rank - len(factors), tuple(f for f in factors if f != 1)
+
+
+def _kernel_in_relations(mult, target_relations, piece_relations, size):
+    """Whether every v in Z^size with mult(v) in <target_relations> lies in
+    <piece_relations>, all given as dense columns."""
+    kernel_gens = dense_preimage_generators(mult, target_relations, size)
+    relations = DenseLattice(piece_relations, size)
+    return all(relations.coordinates(k) is not None for k in kernel_gens)
+
+
 def nonzerodivisor_up_to(pres, elt, degree_bound):
     """True iff multiplication by elt is injective on every graded piece of
-    degree <= degree_bound, read off the Groebner-staircase pieces."""
+    degree <= degree_bound, read off the Groebner-staircase pieces on the
+    dense lattices."""
     g = elt.homogeneous_grade()
     if g is None:
         raise GradeMismatch("non-zero-divisor test needs a homogeneous element")
@@ -335,15 +352,18 @@ def nonzerodivisor_up_to(pres, elt, degree_bound):
         return False
     for n in range(degree_bound + 1):
         piece = pres.piece(n)
-        if not piece.monomials:
+        size = len(piece.monomials)
+        if not size:
             continue
         target = pres.piece(n + g)
+        rows = len(target.monomials)
         mult = naive_image_columns(target, piece, lambda m: elt * m)
-        kernel_gens = preimage_generators(mult, target.relations, len(piece.monomials))
-        if not kernel_gens:
-            continue
-        relations = Lattice(piece.relations, len(piece.monomials))
-        if any(relations.coordinates(k) is None for k in kernel_gens):
+        if not _kernel_in_relations(
+            [dense(c, rows) for c in mult],
+            [dense(c, rows) for c in target.relations],
+            [dense(c, size) for c in piece.relations],
+            size,
+        ):
             return False
     return True
 
@@ -361,16 +381,59 @@ def monomial_nonzerodivisor_up_to(pres, elt, degree_bound):
             continue
         target = MonomialPiece(pres, n + g)
         mult = [
-            sparse(target.vector(pres.normal_form(elt * Poly(pres.table, {m: 1}))))
+            target.vector(pres.normal_form(elt * Poly(pres.table, {m: 1})))
             for m in piece.monomials
         ]
-        kernel_gens = preimage_generators(
-            mult, [sparse(c) for c in target.relations], len(piece.monomials)
-        )
-        relations = Lattice([sparse(c) for c in piece.relations], len(piece.monomials))
-        if any(relations.coordinates(k) is None for k in kernel_gens):
+        if not _kernel_in_relations(
+            mult, target.relations, piece.relations, len(piece.monomials)
+        ):
             return False
     return True
+
+
+def smith_check_degree(square, n):
+    """The cartesian check of degree n by five dense Smith forms: the fiber
+    lattice F = {v in B_n + C_n : the difference map sends v into D's
+    relations}, the fiber product F / (relations of B_n + C_n) read in F's
+    basis, A_n's invariants, and A_n's images modulo those relations in
+    F's basis.  The corner map is an isomorphism iff the invariants agree
+    and the images span F modulo the relations.  Every image is built from
+    scratch."""
+    pa, pb, pc, pd = (ring.piece(n) for ring in (square.a, square.b, square.c, square.d))
+    mon_a, mon_b, mon_c, mon_d = (len(p.monomials) for p in (pa, pb, pc, pd))
+    dim = mon_b + mon_c
+
+    def columns(target, source, hom):
+        return naive_image_columns(target, source, hom._raw_apply)
+
+    diff = [dense(c, mon_d) for c in columns(pd, pb, square.bd)] + [
+        [-x for x in dense(c, mon_d)] for c in columns(pd, pc, square.cd)
+    ]
+    fiber_lattice = DenseLattice(
+        dense_preimage_generators(diff, [dense(r, mon_d) for r in pd.relations], dim), dim
+    )
+
+    def coords(vectors):
+        out = []
+        for vec in vectors:
+            y = fiber_lattice.coordinates(vec)
+            if y is None:
+                raise PolyError("a column escapes the fiber lattice")
+            out.append(y)
+        return out
+
+    relations = [dense(r, mon_b) + [0] * mon_c for r in pb.relations] + [
+        [0] * mon_b + dense(r, mon_c) for r in pc.relations
+    ]
+    sub = coords(relations)
+    fiber = dense_quotient_invariants(fiber_lattice.rank, sub)
+    corner = dense_quotient_invariants(mon_a, [dense(r, mon_a) for r in pa.relations])
+    images = [
+        dense(ab, mon_b) + dense(ac, mon_c)
+        for ab, ac in zip(columns(pb, pa, square.ab), columns(pc, pa, square.ac))
+    ]
+    surjective = dense_quotient_invariants(fiber_lattice.rank, sub + coords(images)) == (0, ())
+    return DegreeCheck(n, corner == fiber and surjective, corner, fiber, surjective)
 
 
 def plain_reduce(p, leads, key):

@@ -263,9 +263,8 @@ def test_criterion_9_kernel_properties():
             left = _random_unimodular(rng, rows)
             right = _random_unimodular(rng, cols)
             transformed = mat_mul(mat_mul(left, m), right)
-            assert (
-                smith_normal_form([sparse(row) for row in transformed]).factors
-                == smith_normal_form([sparse(row) for row in m]).factors
+            assert smith_normal_form([sparse(row) for row in transformed]) == smith_normal_form(
+                [sparse(row) for row in m]
             )
 
         done = 0

@@ -28,6 +28,7 @@ from oracles import (
     naive_image_columns,
     nonzerodivisor_up_to,
     reduced_vector,
+    smith_check_degree,
 )
 
 FX = Fixtures.default()
@@ -212,6 +213,44 @@ def test_memoized_columns_of_random_maps(hom):
     ident = RingHom(free, free, {n: Poly.var(free.table, n) for n in free.table.names})
     square = CartesianSquareSpec(free, free, free, hom.target, ident, ident, hom, hom)
     assert _columns_during(square, 12) == [n for n in range(13) for _ in range(4)]
+
+
+@st.composite
+def squares(draw):
+    """Commuting squares over a drawn map `hom` from a free ring F into a
+    presentation P, drawn as in `maps_into_presentations`: the pullback of
+    the identity of P along hom (A = B = F, C = D = P), which is cartesian;
+    the map on both sides (A = B = C = F, D = P) or on top (A = F,
+    B = C = D = P), cartesian only where hom is injective; or the map on
+    both sides with one side doubled (ab doubles every generator and cd is
+    hom times 2 on generators), not surjective where hom is not zero."""
+    hom = draw(maps_into_presentations())
+    free, target = hom.source, hom.target
+    names, table = free.table.names, free.table
+
+    def free_map(scale):
+        return RingHom(free, free, {n: scale * Poly.var(table, n) for n in names})
+
+    ident = free_map(1)
+    tident = RingHom(target, target, {n: Poly.var(target.table, n) for n in target.table.names})
+    shape = draw(st.sampled_from(["pullback", "sides", "top", "doubled side"]))
+    if shape == "pullback":
+        return CartesianSquareSpec(free, free, target, target, ident, hom, hom, tident)
+    if shape == "sides":
+        return CartesianSquareSpec(free, free, free, target, ident, ident, hom, hom)
+    if shape == "top":
+        return CartesianSquareSpec(free, target, target, target, hom, hom, tident, tident)
+    doubled = RingHom(free, target, {n: 2 * hom._images[i] for i, n in enumerate(names)})
+    return CartesianSquareSpec(free, free, free, target, free_map(2), ident, hom, doubled)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(square=squares())
+def test_verify_cartesian_agrees_with_smith_oracle(square):
+    """Every field of every degree's check equals the five-Smith-form
+    oracle's, up to degree 8, on passing and failing squares."""
+    report = verify_cartesian(square, 8)
+    assert report.checks == [smith_check_degree(square, n) for n in range(9)]
 
 
 def test_memoized_pieces_make_no_reference_cycle():

@@ -20,14 +20,13 @@ from equichow import (
 )
 from equichow import groebner
 from equichow.groebner import IdealBasis, _KeyCache, _lead, _reduce_terms
-from equichow.intlinalg import Lattice
 from equichow.pipeline import double_triple_value, eliminated_node_ideal
 from conftest import random_homogeneous
 from oracles import (
+    DenseLattice,
     containment_ideal_equal,
     plain_reduce,
     plain_strong_groebner,
-    sparse,
     verify_strong,
 )
 
@@ -159,8 +158,7 @@ def _naive_membership(p, gens):
     target = [0] * len(monos)
     for mono, coeff in p.terms.items():
         target[index[mono]] = coeff
-    lattice = Lattice([sparse(c) for c in columns], len(monos))
-    return lattice.coordinates(sparse(target)) is not None
+    return DenseLattice(columns, len(monos)).coordinates(target) is not None
 
 
 def test_membership_agrees_with_naive_search(ambient_table):

@@ -1,4 +1,3 @@
-import math
 import random
 
 from hypothesis import given, settings
@@ -7,19 +6,12 @@ from sympy import Matrix as SympyMatrix
 from sympy import ZZ
 from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
 
-from equichow.intlinalg import (
-    Lattice,
-    preimage_generators,
-    quotient_invariants,
-    smith_normal_form,
-)
+from equichow.intlinalg import coordinates, echelon, quotient_invariants, smith_normal_form
 from oracles import (
     DenseLattice,
     dense,
     dense_preimage_generators,
     dense_smith_normal_form,
-    dense_u,
-    determinant,
     identity,
     mat_mul,
     mat_vec,
@@ -33,51 +25,25 @@ def _rows(m):
 
 
 def test_coprime_diagonal():
-    dec = smith_normal_form(_rows([[2, 0], [0, 3]]))
-    assert dec.factors == (1, 6)
+    assert smith_normal_form(_rows([[2, 0], [0, 3]])) == (1, 6)
 
 
 def test_zero_matrix():
-    dec = smith_normal_form(_rows([[0, 0, 0], [0, 0, 0]]))
-    assert dec.factors == ()
-    assert dec.rank == 0
+    assert smith_normal_form(_rows([[0, 0, 0], [0, 0, 0]])) == ()
+    assert smith_normal_form([]) == ()
 
 
 def test_identity_matrix():
-    dec = smith_normal_form(_rows(identity(4)))
-    assert dec.factors == (1, 1, 1, 1)
+    assert smith_normal_form(_rows(identity(4))) == (1, 1, 1, 1)
 
 
 def test_stored_zero_is_never_a_pivot():
-    dec = smith_normal_form([{0: 0, 1: 2}])
-    assert dec.factors == (2,)
-    assert dec.u == [{0: 1}]
+    assert smith_normal_form([{0: 0, 1: 2}]) == (2,)
+    assert smith_normal_form([{0: -3, 1: 0}]) == (3,)
 
 
 def _random_matrix(rng, rows, cols, bound=9):
     return [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
-
-
-def _check_decomposition(m, dec):
-    """|det U| = 1; U M is D V^-1, so row i of U M is d_i times a primitive
-    row for i below the rank and zero from the rank on; d_i | d_(i+1)."""
-    u = dense_u(dec)
-    assert abs(determinant(u)) == 1
-    um = mat_mul(u, m)
-    for i, f in enumerate(dec.factors):
-        assert math.gcd(*um[i]) == f
-    assert not any(any(row) for row in um[dec.rank :])
-    for i in range(dec.rank - 1):
-        assert dec.factors[i + 1] % dec.factors[i] == 0
-    return u
-
-
-def test_decomposition_reassembles():
-    rng = random.Random(31)
-    for _ in range(25):
-        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
-        m = _random_matrix(rng, rows, cols)
-        _check_decomposition(m, smith_normal_form(_rows(m)))
 
 
 def _random_unimodular(rng, n):
@@ -97,11 +63,11 @@ def test_invariant_factors_unchanged_by_unimodular_transforms():
     for _ in range(20):
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
         m = _random_matrix(rng, rows, cols)
-        base = smith_normal_form(_rows(m)).factors
+        base = smith_normal_form(_rows(m))
         left = _random_unimodular(rng, rows)
         right = _random_unimodular(rng, cols)
         transformed = mat_mul(mat_mul(left, m), right)
-        assert smith_normal_form(_rows(transformed)).factors == base
+        assert smith_normal_form(_rows(transformed)) == base
 
 
 def _columns(m):
@@ -109,12 +75,15 @@ def _columns(m):
     return [sparse(col) for col in zip(*m)]
 
 
-def _check_coordinates(lattice, b, y):
-    """U b = D y: b is the sum of y_i * d_i * U^-1 e_i, for b dense and y
-    sparse below the rank."""
-    assert all(i < lattice.rank and c for i, c in y.items())
-    scaled = [f * c for f, c in zip(lattice.dec.factors, dense(y, lattice.rank))]
-    assert mat_vec(dense_u(lattice.dec), b) == scaled + [0] * (len(b) - lattice.rank)
+def _check_coordinates(pivots, b, y):
+    """b is the sum of y[j] * pivots[j], for b dense and y sparse over the
+    pivot columns."""
+    total = [0] * len(b)
+    for j, q in y.items():
+        assert j in pivots and q
+        for k, x in pivots[j].items():
+            total[k] += q * x
+    assert total == b
 
 
 def test_lattice_finds_integer_coordinates():
@@ -123,22 +92,22 @@ def test_lattice_finds_integer_coordinates():
         for _ in range(15):
             rows, cols = rng.randint(1, 5), rng.randint(1, 5)
             m = _matrix_of_kind(rng, kind, rows, cols)
-            lattice = Lattice(_columns(m), rows)
+            pivots, _ = echelon(_columns(m))
             b = mat_vec(m, [rng.randint(-5, 5) for _ in range(cols)])
-            y = lattice.coordinates(sparse(b))
+            y = coordinates(pivots, sparse(b))
             assert y is not None
-            _check_coordinates(lattice, b, y)
+            _check_coordinates(pivots, b, y)
 
 
 def test_lattice_rejects_non_members():
-    lattice = Lattice(_columns([[2, 0], [0, 2]]), 2)
-    assert lattice.rank == 2
-    assert lattice.coordinates(sparse([1, 0])) is None
-    assert lattice.coordinates(sparse([2, -4])) == sparse([1, -2])
-    empty = Lattice([sparse([0, 0])], 2)
-    assert empty.rank == 0
-    assert empty.coordinates(sparse([0, 0])) == {}
-    assert empty.coordinates(sparse([0, 1])) is None
+    pivots, kernel = echelon(_columns([[2, 0], [0, 2]]))
+    assert len(pivots) == 2 and kernel == []
+    assert coordinates(pivots, sparse([1, 0])) is None
+    assert coordinates(pivots, sparse([2, -4])) == {0: 1, 1: -2}
+    empty, kernel = echelon([sparse([0, 0])])
+    assert empty == {} and kernel == [{0: 1}]
+    assert coordinates(empty, {0: 0}) == {}
+    assert coordinates(empty, sparse([0, 1])) is None
 
 
 def test_kernel_vectors_annihilate():
@@ -146,8 +115,8 @@ def test_kernel_vectors_annihilate():
     for _ in range(20):
         rows, cols = rng.randint(1, 4), rng.randint(2, 5)
         m = _random_matrix(rng, rows, cols, bound=4)
-        kernel = preimage_generators(_columns(m), [], cols)
-        assert len(kernel) == cols - smith_normal_form(_rows(m)).rank
+        _, kernel = echelon(_columns(m))
+        assert len(kernel) == cols - len(smith_normal_form(_rows(m)))
         for vec in kernel:
             assert mat_vec(m, dense(vec, cols)) == [0] * rows
 
@@ -156,10 +125,8 @@ def test_decomposition_on_larger_matrices():
     rng = random.Random(101)
     for _ in range(5):
         m = _random_matrix(rng, 7, 9, bound=25)
-        dec = smith_normal_form(_rows(m))
-        factors, u, _ = dense_smith_normal_form(m)
-        assert dec.factors == factors
-        assert _check_decomposition(m, dec) == u
+        factors = smith_normal_form(_rows(m))
+        assert factors == dense_smith_normal_form(m)[0] == _sympy_factors(m)
 
 
 def test_quotient_invariants():
@@ -205,7 +172,7 @@ def test_invariant_factors_match_sympy():
     for kind in KINDS:
         for _ in range(15):
             m = _matrix_of_kind(rng, kind, rng.randint(1, 7), rng.randint(1, 7))
-            assert smith_normal_form(_rows(m)).factors == _sympy_factors(m), m
+            assert smith_normal_form(_rows(m)) == _sympy_factors(m), m
 
 
 def test_lattice_membership_agrees_with_quotient_invariants():
@@ -218,17 +185,17 @@ def test_lattice_membership_agrees_with_quotient_invariants():
             rows, cols = rng.randint(1, 5), rng.randint(1, 5)
             m = _matrix_of_kind(rng, kind, rows, cols)
             columns = _columns(m)
-            lattice = Lattice(columns, rows)
+            pivots, _ = echelon(columns)
             image = mat_vec(m, [rng.randint(-3, 3) for _ in range(cols)])
             stray = [rng.randint(-3, 3) for _ in range(rows)]
             for b in (image, stray, [0] * rows):
-                y = lattice.coordinates(sparse(b))
+                y = coordinates(pivots, sparse(b))
                 inside = quotient_invariants(rows, columns) == quotient_invariants(
                     rows, columns + [sparse(b)]
                 )
                 assert (y is not None) == inside
                 if y is not None:
-                    _check_coordinates(lattice, b, y)
+                    _check_coordinates(pivots, b, y)
                 hits += inside
                 misses += not inside
     assert hits and misses
@@ -250,48 +217,26 @@ def sparse_matrices(draw):
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(m=sparse_matrices(), data=st.data())
-def test_sparse_smith_agrees_with_dense_oracle(m, data):
-    rows = len(m)
-    dec = smith_normal_form(_rows(m))
-    factors, u, _ = dense_smith_normal_form(m)
-    assert dec.factors == factors
-    assert dec.factors == (_sympy_factors(m) if rows and m[0] else ())
-    # Same pivot rule and repair, so the very same U.
-    assert _check_decomposition(m, dec) == u
+@given(m=sparse_matrices())
+def test_sparse_smith_agrees_with_dense_oracle(m):
+    factors = smith_normal_form(_rows(m))
+    assert factors == dense_smith_normal_form(m)[0]
+    assert factors == (_sympy_factors(m) if m and m[0] else ())
     # Stored zeros are dropped on the way in.
-    assert smith_normal_form([dict(enumerate(row)) for row in m]) == dec
-
-    columns = [list(col) for col in zip(*m)]
-    lattice = Lattice([sparse(c) for c in columns], rows)
-    oracle = DenseLattice(columns, rows)
-
-    def vector(size):
-        return data.draw(st.lists(st.integers(-4, 4), min_size=size, max_size=size))
-
-    image = mat_vec(m, vector(len(columns)))
-    for b in (image, vector(rows), [2 * x for x in vector(rows)]):
-        y = lattice.coordinates(sparse(b))
-        want = oracle.coordinates(b)
-        assert y == (None if want is None else sparse(want))
-        if y is not None:
-            _check_coordinates(lattice, b, y)
+    assert smith_normal_form([dict(enumerate(row)) for row in m]) == factors
 
 
 def _agrees_with_dense_oracle(m):
-    dec = smith_normal_form(_rows(m))
-    factors, u, _ = dense_smith_normal_form(m)
-    assert dec.factors == factors
-    assert _check_decomposition(m, dec) == u
-    return dec
+    factors = smith_normal_form(_rows(m))
+    assert factors == dense_smith_normal_form(m)[0]
+    return factors
 
 
 def test_zero_quotient_after_divisibility_repair():
     # After the unit pivot the block [[3, 3], [3, 4]] clears to leave a 1
     # that the pivot 3 does not divide.  The repair adds that row to the
     # pivot row, where the 1 beside the pivot has balanced quotient zero.
-    dec = _agrees_with_dense_oracle([[1, 1, 1], [0, 3, 3], [0, 3, 4]])
-    assert dec.factors == (1, 1, 3)
+    assert _agrees_with_dense_oracle([[1, 1, 1], [0, 3, 3], [0, 3, 4]]) == (1, 1, 3)
 
 
 def test_small_matrices_near_a_pivot_of_three_agree_with_dense_oracle():
@@ -302,6 +247,76 @@ def test_small_matrices_near_a_pivot_of_three_agree_with_dense_oracle():
     for _ in range(1500):
         m = [[rng.choice((0, 1, 3, 4)) for _ in range(3)] for _ in range(3)]
         _agrees_with_dense_oracle(m)
+
+
+def _check_echelon(m, vectors):
+    """echelon(rows of m) against the dense oracles: the pivot rows are in
+    echelon form and as many as the rank; the kernel has rows - rank
+    vectors, each a relation among the rows, and spans the lattice of
+    `dense_preimage_generators`; `coordinates` decides membership in the
+    span of the rows as `DenseLattice` does.  Returns the echelon form."""
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots, kernel = echelon(_rows(m))
+    assert list(pivots) == sorted(pivots)
+    assert all(min(row) == j for j, row in pivots.items())
+    assert len(pivots) == len(smith_normal_form(_rows(m)))
+    assert len(kernel) == rows - len(pivots)
+    for vec in kernel:
+        assert all(0 <= i < rows and x for i, x in vec.items())
+        assert [sum(m[i][k] * x for i, x in vec.items()) for k in range(cols)] == [0] * cols
+    got = [dense(vec, rows) for vec in kernel]
+    want = dense_preimage_generators(m, [], rows)
+    assert all(DenseLattice(want, rows).coordinates(vec) is not None for vec in got)
+    assert all(DenseLattice(got, rows).coordinates(vec) is not None for vec in want)
+    span = DenseLattice(m, cols)
+    for b in vectors:
+        y = coordinates(pivots, sparse(b))
+        assert (y is None) == (span.coordinates(b) is None)
+        if y is not None:
+            _check_coordinates(pivots, b, y)
+    return pivots, kernel
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(m=sparse_matrices(), data=st.data())
+def test_echelon_agrees_with_dense_oracle(m, data):
+    """Drawn matrices, with a zero row, a repeated row and a negated row
+    appended when drawn; memberships of a combination of the rows, a drawn
+    vector and an even one."""
+    cols = len(m[0]) if m else 0
+    if m and data.draw(st.booleans()):
+        m = m + [[0] * cols, m[0][:], [-x for x in m[-1]]]
+
+    def vector(size):
+        return data.draw(st.lists(st.integers(-4, 4), min_size=size, max_size=size))
+
+    combination = vector(len(m))
+    image = [sum(c * row[k] for c, row in zip(combination, m)) for k in range(cols)]
+    _check_echelon(m, [image, vector(cols), [2 * x for x in vector(cols)]])
+
+
+def test_echelon_special_rows():
+    """Zero rows, repeated rows, negative leads, and a row whose lead is
+    smaller than the lead of a row before it: were the first row taken as
+    the pivot, its quotient would be 0."""
+    rng = random.Random(7)
+    cases = {
+        "zero rows": [[0, 0, 0], [0, 2, 1], [0, 0, 0]],
+        "repeated rows": [[1, 2, 3], [1, 2, 3], [-1, -2, -3]],
+        "negative leads": [[-3, 1, 0], [-6, 2, 1], [-2, 0, 5]],
+        "small lead after a large one": [[4, 1], [1, 0]],
+        "leads 5, 3, -2": [[0, 5, 1], [0, 3, 7], [0, -2, 4]],
+    }
+    results = {}
+    for name, m in cases.items():
+        cols = len(m[0])
+        vectors = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(20)]
+        vectors += [mat_vec(list(map(list, zip(*m))), [rng.randint(-3, 3) for _ in m])]
+        results[name] = _check_echelon(m, vectors)
+    assert results["zero rows"] == ({1: {1: 2, 2: 1}}, [{0: 1}, {2: 1}])
+    assert len(results["repeated rows"][1]) == 2
+    assert results["small lead after a large one"] == ({0: {0: 1}, 1: {1: 1}}, [])
 
 
 @st.composite
@@ -323,18 +338,19 @@ def preimage_cases(draw):
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(case=preimage_cases())
 def test_preimage_generators_agree_with_dense_oracle(case):
-    """The lattice {v : M v in <T>} read from U equals the one read from the
-    dense oracle's V, by mutual membership; every generator is sparse in
-    Z^domain and maps into <T>."""
+    """The lattice {v : M v in <T>}, read as the relations among the rows
+    [columns of M; targets] cut to M's coordinates, equals the one read
+    from the dense oracle's V, by mutual membership; every generator maps
+    into <T>."""
     columns, targets, dim = case
     domain = len(columns)
-    got = preimage_generators([sparse(c) for c in columns], [sparse(t) for t in targets], domain)
-    assert all(k < domain and x for v in got for k, x in v.items())
-    want = [sparse(v) for v in dense_preimage_generators(columns, targets, domain)]
-    got_lattice, want_lattice = Lattice(got, domain), Lattice(want, domain)
+    _, kernel = echelon([sparse(c) for c in columns + targets])
+    got = [dense({k: x for k, x in v.items() if k < domain}, domain) for v in kernel]
+    want = dense_preimage_generators(columns, targets, domain)
+    got_lattice, want_lattice = DenseLattice(got, domain), DenseLattice(want, domain)
     assert all(want_lattice.coordinates(v) is not None for v in got)
     assert all(got_lattice.coordinates(v) is not None for v in want)
-    image = Lattice([sparse(t) for t in targets], dim)
+    image = DenseLattice(targets, dim)
     for v in got:
-        mv = [sum(c[i] * x for c, x in zip(columns, dense(v, domain))) for i in range(dim)]
-        assert image.coordinates(sparse(mv)) is not None
+        mv = [sum(c[i] * x for c, x in zip(columns, v)) for i in range(dim)]
+        assert image.coordinates(mv) is not None

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -14,7 +15,7 @@ from equichow import (
     is_nonzerodivisor,
     verify_cartesian,
 )
-from equichow.pipeline import c1_of_character
+from equichow.pipeline import Fixtures, c1_of_character
 from equichow.presentation import CartesianSquareSpec, WellDefinednessError
 from conftest import doubling_square, random_homogeneous
 from oracles import nonzerodivisor_up_to
@@ -181,8 +182,6 @@ def test_cartesian_square_of_patched_ring(fixtures):
 def test_cartesian_negative_control_fails_in_degree_two(fixtures):
     tp = fixtures.total.table
     e, l1, d1 = v(tp, "e"), v(tp, "l1"), v(tp, "d1")
-    from equichow.pipeline import Fixtures
-
     weakened = Fixtures.default(candidate_relations=[e * (l1 * d1 + e)])
     report = verify_cartesian(weakened.patch_square(), 3)
     assert not report.passed
@@ -190,8 +189,6 @@ def test_cartesian_negative_control_fails_in_degree_two(fixtures):
 
 
 def test_cartesian_free_corner_fails(fixtures):
-    from equichow.pipeline import Fixtures
-
     free = Fixtures.default(candidate_relations=[])
     report = verify_cartesian(free.patch_square(), 2)
     assert report.first_failure() == 2
@@ -205,6 +202,32 @@ def test_cartesian_doubling_square_is_not_surjective():
     assert [c.corner_invariants == c.fiber_invariants for c in report.checks] == [True] * 3
     assert [c.surjective for c in report.checks] == [True, False, False]
     assert report.first_failure() == 1
+
+
+def _weakened_square():
+    tp = Fixtures.default().total.table
+    e, l1, d1 = v(tp, "e"), v(tp, "l1"), v(tp, "d1")
+    return Fixtures.default(candidate_relations=[e * (l1 * d1 + e)]).patch_square()
+
+
+def _free_corner_square():
+    return Fixtures.default(candidate_relations=[]).patch_square()
+
+
+@pytest.mark.parametrize(
+    "square, bound, digest",
+    [
+        (_weakened_square, 8, "02d241818fc7"),
+        (_free_corner_square, 8, "206bfcdcc6c0"),
+        (doubling_square, 6, "3b6cfab1e9b5"),
+    ],
+    ids=["weakened", "free-corner", "doubling"],
+)
+def test_failing_square_reports_are_pinned(square, bound, digest):
+    """Every line of a failing square's report, the failing degrees' fiber
+    invariants included, hashes as the five-Smith-form check printed it."""
+    lines = "\n".join(c.describe() for c in verify_cartesian(square(), bound).checks)
+    assert hashlib.sha1(lines.encode()).hexdigest()[:12] == digest
 
 
 def test_cartesian_trivial_square(fixtures):
