@@ -29,18 +29,39 @@ an installation of Buchberger's algorithm* (J. Symb. Comp. 6, 1988):
 - G-polynomials: the G-polynomial of (i, j) leads with
   gcd(c_i, c_j)*lcm(m_i, m_j); it is needed only when no T_k divides that
   term.  Basis elements are never dropped, so a divisor found once stays.
+
+Completion, `_minimize`, `normal_form` and the reduction that
+`presentation.GradedPiece.vector` borrows run on packed monomials, after
+Monagan & Pearce (J. Symbolic Comput. 46, 2011): one integer per monomial
+on `poly._Packing`, each exponent in a field with a guard bit above it.
+The integer is the order's key, a linear form in the exponents (see
+`MonomialOrder`), so the leading term is `max(terms)`, a product is one
+addition, a lead L divides M iff the fields of M - L set no guard bit, and
+an lcm is the fieldwise maximum.  No comparison may read an overflowed
+field:
+
+- under grevlex a reduction never raises the grade, so fields that hold
+  the inputs' top grade and each popped pair's lcm grade hold every
+  exponent; a pair whose lcm grade passes them first moves the basis to
+  wider fields;
+- under lex and elim a reduction can raise exponents without bound, so
+  each shift of a polynomial is checked against the fieldwise maximum of
+  its terms before a term is formed; on overflow the basis moves to wider
+  fields and the pair, or the normal form, is treated again.
+
+Pairs are kept as (lcm grade, j, i) and the lcm is formed when the pair is
+popped, so moving to wider fields touches only the basis and the divisor
+memo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from operator import add, le, mul, neg, sub
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .poly import Monomial, Poly, PolyError, TableMismatch, VarTable
+from .poly import Poly, PolyError, TableMismatch, VarTable, _Packing
 
 
 @dataclass(frozen=True)
@@ -51,6 +72,19 @@ class MonomialOrder:
     tie-break), "lex", or "elim" (the exponent of the first variable, then
     grevlex: an elimination order for that variable).  `priority` lists
     variable names from highest to lowest; it must cover the table exactly.
+
+    Each kind is a linear form in the exponents, which `poly._Packing`
+    stores as one integer per monomial, bigger meaning bigger:
+
+    - grevlex: the grade on top, then the exponents negated, the
+      lowest-priority variable most significant;
+    - lex: the exponents, the highest-priority variable most significant;
+    - elim: the first variable's exponent above the grevlex key.
+
+    Only grevlex is graded: no reduction raises a grade, so fields sized
+    to the largest grade in play hold every exponent.  Under lex and elim
+    each shift is checked against the fields, which are widened on
+    overflow (module docstring).
     """
 
     kind: str
@@ -70,108 +104,62 @@ class MonomialOrder:
     def lex(priority: Sequence[str]) -> "MonomialOrder":
         return MonomialOrder("lex", tuple(priority))
 
-    def key(self, table: VarTable):
-        """A sort key: bigger key means bigger monomial."""
-        if set(self.priority) != set(table.names):
-            raise PolyError("order priority does not cover the table")
-        perm = tuple(table.index(n) for n in self.priority)
-        if self.kind == "lex":
-            return lambda mono: tuple(map(mono.__getitem__, perm))
-        degs = table.degrees
-        rev = perm[::-1]
 
-        def grevlex_key(mono: Monomial):
-            return (sum(map(mul, mono, degs)), tuple(map(neg, map(mono.__getitem__, rev))))
+Terms = Dict[int, int]
+"""Packed monomial -> non-zero coefficient."""
 
-        if self.kind == "elim":
-            first = perm[0]
-            return lambda mono: (mono[first], grevlex_key(mono))
-        return grevlex_key
+Lead = Tuple[int, int, Terms, int, int]
+"""A polynomial on a packing as (leading monomial, leading coefficient,
+the other terms, the fields of the leading monomial, its ceiling: the
+fieldwise maximum of all its terms' fields), negated where needed so that
+the leading coefficient is positive.  The ceiling is 0 under a graded
+order, where no term is checked."""
 
 
-Lead = Tuple[Monomial, int, Poly]
-"""A basis element with its leading monomial and leading coefficient,
-negated where needed so that the coefficient is positive."""
+class _Overflow(Exception):
+    """A new term's exponent left its field; the caller repacks wider."""
 
 
-def _lead(p: Poly, key: Callable[[Monomial], tuple]) -> Lead:
-    if p.is_zero():
-        raise PolyError("zero polynomial has no leading term")
-    mono = max(p.terms, key=key)
-    coeff = p.terms[mono]
-    return (mono, coeff, p) if coeff > 0 else (mono, -coeff, -p)
+def _lead(terms: Terms, packing: _Packing) -> Lead:
+    key = max(terms)
+    coeff = terms[key]
+    sign = 1 if coeff > 0 else -1
+    tail = {k: sign * c for k, c in terms.items() if k != key}
+    ceiling = 0
+    if not packing.graded:
+        for k in terms:
+            ceiling = packing.fields_max(ceiling, packing.sign * k & packing.low)
+    return key, sign * coeff, tail, packing.sign * key & packing.low, ceiling
 
 
-class _KeyCache(dict):
-    """Order keys of the monomials met during one call, computed once each."""
-
-    def __init__(self, key: Callable[[Monomial], tuple]):
-        super().__init__()
-        self.key = key
-
-    def __missing__(self, mono: Monomial) -> tuple:
-        value = self[mono] = self.key(mono)
-        return value
-
-
-def _mono_divides(a: Monomial, b: Monomial) -> bool:
-    return all(map(le, a, b))
-
-
-def _mono_sub(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(sub, a, b))
-
-
-def _mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(max, a, b))
-
-
-@dataclass(frozen=True)
-class IdealBasis:
-    """A generating set with its order; `is_strong_groebner` marks bases on
-    which division yields unique remainders."""
-
-    polys: Tuple[Poly, ...]
-    order: MonomialOrder
-    is_strong_groebner: bool = False
-
-    @property
-    def table(self) -> VarTable:
-        return self.polys[0].table
-
-    @cached_property
-    def _division(self) -> Tuple[Callable[[Monomial], tuple], Tuple[Lead, ...]]:
-        """The order key and the positive leads, computed once per basis."""
-        key = self.order.key(self.table)
-        return key, tuple(_lead(g, key) for g in self.polys)
-
-
-def _combination(f: Lead, a: int, g: Lead, b: int) -> Poly:
-    """a*(m/LM f)*f + b*(m/LM g)*g for m = lcm(LM f, LM g)."""
-    m = _mono_lcm(f[0], g[0])
-    terms: Dict[Monomial, int] = {}
-    for (lm, _, p), c in ((f, a), (g, b)):
-        shift = _mono_sub(m, lm)
-        for mono, coeff in p.terms.items():
-            k = tuple(map(add, mono, shift))
-            val = terms.get(k, 0) + c * coeff
+def _combination(f: Lead, a: int, g: Lead, b: int, m: int, packing: _Packing) -> Terms:
+    """a*(m/LM f)*f + b*(m/LM g)*g for the packed monomial m = lcm(LM f, LM g)."""
+    c = a * f[1] + b * g[1]
+    terms = {m: c} if c else {}
+    for (lm, _, tail, _, ceiling), coef in ((f, a), (g, b)):
+        shift = m - lm
+        if ceiling and (packing.sign * shift + ceiling) & packing.guards:
+            raise _Overflow
+        for mono, coeff in tail.items():
+            k = shift + mono
+            val = terms.get(k, 0) + coef * coeff
             if val:
                 terms[k] = val
-            elif k in terms:  # a Bezout coefficient c may be 0
+            elif k in terms:  # a Bezout coefficient may be 0
                 del terms[k]
-    return Poly._canonical(f[2].table, terms)
+    return terms
 
 
-def spolynomial(f: Lead, g: Lead) -> Poly:
+def spolynomial(f: Lead, g: Lead, m: int, packing: _Packing) -> Terms:
     """Cancel the leading terms using lcm of coefficients and monomials."""
     c = lcm(f[1], g[1])
-    return _combination(f, c // f[1], g, -(c // g[1]))
+    return _combination(f, c // f[1], g, -(c // g[1]), m, packing)
 
 
-def gpolynomial(f: Lead, g: Lead) -> Poly:
+def gpolynomial(f: Lead, g: Lead, m: int, packing: _Packing) -> Terms:
     """Combine the leading terms into gcd(lc f, lc g) times the lcm monomial."""
     s, t = _bezout(f[1], g[1])
-    return _combination(f, s, g, t)
+    return _combination(f, s, g, t, m, packing)
 
 
 def _bezout(a: int, b: int) -> Tuple[int, int]:
@@ -188,50 +176,44 @@ def _bezout(a: int, b: int) -> Tuple[int, int]:
     return old_s, old_t
 
 
-def _reduce(p: Poly, leads: Sequence[Lead], key: Callable[[Monomial], tuple]) -> Poly:
-    """Full division remainder: every coefficient of the result is the
-    canonical Euclidean remainder modulo the applicable leading coefficients.
-    Each term is divided by the dividing lead of smallest coefficient, the
-    first one on a tie."""
-    if not leads:
-        return p
-    return Poly._canonical(p.table, _reduce_terms(dict(p.terms), leads, key, {}))
-
-
-def _reduce_terms(
-    work: Dict[Monomial, int],
-    leads: Sequence[Lead],
-    key: Callable[[Monomial], tuple],
-    divisors: Dict[Monomial, Tuple[int, int]],
-) -> Dict[Monomial, int]:
-    """The remainder terms of `_reduce`, consuming `work`.  `divisors`
-    memoizes {monomial: (leads scanned, index of the best lead or -1)} for
-    callers that only ever append to `leads`, so a later call scans only
-    the leads added since."""
-    out: Dict[Monomial, int] = {}
+def _reduce(
+    work: Terms, leads: Sequence[Lead], packing: _Packing, divisors: Dict[int, Tuple[int, int]]
+) -> Terms:
+    """Full division remainder of the packed terms `work`, which it
+    consumes: every coefficient of the result is the canonical Euclidean
+    remainder modulo the applicable leading coefficients.  Each term is
+    divided by the dividing lead of smallest coefficient, the first one on
+    a tie.  `divisors` memoizes {monomial: (leads scanned, index of the
+    best lead or -1)} for callers that only ever append to `leads`, so a
+    later call scans only the leads added since.  Under an order that is
+    not graded, a product that overflows a field raises _Overflow."""
+    out: Terms = {}
     n = len(leads)
+    sign, guards, checked = packing.sign, packing.guards, not packing.graded
     while work:
-        mono = max(work, key=key)
+        mono = max(work)
         coeff = work.pop(mono)
         seen, best = divisors.get(mono, (0, -1))
         if seen < n:
             best_c = leads[best][1] if best >= 0 else 0
+            probe = sign * mono
             for idx in range(seen, n):
-                lm, lc, _ = leads[idx]
-                if (best < 0 or lc < best_c) and all(map(le, lm, mono)):
-                    best, best_c = idx, lc
+                lead = leads[idx]
+                # lead divides mono iff no field of mono / lead goes negative
+                if (best < 0 or lead[1] < best_c) and not (probe - lead[3]) & guards:
+                    best, best_c = idx, lead[1]
             divisors[mono] = (n, best)
         if best < 0:
             out[mono] = coeff
             continue
-        gm, gc, g = leads[best]
+        gm, gc, tail, _, ceiling = leads[best]
         q, r = divmod(coeff, gc)
         if q:
-            shift = _mono_sub(mono, gm)
-            for m2, c2 in g.terms.items():
-                if m2 == gm:
-                    continue
-                k = tuple(map(add, shift, m2))
+            shift = mono - gm
+            if checked and (sign * shift + ceiling) & guards:
+                raise _Overflow
+            for m2, c2 in tail.items():
+                k = shift + m2
                 val = work.get(k, 0) - q * c2
                 if val:
                     work[k] = val
@@ -240,6 +222,38 @@ def _reduce_terms(
         if r:
             out[mono] = r
     return out
+
+
+@dataclass(frozen=True)
+class IdealBasis:
+    """A generating set with its order; `is_strong_groebner` marks bases on
+    which division yields unique remainders."""
+
+    polys: Tuple[Poly, ...]
+    order: MonomialOrder
+    is_strong_groebner: bool = False
+
+    @property
+    def table(self) -> VarTable:
+        return self.polys[0].table
+
+    def _division(self, bound: int) -> Tuple[_Packing, Tuple[Lead, ...]]:
+        """A packing whose fields hold exponents up to `bound` and the
+        positive leads of `polys` on it.  The widest one built so far stays
+        on the basis."""
+        packed = self.__dict__.get("_packed")
+        if packed is None or packed[0].capacity < bound:
+            top = max(max(map(self.table.grade, g.terms)) for g in self.polys)
+            packing = _Packing(self.table, max(bound, top), self.order)
+            leads = tuple(_lead(packing.terms(g), packing) for g in self.polys)
+            packed = self._keep(packing, leads)
+        return packed
+
+    def _keep(self, packing: _Packing, leads: Tuple[Lead, ...]):
+        """Make (packing, leads) the basis's division data."""
+        packed = (packing, leads)
+        object.__setattr__(self, "_packed", packed)
+        return packed
 
 
 def strong_groebner(gens: Sequence[Poly], order: MonomialOrder) -> IdealBasis:
@@ -256,6 +270,9 @@ def strong_groebner(gens: Sequence[Poly], order: MonomialOrder) -> IdealBasis:
     result is the reduced basis sorted by leading term, so it depends only
     on the ideal and the order, not on the order of `gens`.  The empty
     input yields the zero ideal (an empty basis).
+
+    The work runs on packed monomials; the module docstring has the rule
+    that keeps every exponent inside its field.
     """
     polys = [g for g in gens if not g.is_zero()]
     if not polys:
@@ -264,110 +281,156 @@ def strong_groebner(gens: Sequence[Poly], order: MonomialOrder) -> IdealBasis:
     for g in polys:
         if g.table != table:
             raise TableMismatch("generators use different variable tables")
-    key = _KeyCache(order.key(table)).__getitem__
+    top = max(max(map(table.grade, g.terms)) for g in polys)
+    packing = _Packing(table, 2 * top, order)
 
     basis: List[Lead] = []
     for g in polys:
-        lead = _lead(g, key)
-        if all(lead[2] != b[2] for b in basis):
+        lead = _lead(packing.terms(g), packing)
+        if all(lead[:3] != b[:3] for b in basis):
             basis.append(lead)
 
-    degs = table.degrees
-    divisors: Dict[Monomial, Tuple[int, int]] = {}
+    divisors: Dict[int, Tuple[int, int]] = {}
+    grades: Dict[int, int] = {}  # {lcm fields: grade}, for one packing
 
-    def pair(i: int, j: int) -> Tuple[int, int, int, Monomial]:
-        m = _mono_lcm(basis[i][0], basis[j][0])
-        return sum(map(mul, m, degs)), j, i, m
+    def repack(bound: int):
+        """Move the basis onto a packing whose fields hold `bound`."""
+        nonlocal packing
+        old, packing = packing, _Packing(table, bound, order)
+        for idx, (key, coeff, tail, _, _) in enumerate(basis):
+            terms = {packing.pack(old.exponents(old.sign * k)): c for k, c in tail.items()}
+            terms[packing.pack(old.exponents(old.sign * key))] = coeff
+            basis[idx] = _lead(terms, packing)
+        divisors.clear()
+        grades.clear()
 
-    pairs = [pair(i, j) for j in range(len(basis)) for i in range(j)]
+    def pairs_with(j: int) -> List[Tuple[int, int, int]]:
+        """The pairs (i, j) for i < j, as (grade of the lcm, j, i)."""
+        guards, spread, b = packing.guards, packing.width - 1, basis[j][3]
+        out = []
+        for i in range(j):
+            a = basis[i][3]
+            on = ((a | guards) - b) & guards  # packing.fields_max, inlined
+            on -= on >> spread
+            fields = (a & on) | (b & ~on)
+            grade = grades.get(fields)
+            if grade is None:
+                grade = grades[fields] = packing.grade(fields)
+            out.append((grade, j, i))
+        return out
+
+    pairs = [item for j in range(len(basis)) for item in pairs_with(j)]
     heapify(pairs)
     # partners[i]: the k whose pair with i is still pending
     partners = [set(range(len(basis))) - {i} for i in range(len(basis))]
 
-    def extend(p: Poly):
-        rem = _reduce_terms(dict(p.terms), basis, key, divisors)
+    def extend(terms: Terms):
+        rem = _reduce(terms, basis, packing, divisors)
         if not rem:
             return
-        basis.append(_lead(Poly._canonical(table, rem), key))
+        basis.append(_lead(rem, packing))
         new = len(basis) - 1
         partners.append(set(range(new)))
+        for item in pairs_with(new):
+            heappush(pairs, item)
         for k in range(new):
-            heappush(pairs, pair(k, new))
             partners[k].add(new)
 
     while pairs:
-        _, j, i, m = heappop(pairs)
-        (fm, fc, _), (gm, gc, _) = f, g = basis[i], basis[j]
+        item = heappop(pairs)
+        lcm_grade, j, i = item
+        if packing.graded and lcm_grade > packing.capacity:
+            # every term the pair makes has at most this grade
+            repack(2 * lcm_grade)
+        f, g = basis[i], basis[j]
+        fc, gc = f[1], g[1]
         waiting_i, waiting_j = partners[i], partners[j]
-        waiting_i.remove(j)
-        waiting_j.remove(i)
+        waiting_i.discard(j)
+        waiting_j.discard(i)
         d = gcd(fc, gc)
-        if d > 1 or any(map(min, fm, gm)):  # else the product criterion
-            lc = fc // d * gc
-            for k, (km, kc, _) in enumerate(basis):
-                if (
-                    lc % kc == 0
-                    and k != i
-                    and k != j
-                    and k not in waiting_i
-                    and k not in waiting_j
-                    and all(map(le, km, m))
-                ):
-                    break  # the chain criterion
-            else:
-                extend(spolynomial(f, g))
-        # f or g itself divides the G-polynomial's lead when fc | gc or gc | fc
-        if (
-            fc % gc
-            and gc % fc
-            and not any(d % kc == 0 and all(map(le, km, m)) for km, kc, _ in basis)
-        ):
-            extend(gpolynomial(f, g))
+        guards, half = packing.guards, packing.half
+        fields = packing.fields_max(f[3], g[3])
+        try:
+            # else the product criterion: coprime monomials and coefficients
+            if d > 1 or (f[3] + half) & (g[3] + half) & guards:
+                lc = fc // d * gc
+                for k, (_, kc, _, km, _) in enumerate(basis):
+                    if (
+                        lc % kc == 0
+                        and k != i
+                        and k != j
+                        and k not in waiting_i
+                        and k not in waiting_j
+                        and not (fields - km) & guards
+                    ):
+                        break  # the chain criterion
+                else:
+                    extend(spolynomial(f, g, packing.key(fields), packing))
+            # f or g itself divides the G-polynomial's lead when fc | gc or gc | fc
+            if (
+                fc % gc
+                and gc % fc
+                and not any(d % kc == 0 and not (fields - km) & guards for _, kc, _, km, _ in basis)
+            ):
+                extend(gpolynomial(f, g, packing.key(fields), packing))
+        except _Overflow:  # treat the pair again on wider fields
+            heappush(pairs, item)
+            repack((packing.capacity + 1) ** 2)
 
-    reduced = _minimize(basis, key)
-    reduced.sort(key=lambda lead: (key(lead[0]), lead[1]))
-    return IdealBasis(tuple(p for _, _, p in reduced), order, True)
+    while True:
+        try:
+            reduced = _minimize(basis, packing)
+            break
+        except _Overflow:
+            repack((packing.capacity + 1) ** 2)
+    reduced.sort(key=lambda lead: (lead[0], lead[1]))
+    result = IdealBasis(
+        tuple(packing.poly({**lead[2], lead[0]: lead[1]}) for lead in reduced), order, True
+    )
+    result._keep(packing, tuple(reduced))
+    return result
 
 
-def _minimize(basis: List[Lead], key: Callable[[Monomial], tuple]) -> List[Lead]:
+def _minimize(basis: List[Lead], packing: _Packing) -> List[Lead]:
     """Drop generators whose leading term is a term-multiple of another's,
     then reduce each tail; both steps preserve strongness and the ideal.
     A tail whose terms are all canonical remainders modulo the other leads
     is kept as it is, since `_reduce` would return it unchanged."""
+    guards = packing.guards
     kept: List[Lead] = []
-    for idx, (gm, gc, g) in enumerate(basis):
+    for idx, lead in enumerate(basis):
+        gm, gc, _, gf, _ = lead
         redundant = False
-        for jdx, (hm, hc, _) in enumerate(basis):
+        for jdx, (hm, hc, _, hf, _) in enumerate(basis):
             if jdx == idx:
                 continue
-            if gc % hc == 0 and _mono_divides(hm, gm):
+            if gc % hc == 0 and not (gf - hf) & guards:
                 if (hm, hc) == (gm, gc) and jdx > idx:
                     continue
                 redundant = True
                 break
         if not redundant:
-            kept.append((gm, gc, g))
+            kept.append(lead)
     reduced = []
-    for idx, (gm, gc, g) in enumerate(kept):
+    for idx, lead in enumerate(kept):
         others = kept[:idx] + kept[idx + 1 :]
-        if all(
-            _is_remainder(mono, coeff, others)
-            for mono, coeff in g.terms.items()
-            if mono != gm
-        ):
-            reduced.append((gm, gc, g))
+        if all(_is_remainder(mono, coeff, others, packing) for mono, coeff in lead[2].items()):
+            reduced.append(lead)
             continue
-        tail = _reduce(g - Poly(g.table, {gm: gc}), others, key)
-        reduced.append((gm, gc, Poly(g.table, {**tail.terms, gm: gc})))
+        tail = _reduce(dict(lead[2]), others, packing, {})
+        tail[lead[0]] = lead[1]
+        reduced.append(_lead(tail, packing))
     return reduced
 
 
-def _is_remainder(mono: Monomial, coeff: int, leads: Sequence[Lead]) -> bool:
+def _is_remainder(mono: int, coeff: int, leads: Sequence[Lead], packing: _Packing) -> bool:
     """True iff `_reduce` keeps the term coeff*mono as it is: no lead
     divides mono, or 0 <= coeff < the smallest dividing lead's coefficient."""
+    probe, guards = packing.sign * mono, packing.guards
+    dividing = (lc for _, lc, _, lf, _ in leads if not (probe - lf) & guards)
     if coeff < 0:
-        return not any(_mono_divides(lm, mono) for lm, _, _ in leads)
-    return all(coeff < lc for lm, lc, _ in leads if _mono_divides(lm, mono))
+        return next(dividing, None) is None
+    return all(coeff < lc for lc in dividing)
 
 
 def normal_form(p: Poly, basis: IdealBasis) -> Poly:
@@ -381,8 +444,13 @@ def normal_form(p: Poly, basis: IdealBasis) -> Poly:
         return p
     if p.table != basis.table:
         raise TableMismatch("polynomial and basis use different tables")
-    key, leads = basis._division
-    return _reduce(p, leads, _KeyCache(key).__getitem__)
+    bound = max(map(p.table.grade, p.terms))
+    while True:
+        packing, leads = basis._division(bound)
+        try:
+            return packing.poly(_reduce(packing.terms(p), leads, packing, {}))
+        except _Overflow:
+            bound = (packing.capacity + 1) ** 2
 
 
 def ideal_contains(

@@ -4,8 +4,9 @@ Polynomials live over a fixed table of graded variables.  Coefficients are
 arbitrary-precision Python ints; monomials are dense exponent tuples, one
 slot per table variable.  Every operation returns a canonical value: zero
 coefficients are never stored, so two polynomials are equal iff their term
-mappings are equal.  Exact division and the fixed-point sums pack each
-monomial into one int (`_Packing`) under an exponent bound of the call.
+mappings are equal.  Exact division, the fixed-point sums and strong
+Groebner completion pack each monomial into one int (`_Packing`) under an
+exponent bound of the call; under a monomial order the int is its key.
 
 Rendering follows one fixed convention (terms sorted by total grade, then
 lexicographically over the table order, both descending) so that rendered
@@ -16,8 +17,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from operator import add
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from itertools import repeat
+from operator import add, and_, mul, rshift
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 Monomial = Tuple[int, ...]
 
@@ -90,7 +92,7 @@ class VarTable:
             raise PolyError(f"unknown variable {name!r}") from None
 
     def grade(self, mono: Monomial) -> int:
-        return sum(e * d for e, d in zip(mono, self.degrees))
+        return sum(map(mul, mono, self.degrees))
 
     def monomials_of_grade(self, n: int) -> Tuple[Monomial, ...]:
         """All exponent tuples of total grade exactly n, in a fixed order."""
@@ -413,30 +415,89 @@ def _map_terms(p: Poly, table: VarTable, images: Mapping[int, Poly]) -> Poly:
 
 
 class _Packing:
-    """One integer per monomial of a table with exponents at most `bound`:
-    the grade in the top bits, then one field per variable, slot 0 most
-    significant, each of bound.bit_length() bits plus a guard bit above
-    them.  A product of monomials is one addition, a field that overflows
-    or goes negative sets its guard bit, and integer order is the
-    canonical term order (grade, then table-lex)."""
+    """One integer per monomial of a table: each variable's exponent sits in
+    a field of bound.bit_length() bits with a guard bit above them, so a
+    field holds exponents up to `capacity` >= bound.  The integer is a
+    linear form in the exponents, sum(e_i * units[i]), so a product of
+    monomials is one addition, and comparing the integers compares the
+    monomials.  With no `order` (a `MonomialOrder`), the integer is X: the
+    grade in the top bits, then the fields with slot 0 most significant,
+    which orders by grade, then table-lex.  With an order it is the order's
+    key, bigger meaning bigger:
 
-    def __init__(self, table: VarTable, bound: int):
+    - grevlex: the grade on top, then the fields with the lowest-priority
+      variable most significant, negated: key = X - 2*(X & low);
+    - lex: the fields alone, the highest-priority variable most significant;
+    - elim: the first variable's exponent above the grevlex key, over a
+      grade part wide enough for any grade of in-range exponents.
+
+    `sign` is -1 where the fields are negated, so (sign*key) & low reads
+    the fields back.  A field that overflows or goes negative, as in the
+    quotient by a monomial that does not divide, sets its guard bit."""
+
+    def __init__(self, table: VarTable, bound: int, order=None):
         n, width = len(table), bound.bit_length() + 1
-        self.table, self.mask = table, (1 << width) - 1
-        self.shifts = [(n - 1 - i) * width for i in range(n)]
+        kind = order.kind if order is not None else None
+        if order is None:
+            rank = list(range(n))  # rank 0 is the most significant field
+        elif set(order.priority) != set(table.names):
+            raise PolyError("order priority does not cover the table")
+        else:
+            by_priority = [table.index(name) for name in order.priority]
+            rank = [0] * n
+            for r, i in enumerate(by_priority if kind == "lex" else by_priority[::-1]):
+                rank[i] = r
+        self.table, self.width, self.mask = table, width, (1 << width) - 1
+        self.capacity = (1 << width - 1) - 1
+        top, self.sign = n * width, -1 if kind in ("grevlex", "elim") else 1
+        self.low = (1 << top) - 1
+        self.shifts = [(n - 1 - r) * width for r in rank]
         self.guards = sum(1 << s + width - 1 for s in self.shifts)
-        self.units = [(1 << s) + (d << n * width) for s, d in zip(self.shifts, table.degrees)]
+        # (guards - half) has the lowest bit of each field; adding half to
+        # in-range fields sets the guard bit of each non-zero one.
+        self.half = self.guards - (self.guards >> width - 1)
+        # A graded order never raises the grade by a reduction; lex and elim
+        # can raise exponents without bound, so their new terms are checked.
+        self.graded = kind in (None, "grevlex")
+        units = [(1 << s) * self.sign for s in self.shifts]
+        if kind != "lex":
+            units = [u + (d << top) for u, d in zip(units, table.degrees)]
+        if kind == "elim":
+            # above every grade of in-range exponents
+            units[table.index(order.priority[0])] += 1 << top + width + sum(table.degrees).bit_length()
+        self.units = units
 
     def pack(self, mono: Iterable[int]) -> int:
-        return sum(e * unit for e, unit in zip(mono, self.units) if e)
+        return sum(map(mul, mono, self.units))
+
+    def exponents(self, fields: int) -> Iterator[int]:
+        """The exponents, in table order, of the monomial with these fields;
+        the fields of a packed monomial k are (sign*k) & low."""
+        return map(and_, map(rshift, repeat(fields), self.shifts), repeat(self.mask))
+
+    def grade(self, fields: int) -> int:
+        return sum(map(mul, self.table.degrees, self.exponents(fields)))
+
+    def key(self, fields: int) -> int:
+        return self.pack(self.exponents(fields))
+
+    def fields_max(self, a: int, b: int) -> int:
+        """The fieldwise maximum of two in-range field values: the fields of
+        the lcm of their monomials."""
+        guards = self.guards
+        on = ((a | guards) - b) & guards  # the guard bits of the fields where a >= b
+        on -= on >> self.width - 1
+        return (a & on) | (b & ~on)
 
     def terms(self, p: Poly) -> Dict[int, int]:
         return {self.pack(m): c for m, c in p.terms.items()}
 
     def poly(self, terms: Mapping[int, int]) -> Poly:
         """The Poly of packed terms, zero coefficients dropped."""
-        shifts, mask = self.shifts, self.mask
-        terms = {tuple(k >> s & mask for s in shifts): c for k, c in terms.items() if c}
+        shifts, mask, sign = self.shifts, self.mask, self.sign
+        terms = {
+            tuple(sign * k >> s & mask for s in shifts): c for k, c in terms.items() if c
+        }
         return Poly._canonical(self.table, terms)
 
 

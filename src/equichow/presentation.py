@@ -17,9 +17,10 @@ from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .groebner import IdealBasis, Lead, MonomialOrder, ideal_intersection, normal_form
-from .groebner import _KeyCache, _lead, _mono_divides, _mono_sub, _reduce, strong_groebner
+from .groebner import _reduce, strong_groebner
 from .intlinalg import Sparse, coordinates, echelon, quotient_invariants
-from .poly import GradeMismatch, Monomial, Poly, PolyError, VarTable, _map_terms, exact_divide
+from .poly import GradeMismatch, Monomial, Poly, PolyError, VarTable, _map_terms, _Packing
+from .poly import exact_divide
 
 
 class WellDefinednessError(PolyError):
@@ -88,29 +89,44 @@ class GradedPiece:
     def __init__(self, pres: RingPresentation, n: int):
         self.table = pres.table
         self.degree = n
-        self._order_key = pres.order.key(pres.table)
-        leads = [_lead(g, self._order_key) for g in pres.groebner().polys]
+        basis = pres.groebner()
+        if basis.polys:
+            packing, leads = basis._division(n)
+        else:
+            packing, leads = _Packing(pres.table, n, pres.order), ()
+        self._packing = packing
         self._monic = [lead for lead in leads if lead[1] == 1]
-        self._pivots: Dict[Monomial, Lead] = {}
-        monomials = []
+        self._pivots: Dict[int, Lead] = {}
+        sign, guards = packing.sign, packing.guards
+        monomials, packed = [], []
         for m in pres.table.monomials_of_grade(n):
-            dividing = [lead for lead in leads if _mono_divides(lead[0], m)]
-            best = min(dividing, key=lambda lead: lead[1], default=None)
+            key = packing.pack(m)
+            probe = sign * key
+            best = None
+            for lead in leads:
+                # lead divides m iff no field of m / lead goes negative
+                if (best is None or lead[1] < best[1]) and not (probe - lead[3]) & guards:
+                    best = lead
             if best is None or best[1] > 1:
                 monomials.append(m)
+                packed.append(key)
                 if best is not None:
-                    self._pivots[m] = best
+                    self._pivots[key] = best
         self.monomials = tuple(monomials)
         self._index = {m: i for i, m in enumerate(self.monomials)}
+        self._packed_index = {k: i for i, k in enumerate(packed)}
 
     @cached_property
     def relations(self) -> List[Sparse]:
         """Columns spanning the ideal in degree n: one per monomial with
         c_m > 1, triangular with pivot c_m."""
-        return [
-            self.vector(Poly(self.table, {_mono_sub(m, gm): 1}) * g)
-            for m, (gm, _, g) in self._pivots.items()
-        ]
+        columns = []
+        for m, (gm, gc, tail, _, _) in self._pivots.items():
+            shift = m - gm
+            terms = {shift + k: c for k, c in tail.items()}
+            terms[m] = gc
+            columns.append(self._vector(terms))
+        return columns
 
     def vector(self, p: Poly) -> Sparse:
         """Sparse coordinates on N of p reduced by the monic leads, each
@@ -118,14 +134,21 @@ class GradedPiece:
         index = self._index
         # A degree-n staircase monomial has no monic lead dividing it, so p
         # needs a reduction only when a term is off the staircase.
-        if not all(mono in index for mono in p.terms):
-            grade = self.table.grade
-            if any(grade(mono) != self.degree for mono in p.terms):
-                raise GradeMismatch(f"vectorizing a term outside degree {self.degree}")
-            # Order keys are cached for one reduction only, so a memoized
-            # piece holds no table of them.
-            p = _reduce(p, self._monic, _KeyCache(self._order_key).__getitem__)
-        return {index[mono]: coeff for mono, coeff in p.terms.items()}
+        if all(mono in index for mono in p.terms):
+            return {index[mono]: coeff for mono, coeff in p.terms.items()}
+        grade = self.table.grade
+        if any(grade(mono) != self.degree for mono in p.terms):
+            raise GradeMismatch(f"vectorizing a term outside degree {self.degree}")
+        return self._vector(self._packing.terms(p))
+
+    def _vector(self, terms: Dict[int, int]) -> Sparse:
+        """`vector` of packed degree-n terms, which it consumes."""
+        index = self._packed_index
+        if not all(k in index for k in terms):
+            # the divisor memo lives for one reduction, so a memoized piece
+            # holds no table of monomials
+            terms = _reduce(terms, self._monic, self._packing, {})
+        return {index[k]: c for k, c in terms.items()}
 
     def image_columns(
         self, source: GradedPiece, hom: RingHom, memo: Dict[int, Dict[Monomial, Poly]]

@@ -6,31 +6,25 @@ dense Smith forms, the defining check of a strong Groebner basis, the
 relation-times-monomial graded pieces that the Groebner-staircase pieces
 are checked against, ring-map columns with each image built from
 scratch, vectors always taken through the reduction, the
-non-zero-divisor check degree by degree up to a bound, division with a
-full scan of the leads for every term, completion without pair criteria,
-ideal equality by mutual containment, the hyperplane value and the point
-class at a fixed point, the fixed-point sum taken one source point at a
-time, and the specialization oracle that visits every source point with
-a rational running sum."""
+non-zero-divisor check degree by degree up to a bound, order keys,
+leads, S- and G-polynomials and reduced bases on exponent tuples, shared
+with no kernel of the engine's packed path, division with a full scan of
+the leads for every term, completion without pair criteria, ideal
+equality by mutual containment, the hyperplane value and the point class
+at a fixed point, the fixed-point sum taken one source point at a time,
+and the specialization oracle that visits every source point with a
+rational running sum."""
 
+import functools
 import math
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from operator import add, le
+from operator import add, le, mul
 from random import Random
 from typing import Dict, Optional
 
 from equichow import MonomialOrder, Poly, normal_form, strong_groebner
-from equichow.groebner import (
-    IdealBasis,
-    _KeyCache,
-    _lead,
-    _minimize,
-    _mono_lcm,
-    _mono_sub,
-    gpolynomial,
-    spolynomial,
-)
+from equichow.groebner import IdealBasis
 from equichow.intlinalg import quotient_invariants
 from equichow.localization import (
     DescriptorError,
@@ -266,13 +260,13 @@ def verify_strong(basis):
     """Check the defining property: every S- and G-polynomial reduces to 0."""
     if not basis.polys:
         return True
-    key, leads = basis._division
-    key = _KeyCache(key).__getitem__
+    key = cached_key(basis.order, basis.table)
+    leads = [plain_lead(g, key) for g in basis.polys]
     for j in range(len(leads)):
         for i in range(j):
-            if not plain_reduce(spolynomial(leads[i], leads[j]), leads, key).is_zero():
+            if not plain_reduce(plain_spolynomial(leads[i], leads[j]), leads, key).is_zero():
                 return False
-            if not plain_reduce(gpolynomial(leads[i], leads[j]), leads, key).is_zero():
+            if not plain_reduce(plain_gpolynomial(leads[i], leads[j]), leads, key).is_zero():
                 return False
     return True
 
@@ -316,10 +310,12 @@ def naive_image_columns(target, source, fn):
     return [target.vector(fn(Poly(table, {m: 1}))) for m in source.monomials]
 
 
-def reduced_vector(piece, p):
-    """piece.vector(p), always through the reduction by the monic leads."""
-    key = _KeyCache(piece._order_key).__getitem__
-    reduced = plain_reduce(p, piece._monic, key)
+def reduced_vector(pres, piece, p):
+    """piece.vector(p), always through the reduction by the monic leads of
+    the presentation's basis, taken in the basis's order."""
+    key = cached_key(pres.order, pres.table)
+    leads = [plain_lead(g, key) for g in pres.groebner().polys]
+    reduced = plain_reduce(p, [lead for lead in leads if lead[1] == 1], key)
     return {piece._index[mono]: c for mono, c in reduced.terms.items()}
 
 
@@ -436,6 +432,72 @@ def smith_check_degree(square, n):
     return DegreeCheck(n, corner == fiber and surjective, corner, fiber, surjective)
 
 
+def order_key(order, table):
+    """A sort key on exponent tuples for a MonomialOrder: bigger key means
+    bigger monomial.  grevlex is (grade, the exponents negated from the
+    lowest-priority variable up), lex the exponents from the
+    highest-priority variable down, elim the first variable's exponent
+    and then the grevlex key."""
+    if set(order.priority) != set(table.names):
+        raise PolyError("order priority does not cover the table")
+    perm = tuple(table.index(n) for n in order.priority)
+    if order.kind == "lex":
+        return lambda mono: tuple(mono[i] for i in perm)
+    degs, rev = table.degrees, perm[::-1]
+
+    def grevlex_key(mono):
+        return sum(map(mul, mono, degs)), tuple(-mono[i] for i in rev)
+
+    if order.kind == "elim":
+        return lambda mono: (mono[perm[0]], grevlex_key(mono))
+    return grevlex_key
+
+
+def cached_key(order, table):
+    """`order_key`, each monomial's key computed once."""
+    return functools.lru_cache(maxsize=None)(order_key(order, table))
+
+
+def plain_lead(p, key):
+    """(leading monomial, positive leading coefficient, p or -p)."""
+    mono = max(p.terms, key=key)
+    coeff = p.terms[mono]
+    return (mono, coeff, p) if coeff > 0 else (mono, -coeff, -p)
+
+
+def _divides(a, b):
+    return all(map(le, a, b))
+
+
+def _plain_combination(f, a, g, b):
+    """a*(m/LM f)*f + b*(m/LM g)*g for m = lcm(LM f, LM g), as Poly products."""
+    m = tuple(map(max, f[0], g[0]))
+    table = f[2].table
+    total = Poly.zero(table)
+    for (lm, _, p), c in ((f, a), (g, b)):
+        total = total + Poly(table, {tuple(x - y for x, y in zip(m, lm)): c}) * p
+    return total
+
+
+def plain_spolynomial(f, g):
+    c = math.lcm(f[1], g[1])
+    return _plain_combination(f, c // f[1], g, -(c // g[1]))
+
+
+def plain_gpolynomial(f, g):
+    """The combination leading with gcd(lc f, lc g) times the lcm monomial."""
+    d, s, t = _extended_gcd(f[1], g[1])
+    return _plain_combination(f, s, g, t)
+
+
+def _extended_gcd(a, b):
+    """(d, s, t) with s*a + t*b = d = gcd(a, b), for a, b > 0."""
+    if b == 0:
+        return a, 1, 0
+    d, s, t = _extended_gcd(b, a % b)
+    return d, t, s - (a // b) * t
+
+
 def plain_reduce(p, leads, key):
     """Full division remainder: every coefficient of the result is the
     canonical Euclidean remainder modulo the applicable leading coefficients.
@@ -450,7 +512,7 @@ def plain_reduce(p, leads, key):
         coeff = work.pop(mono)
         best = None
         for lead in leads:
-            if (best is None or lead[1] < best[1]) and all(map(le, lead[0], mono)):
+            if (best is None or lead[1] < best[1]) and _divides(lead[0], mono):
                 best = lead
         if best is None:
             out[mono] = coeff
@@ -458,7 +520,7 @@ def plain_reduce(p, leads, key):
         gm, gc, g = best
         q, r = divmod(coeff, gc)
         if q:
-            shift = _mono_sub(mono, gm)
+            shift = tuple(x - y for x, y in zip(mono, gm))
             for m2, c2 in g.terms.items():
                 if m2 == gm:
                     continue
@@ -473,44 +535,65 @@ def plain_reduce(p, leads, key):
     return Poly(p.table, out)
 
 
+def plain_minimize(basis, key):
+    """The reduced basis: drop each element whose leading term is a
+    term-multiple of another's (the later of two equal terms), then reduce
+    every tail by the remaining elements."""
+    kept = []
+    for idx, (gm, gc, g) in enumerate(basis):
+        if not any(
+            jdx != idx
+            and gc % hc == 0
+            and _divides(hm, gm)
+            and not ((hm, hc) == (gm, gc) and jdx > idx)
+            for jdx, (hm, hc, _) in enumerate(basis)
+        ):
+            kept.append((gm, gc, g))
+    reduced = []
+    for idx, (gm, gc, g) in enumerate(kept):
+        tail = plain_reduce(g - Poly(g.table, {gm: gc}), kept[:idx] + kept[idx + 1 :], key)
+        reduced.append((gm, gc, tail + Poly(g.table, {gm: gc})))
+    return reduced
+
+
 def plain_strong_groebner(gens, order):
-    """Strong Groebner completion with no pair criteria: every pair forms
-    its S-polynomial, and its G-polynomial unless one leading coefficient
-    divides the other; pairs are taken by lcm grade, oldest first, and
-    reduced by `plain_reduce`."""
+    """Strong Groebner completion with no pair criteria, on exponent tuples:
+    every pair forms its S-polynomial, and its G-polynomial unless one
+    leading coefficient divides the other; pairs are taken by lcm grade,
+    oldest first, and reduced by `plain_reduce`."""
     polys = [g for g in gens if not g.is_zero()]
     if not polys:
         return IdealBasis((), order, True)
     table = polys[0].table
-    key = _KeyCache(order.key(table)).__getitem__
+    key = cached_key(order, table)
 
     basis = []
     for g in polys:
-        lead = _lead(g, key)
+        lead = plain_lead(g, key)
         if all(lead[2] != b[2] for b in basis):
             basis.append(lead)
 
     def pair(i, j):
-        return table.grade(_mono_lcm(basis[i][0], basis[j][0])), j, i
+        return table.grade(tuple(map(max, basis[i][0], basis[j][0]))), j, i
 
     pairs = [pair(i, j) for j in range(len(basis)) for i in range(j)]
     heapify(pairs)
     while pairs:
         _, j, i = heappop(pairs)
         f, g = basis[i], basis[j]
-        candidates = [spolynomial(f, g)]
+        candidates = [plain_spolynomial(f, g)]
         if f[1] % g[1] and g[1] % f[1]:
-            candidates.append(gpolynomial(f, g))
+            candidates.append(plain_gpolynomial(f, g))
         for cand in candidates:
             rem = plain_reduce(cand, basis, key)
             if rem.is_zero():
                 continue
-            basis.append(_lead(rem, key))
+            basis.append(plain_lead(rem, key))
             new = len(basis) - 1
             for k in range(new):
                 heappush(pairs, pair(k, new))
 
-    reduced = _minimize(basis, key)
+    reduced = plain_minimize(basis, key)
     reduced.sort(key=lambda lead: (key(lead[0]), lead[1]))
     return IdealBasis(tuple(p for _, _, p in reduced), order, True)
 

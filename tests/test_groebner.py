@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -19,12 +20,16 @@ from equichow import (
     strong_groebner,
 )
 from equichow import groebner
-from equichow.groebner import IdealBasis, _KeyCache, _lead, _reduce_terms
+from equichow.groebner import IdealBasis, _lead, _reduce
+from equichow.poly import _Packing
 from equichow.pipeline import double_triple_value, eliminated_node_ideal
 from conftest import random_homogeneous
 from oracles import (
     DenseLattice,
+    cached_key,
     containment_ideal_equal,
+    order_key,
+    plain_lead,
     plain_reduce,
     plain_strong_groebner,
     verify_strong,
@@ -318,8 +323,12 @@ w_polys = st.sampled_from((2, 3)).flatmap(
 )
 ORDERS = {
     "xy-grevlex": (xy_polys, MonomialOrder.grevlex(XY)),
+    "xy-grevlex-x-first": (xy_polys, MonomialOrder("grevlex", ("x", "y"))),
     "xy-lex": (xy_polys, MonomialOrder.lex(("x", "y"))),
+    # the order of `ideal_intersection`: one variable, then grevlex
+    "xy-elim": (xy_polys, MonomialOrder("elim", ("y", "x"))),
     "weighted-grevlex": (w_polys, MonomialOrder.grevlex(W)),
+    "weighted-elim": (w_polys, MonomialOrder("elim", ("c", "b", "a"))),
 }
 
 
@@ -336,6 +345,103 @@ def test_criteria_match_plain_completion(name, data):
     assert strong_groebner(basis.polys[::-1], order).polys == basis.polys
 
 
+@pytest.mark.parametrize("name", sorted(ORDERS))
+@small
+@given(data=st.data())
+def test_normal_form_matches_plain_reduce(name, data):
+    """normal_form on the packed basis against division on exponent tuples
+    by the basis's leads, for drawn polynomials and ideal members."""
+    polys, order = ORDERS[name]
+    gens = data.draw(st.lists(polys, min_size=1, max_size=2))
+    basis = strong_groebner(gens, order)
+    key = cached_key(order, basis.table if basis.polys else gens[0].table)
+    leads = [plain_lead(g, key) for g in basis.polys]
+    multipliers = data.draw(st.lists(polys, min_size=len(gens), max_size=len(gens)))
+    p = data.draw(polys)
+    member = sum((m * g for m, g in zip(multipliers, gens)), Poly.zero(p.table))
+    for q in (p, member, p * p + member):
+        assert normal_form(q, basis) == plain_reduce(q, leads, key)
+    assert normal_form(member, basis).is_zero()
+
+
+EDGE = st.sampled_from((3, 4, 7, 8))
+EDGE_COEFFICIENTS = st.sampled_from((-2, -1, 1, 2))
+EDGE_ORDERS = (
+    MonomialOrder.grevlex(XY),
+    MonomialOrder.lex(("x", "y")),
+    MonomialOrder("elim", ("y", "x")),
+)
+
+
+@st.composite
+def edge_ideals(draw):
+    """Inhomogeneous x + y^e (or its mirror image) next to x^a*y^b + y^f,
+    with e and a + b at 2^k - 1 or 2^k, the largest grade that k-bit fields
+    hold and the smallest that needs one more bit.  Substituting the first
+    into the second raises the exponent of y to about a*e, past the fields
+    that completion starts with under lex and elim."""
+    e, total = draw(EDGE), draw(EDGE)
+    a = draw(st.integers(1, total))
+    first = {(1, 0): draw(EDGE_COEFFICIENTS), (0, e): draw(EDGE_COEFFICIENTS)}
+    second = {(a, total - a): draw(EDGE_COEFFICIENTS)}
+    f = draw(st.integers(0, total))
+    second[(0, f)] = second.get((0, f), 0) + draw(EDGE_COEFFICIENTS)
+    if draw(st.booleans()):
+        first = {m[::-1]: c for m, c in first.items()}
+        second = {m[::-1]: c for m, c in second.items()}
+    return [Poly(XY, first), Poly(XY, second)]
+
+
+@settings(max_examples=90, deadline=None, derandomize=True)
+@given(gens=edge_ideals(), order=st.sampled_from(EDGE_ORDERS))
+def test_completion_near_the_field_width_matches_plain_completion(gens, order):
+    basis = strong_groebner(gens, order)
+    assert basis.polys == plain_strong_groebner(gens, order).polys
+    key = cached_key(order, XY)
+    p = v(XY, "x") ** 9 * v(XY, "y") + v(XY, "y") ** 17 + 3
+    assert normal_form(p, basis) == plain_reduce(p, [plain_lead(g, key) for g in basis.polys], key)
+
+
+T3 = VarTable([("a", 1), ("b", 1), ("c", 1)])
+
+
+def test_completion_that_must_widen_the_fields(monkeypatch):
+    """One ideal per order kind whose completion outgrows the fields it
+    starts with: under grevlex a pair's lcm grade passes them, under lex
+    and elim a reduction raises an exponent past them.  Each completion
+    builds a wider packing and still matches the completion on exponent
+    tuples, and so does a normal form that outgrows the basis's fields."""
+    a, b, c = (v(T3, n) for n in ("a", "b", "c"))
+    widths = []
+
+    class Recorded(_Packing):
+        def __init__(self, *args):
+            super().__init__(*args)
+            widths.append(self.capacity)
+
+    monkeypatch.setattr(groebner, "_Packing", Recorded)
+    for gens, order, want in (
+        (
+            [b**3 - c**2 * a, b * c**2 - a**3],
+            MonomialOrder.grevlex(T3),
+            [b**3 - a * c**2, b * c**2 - a**3, a * c**4 - a**3 * b**2],
+        ),
+        ([b - c**3, a - b**3], MonomialOrder.lex(("a", "b", "c")), [b - c**3, a - c**9]),
+        ([a - b**3, a**3 - c], MonomialOrder("elim", ("a", "b", "c")), [b**9 - c, a - b**3]),
+    ):
+        widths.clear()
+        basis = strong_groebner(gens, order)
+        assert len(widths) > 1 and widths[-1] > widths[0]
+        assert set(basis.polys) == set(want)
+        assert basis.polys == plain_strong_groebner(gens, order).polys
+        key = cached_key(order, T3)
+        leads = [plain_lead(g, key) for g in basis.polys]
+        widths.clear()
+        p = a**40 * b**90 + b**40 * c + 5
+        assert normal_form(p, basis) == plain_reduce(p, leads, key)
+        assert widths and widths[-1] >= 130
+
+
 def test_completing_a_reduced_basis_reduces_no_tail(monkeypatch):
     """`_minimize` keeps a tail that is already a canonical remainder, such
     as 2*y^3 next to the lead 4*y^3 in the lex basis."""
@@ -350,15 +456,15 @@ def test_completing_a_reduced_basis_reduces_no_tail(monkeypatch):
     tail_reductions = []
     in_minimize = []
 
-    def counting_reduce(p, leads, key):
+    def counting_reduce(work, leads, packing, divisors):
         if in_minimize:
-            tail_reductions.append(p)
-        return true_reduce(p, leads, key)
+            tail_reductions.append(dict(work))
+        return true_reduce(work, leads, packing, divisors)
 
-    def flagged_minimize(basis, key):
+    def flagged_minimize(basis, packing):
         in_minimize.append(True)
         try:
-            return true_minimize(basis, key)
+            return true_minimize(basis, packing)
         finally:
             in_minimize.pop()
 
@@ -476,33 +582,71 @@ def test_reduce_terms_matches_plain_reduce(name, data):
     """One divisor memo serves a growing list of leads, as in completion."""
     polys, order = ORDERS[name]
     table = XY if name.startswith("xy") else W
-    key = _KeyCache(order.key(table)).__getitem__
+    key = cached_key(order, table)
+    # fields wide enough for every exponent these reductions reach
+    packing = _Packing(table, 255, order)
     nonzero = polys.filter(lambda p: not p.is_zero())
-    pending = [_lead(p, key) for p in data.draw(st.lists(nonzero, min_size=2, max_size=4))]
+    pending = data.draw(st.lists(nonzero, min_size=2, max_size=4))
     targets = data.draw(st.lists(polys, min_size=len(pending), max_size=len(pending)))
-    leads, divisors = [], {}
-    for lead, p in zip(pending, targets):
-        leads.append(lead)
-        got = _reduce_terms(dict(p.terms), leads, key, divisors)
-        assert Poly(table, got) == plain_reduce(p, leads, key)
+    leads, plain_leads, divisors = [], [], {}
+    for g, p in zip(pending, targets):
+        leads.append(_lead(packing.terms(g), packing))
+        plain_leads.append(plain_lead(g, key))
+        got = _reduce(packing.terms(p), leads, packing, divisors)
+        assert packing.poly(got) == plain_reduce(p, plain_leads, key)
 
 
 MONOS3 = st.tuples(*[st.integers(0, 4)] * 3)
-T3 = VarTable([("a", 1), ("b", 1), ("c", 1)])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(m=MONOS3)
-def test_order_keys_match_formulas(m):
-    a, b, c = m
-    for order, table, want in (
-        (MonomialOrder.grevlex(T3), T3, (a + b + c, (-a, -b, -c))),
-        (MonomialOrder("grevlex", ("a", "b", "c")), T3, (a + b + c, (-c, -b, -a))),
-        (MonomialOrder.grevlex(W), W, (a + b + 2 * c, (-a, -b, -c))),
-        (MonomialOrder.lex(("b", "a", "c")), T3, (b, a, c)),
-        (MonomialOrder("elim", ("c", "a", "b")), T3, (c, (a + b + c, (-b, -a, -c)))),
+@given(m=MONOS3, n=MONOS3)
+def test_order_keys_match_formulas(m, n):
+    """The oracle's tuple keys follow the written formulas, and the packed
+    keys compare as the formulas do.  On the packing a product is a sum, a
+    quotient by a non-divisor sets a guard bit, and the lcm is the
+    fieldwise maximum."""
+    lcm = tuple(map(max, m, n))
+    for order, table, formula in (
+        (MonomialOrder.grevlex(T3), T3, lambda a, b, c: (a + b + c, (-a, -b, -c))),
+        (MonomialOrder("grevlex", ("a", "b", "c")), T3, lambda a, b, c: (a + b + c, (-c, -b, -a))),
+        (MonomialOrder.grevlex(W), W, lambda a, b, c: (a + b + 2 * c, (-a, -b, -c))),
+        (MonomialOrder.lex(("b", "a", "c")), T3, lambda a, b, c: (b, a, c)),
+        (MonomialOrder("elim", ("c", "a", "b")), T3, lambda a, b, c: (c, (a + b + c, (-b, -a, -c)))),
+        (MonomialOrder("elim", ("c", "a", "b")), W, lambda a, b, c: (c, (a + b + 2 * c, (-b, -a, -c)))),
     ):
-        assert order.key(table)(m) == want
+        want_m, want_n = formula(*m), formula(*n)
+        assert order_key(order, table)(m) == want_m
+        packing = _Packing(table, 8, order)
+        pm, pn = packing.pack(m), packing.pack(n)
+        assert (pm > pn) == (want_m > want_n)
+        assert (pm == pn) == (m == n)
+        assert tuple(packing.exponents(packing.sign * pm)) == m
+        assert packing.pack(map(add, m, n)) == pm + pn
+        divides = all(x <= y for x, y in zip(m, n))
+        assert (not packing.sign * (pn - pm) & packing.guards) == divides
+        fields = packing.fields_max(packing.sign * pm & packing.low, packing.sign * pn & packing.low)
+        assert packing.key(fields) == packing.pack(lcm)
+        assert packing.grade(fields) == table.grade(lcm)
+
+
+@pytest.mark.parametrize("kind", ["grevlex", "lex", "elim", None])
+def test_fields_hold_exactly_the_capacity(kind):
+    """A packing's fields hold every exponent up to `capacity`, which is at
+    least the bound it was made for, and one more sets the guard bit: the
+    check that completion and normal forms rely on to widen in time."""
+    order = MonomialOrder(kind, ("b", "c", "a")) if kind else None
+    for bound in range(0, 70):
+        packing = _Packing(W, bound, order)
+        assert packing.capacity >= bound
+        for slot in range(3):
+            for e, guarded in ((packing.capacity, False), (packing.capacity + 1, True)):
+                mono = [0, 0, 0]
+                mono[slot] = e
+                fields = packing.sign * packing.pack(mono) & packing.low
+                assert bool(fields & packing.guards) == guarded
+                if not guarded:
+                    assert tuple(packing.exponents(fields)) == tuple(mono)
 
 
 def test_ideal_equal_sees_both_answers():
