@@ -1,22 +1,22 @@
-"""Exact integer linear algebra on sparse vectors: Smith invariants,
-echelon forms, relations and lattice membership.
+"""Exact integer linear algebra on sparse vectors: echelon forms,
+relations, lattice membership and Smith invariants.
 
 Every vector is a dict {index: value} of Python ints holding only its
 non-zero entries, so nothing ever overflows or rounds and a vector costs
 only its support.  The matrices of the patching step are nearly empty (at
-degree bound 10 the largest, 78 x 102, has 102 non-zero entries).  Both
-routines take a matrix as its sparse rows and use the same pivot rule: the
-smallest |entry| reduces the others by balanced remainders.  `echelon`
-does the kernels and the memberships: its pivot rows are a basis of the
-lattice the rows span, which `coordinates` reads, and the transforms of
-the rows that reach zero are a basis of the relations among the rows.
-Only the invariants need `smith_normal_form`, which keeps no transform.
+degree bound 10 the largest, 78 x 102, has 102 non-zero entries).  One
+elimination, `echelon`, serves every question.  Its pivot rows are a
+basis of the lattice the rows span, which `coordinates` reads; the
+transforms of the rows that reach zero are a basis of the relations among
+them; and `smith_normal_form` reads the invariant factors from echelon
+forms of a matrix and of its transpose in turn.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from math import gcd
+from typing import Dict, List, Optional, Sequence, Tuple
 
 Sparse = Dict[int, int]
 
@@ -42,140 +42,59 @@ def _balanced_quotient(value: int, pivot: int) -> int:
 
 def smith_normal_form(m: Sequence[Sparse]) -> Tuple[int, ...]:
     """The invariant factors d1 | d2 | ... (the non-zero diagonal entries,
-    all positive) of an integer matrix given as its sparse rows, found by
-    unimodular row/column operations that keep no transform.
+    all positive) of an integer matrix given as its sparse rows, from
+    echelon forms of the matrix and of its transpose in turn (Kannan and
+    Bachem, SIAM J. Comput. 8, 1979); no transform is kept.
 
-    The rows are copied without their zero entries, so a stored 0 is never
-    taken for a pivot, and the column count is one past the largest index
-    left.  `where[j]` is the set of rows non-zero in column j.  Pivot choice
-    is the smallest nonzero absolute value of the remaining block (ties
-    broken by position, row first), which keeps entry growth mild.  Once a
-    pivot has cleared its row and column, an entry of the remaining block
-    that it does not divide has its row added to the pivot row, and the
-    pivot is chosen again; so the divisibility chain holds as each pivot is
-    fixed, with no pass after the loop.  Rows and columns before the pivot
-    hold only their finished pivots, so the remaining block is all of rows
-    t onwards, and elimination ends when those rows are empty.
+    Each round Hermite-reduces the pivot rows of `echelon` from the last to
+    the first: an entry in a later pivot's column becomes its balanced
+    remainder modulo that pivot.  When every pivot row holds only its pivot
+    the matrix is diagonal up to the order of its columns; otherwise its
+    transpose, rows in column order, goes round again.  Rows and columns
+    that hold only their pivot stay so, and the rest of the matrix, the
+    unfinished block, is reduced on its own.
+
+    The rounds end.  The first pivot of the unfinished block is the gcd of
+    its column, and its row is the block's first column once transposed,
+    so the next form's first pivot divides it.  Either it shrinks, or every
+    entry of that column is its multiple; then the tie rule of `echelon`
+    takes the first row of the group, the transposed pivot column, which
+    holds the pivot alone and clears the others exactly, so the block's
+    first row and column come out clean.
+
+    The entries stay small.  From the second form on the matrix is square
+    and every column holds a pivot, so the product of the pivots is its
+    determinant up to sign, the same in every later form, and no reduced
+    entry exceeds half the pivot of its column.
+
+    Last the sorted diagonal is repaired into a divisibility chain, as
+    diag(a, b) has the invariant factors of diag(gcd(a, b), lcm(a, b)).
     """
-    rows = len(m)
-    a: List[Sparse] = [{j: x for j, x in row.items() if x} for row in m]
-    cols = 1 + max((max(row) for row in a if row), default=-1)
-    where: List[Set[int]] = [set() for _ in range(cols)]
-    for i, row in enumerate(a):
-        for j in row:
-            where[j].add(i)
-
-    def swap_rows(i, j):
-        if i == j:
-            return
-        for k in a[i]:
-            where[k].remove(i)
-        for k in a[j]:
-            where[k].remove(j)
-        a[i], a[j] = a[j], a[i]
-        for k in a[i]:
-            where[k].add(i)
-        for k in a[j]:
-            where[k].add(j)
-
-    def swap_cols(i, j):
-        if i == j:
-            return
-        for r in where[i] | where[j]:
-            row = a[r]
-            x, y = row.pop(i, 0), row.pop(j, 0)
-            if x:
-                row[j] = x
-            if y:
-                row[i] = y
-        where[i], where[j] = where[j], where[i]
-
-    def add_row(src, dst, q):
-        # row dst += q * row src
-        if q == 0:
-            return
-        row = a[dst]
-        for k, x in a[src].items():
-            y = row.get(k, 0) + q * x
-            if y:
-                if k not in row:
-                    where[k].add(dst)
-                row[k] = y
-            else:
-                del row[k]
-                where[k].remove(dst)
-
-    def add_col(src, dst, q):
-        # col dst += q * col src
-        if q == 0:
-            return
-        col = where[dst]
-        for r in where[src]:
-            row = a[r]
-            y = row.get(dst, 0) + q * row[src]
-            if y:
-                if dst not in row:
-                    col.add(r)
-                row[dst] = y
-            else:
-                del row[dst]
-                col.remove(r)
-
-    # Every entry of the remaining block is a multiple of `known`: of 1 at
-    # the start, and of a pivot once the scan below has found no stray
-    # entry for it, since row and column operations within the block keep
-    # that.  So no entry is smaller, and a pivot of that size divides all.
-    known = 1
-
-    def move_min_pivot(t) -> bool:
-        best = None
-        for i in range(t, rows):
-            row = a[i]
-            if row:
-                val = min(map(abs, row.values()))
-                if best is None or val < best:
-                    j = min(j for j, x in row.items() if abs(x) == val)
-                    best, spot = val, (i, j)
-                    if val == known:
-                        break
-        if best is None:
-            return False
-        swap_rows(t, spot[0])
-        swap_cols(t, spot[1])
-        return True
-
-    t = 0
-    while move_min_pivot(t):
-        # Re-selecting the minimal pivot each round (with balanced
-        # remainders) keeps entry growth tame and guarantees termination:
-        # every retry strictly shrinks the smallest entry of the block.
-        while True:
-            p = a[t][t]
-            clean = True
-            for i in [i for i in where[t] if i != t]:
-                add_row(t, i, -_balanced_quotient(a[i][t], p))
-                if t in a[i]:
-                    clean = False
-            for j, x in [(j, x) for j, x in a[t].items() if j != t]:
-                add_col(t, j, -_balanced_quotient(x, p))
-                if j in a[t]:
-                    clean = False
-            if not clean:
-                move_min_pivot(t)
-                continue
-            if abs(p) == known:
-                break
-            stray = next(
-                (i for i in range(t + 1, rows) if any(x % p for x in a[i].values())),
-                None,
-            )
-            if stray is None:
-                known = abs(p)
-                break
-            add_row(stray, t, 1)
-        t += 1
-
-    return tuple(abs(a[i][i]) for i in range(t))
+    rows = m
+    while True:
+        pivots = list(echelon(rows)[0].items())
+        for i in range(len(pivots) - 1, -1, -1):
+            row = pivots[i][1]
+            for j, pivot in pivots[i + 1:] if len(row) > 1 else ():
+                if j in row:
+                    q = _balanced_quotient(row[j], pivot[j])
+                    if q:
+                        _add_multiple(row, pivot, -q)
+        if all(len(row) == 1 for _, row in pivots):
+            break
+        columns: Dict[int, Sparse] = {}
+        for i, (_, row) in enumerate(pivots):
+            for j, x in row.items():
+                columns.setdefault(j, {})[i] = x
+        rows = [columns[j] for j in sorted(columns)]
+    factors: List[int] = []
+    for a in sorted(abs(row[j]) for j, row in pivots):
+        if factors and a % factors[-1]:
+            for i, f in enumerate(factors):
+                g = gcd(f, a)
+                factors[i], a = g, f // g * a
+        factors.append(a)
+    return tuple(factors)
 
 
 def echelon(rows: Sequence[Sparse]) -> Tuple[Dict[int, Sparse], List[Sparse]]:
@@ -257,5 +176,5 @@ def quotient_invariants(
     """Free rank and torsion of Z^ambient_rank / <sparse columns>.  The
     columns go to the Smith form as its rows: a matrix and its transpose
     have the same invariant factors."""
-    factors = smith_normal_form(subgroup_columns) if any(subgroup_columns) else ()
+    factors = smith_normal_form(subgroup_columns)
     return ambient_rank - len(factors), tuple(f for f in factors if f != 1)

@@ -39,7 +39,6 @@ MAX_DEGREE_BOUND = 20
 
 @dataclass
 class JobOptions:
-    degree_bound: int = 8
     oracle_trials: int = 0
     seed: Optional[int] = None
 
@@ -73,7 +72,6 @@ class PushJob:
         lines.append("[class]")
         lines.append(self.cls.render())
         lines.append("[options]")
-        lines.append(f"degree_bound = {self.options.degree_bound}")
         lines.append(f"oracle_trials = {self.options.oracle_trials}")
         if self.options.seed is not None:
             lines.append(f"seed = {self.options.seed}")
@@ -134,25 +132,18 @@ def _keyvals(entries: Sequence[Tuple[int, str]], section: str, repeatable=()) ->
         yield lineno, key, value.strip()
 
 
-def _parse_options(
-    entries: Sequence[Tuple[int, str]],
-    keys: Tuple[str, ...] = ("degree_bound", "oracle_trials", "seed"),
-) -> JobOptions:
-    opts = JobOptions()
+def _parse_options(entries: Sequence[Tuple[int, str]], keys: Tuple[str, ...]) -> Dict[str, int]:
+    """The [options] of a job, each one of `keys`, as integers; a capped
+    option lies between 0 and its cap."""
+    caps = {"degree_bound": MAX_DEGREE_BOUND, "oracle_trials": MAX_ORACLE_TRIALS}
+    opts: Dict[str, int] = {}
     for lineno, key, value in _keyvals(entries, "options"):
         if key not in keys:
             raise ParseError(f"line {lineno}: unknown option {key!r}")
         try:
-            if key == "degree_bound":
-                opts.degree_bound = int(value)
-                if not 0 <= opts.degree_bound <= MAX_DEGREE_BOUND:
-                    raise ValueError
-            elif key == "oracle_trials":
-                opts.oracle_trials = int(value)
-                if not 0 <= opts.oracle_trials <= MAX_ORACLE_TRIALS:
-                    raise ValueError
-            else:
-                opts.seed = int(value)
+            opts[key] = int(value)
+            if key in caps and not 0 <= opts[key] <= caps[key]:
+                raise ValueError
         except ValueError:
             raise ParseError(f"line {lineno}: bad value for {key!r}") from None
     return opts
@@ -182,6 +173,10 @@ def parse_push_job(text: str) -> PushJob:
                     if "=" not in part:
                         raise ParseError(f"line {lineno}: expected key=value, got {part!r}")
                     k, v = part.split("=", 1)
+                    if k in fields:
+                        raise ParseError(f"line {lineno}: repeated key {k!r} in [space]")
+                    if k not in ("d", "w0", "w1", "h"):
+                        raise ParseError(f"line {lineno}: unknown factor key {k!r}")
                     fields[k] = v
                 missing = {"d", "w0", "w1", "h"} - set(fields)
                 if missing:
@@ -215,7 +210,7 @@ def parse_push_job(text: str) -> PushJob:
             body = " ".join(line for _, line in entries)
             cls = parse_poly(body, table)
         elif name == "options":
-            options = _parse_options(entries)
+            options = JobOptions(**_parse_options(entries, ("oracle_trials", "seed")))
         else:
             raise ParseError(f"unknown section [{name}]")
 
@@ -333,7 +328,8 @@ def parse_square_job(text: str) -> SquareJob:
             hom_specs[(src, dst)] = images
         elif name == "options":
             # fiber-check has no oracle and no randomness
-            degree_bound = _parse_options(entries, ("degree_bound",)).degree_bound
+            opts = _parse_options(entries, ("degree_bound",))
+            degree_bound = opts.get("degree_bound", degree_bound)
         else:
             raise ParseError(f"unknown section [{name}]")
 

@@ -3,11 +3,11 @@
 A presentation is a graded variable table plus homogeneous relation
 polynomials.  Degree by degree the ring is a finitely generated abelian
 group (the monomials off the monic leads of a strong Groebner basis, modulo
-the multiples of the other leads), which Smith normal form turns into rank
-and torsion data.  Echelon forms of the same lattices verify, degree by
-degree, that a commuting square of presentations is cartesian.  The module
-also decides in every degree whether an element is a non-zero-divisor, by
-a colon ideal.
+the multiples of the other leads), whose invariant factors, read from
+echelon forms, give its rank and torsion.  Echelon forms of the same
+lattices verify, degree by degree, that a commuting square of
+presentations is cartesian.  The module also decides in every degree
+whether an element is a non-zero-divisor, by a colon ideal.
 """
 
 from __future__ import annotations
@@ -179,9 +179,10 @@ class GradedPiece:
 class RingHom:
     """A grade-preserving generator-image map between presentations.
 
-    Construction checks that every generator image is homogeneous of the
-    generator's degree and that every source relation maps into the target
-    ideal; otherwise the map would not be well defined on the quotient.
+    Construction checks that images are given for the source generators
+    only, that every image is homogeneous of the generator's degree and
+    that every source relation maps into the target ideal; otherwise the
+    map would not be well defined on the quotient.
     """
 
     def __init__(
@@ -193,6 +194,9 @@ class RingHom:
         self.source = source
         self.target = target
         self._images: Dict[int, Poly] = {}
+        for name in images:
+            if name not in source.table.names:
+                raise WellDefinednessError(f"image given for {name!r}, not a source generator")
         for i, name in enumerate(source.table.names):
             if name not in images:
                 raise WellDefinednessError(f"no image given for generator {name!r}")

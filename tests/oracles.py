@@ -1,7 +1,9 @@
 """Test-only oracles: dense matrix helpers, converters between dense
-lists and the engine's sparse vectors, the dense Smith normal form,
-lattice and preimage generators that the sparse Smith form and echelon
-form are checked against, the cartesian check of one degree by five
+lists and the engine's sparse vectors, a dense Smith normal form by row
+and column operations (an algorithm independent of the engine's, which
+alternates echelon forms of a matrix and its transpose), lattice and
+preimage generators that the sparse Smith form and echelon form are
+checked against, the cartesian check of one degree by five
 dense Smith forms, the defining check of a strong Groebner basis, the
 relation-times-monomial graded pieces that the Groebner-staircase pieces
 are checked against, ring-map columns with each image built from
@@ -71,9 +73,14 @@ def mat_vec(a, v):
 
 
 def dense_smith_normal_form(m):
-    """(factors, U, V) with U * m * V diagonal, by the same pivot rule and
-    divisibility repair as `smith_normal_form`, on dense rows with dense
-    identity-sized U and V."""
+    """(factors, U, V) with U * m * V diagonal and the factors positive,
+    each dividing the next, on dense rows with dense identity-sized U and V.
+    Unimodular row and column operations move the smallest |entry| of the
+    remaining block to the pivot spot, reduce its row and column by
+    balanced remainders, and choose again until both are clear; an entry
+    the pivot does not divide has its row added to the pivot row, so the
+    divisibility chain holds as each pivot is fixed.  This shares no step
+    with `smith_normal_form`, which keeps no transform."""
     rows = len(m)
     cols = len(m[0]) if rows else 0
     a = [row[:] for row in m]

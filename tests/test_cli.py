@@ -381,6 +381,7 @@ def test_repeated_section_is_rejected(tmp_path, capsys, command, base, extra, he
         (["push"], "cubing.job", "exponents = 3\n", "exponents = 2\n", "exponents", "map"),
         (["push"], "cubing.job", "target_h = h\n", "target_h = h\n", "target_h", "map"),
         (["push"], "cubing.job", "[map]\n", "product\nproduct\n", "product", "map"),
+        (["push"], "cubing.job", "[space]\n", "factor d=1 w0=g1 w1=g2 h=h1 d=2\n", "d", "space"),
         (["fiber-check"], "patch_square.job", "vars = l1 l2\n", "vars = l1\n", "vars", "ring C"),
         (["fiber-check"], "patch_square.job", "e = d1*x\n", "e = 0\n", "e", "hom A->B"),
         (
@@ -392,7 +393,16 @@ def test_repeated_section_is_rejected(tmp_path, capsys, command, base, extra, he
             "options",
         ),
     ],
-    ids=["options", "exponents", "target-h", "product", "ring-vars", "hom-image", "square-options"],
+    ids=[
+        "options",
+        "exponents",
+        "target-h",
+        "product",
+        "factor",
+        "ring-vars",
+        "hom-image",
+        "square-options",
+    ],
 )
 def test_repeated_key_is_rejected(tmp_path, capsys, command, base, old, new, key, section):
     """A single-valued key given twice in one section exits 2 naming the
@@ -422,6 +432,41 @@ def test_square_job_rejects_oracle_options(tmp_path, capsys, option):
     code, out, err = run_cli(["fiber-check", str(job)], capsys)
     key = option.split()[0]
     assert (code, out, err) == (2, "", f"error: line {lineno}: unknown option {key!r}\n")
+
+
+def _job_with(tmp_path, base, old, new):
+    """The checked-in job `base` with its first `old` replaced by `new`."""
+    with open(os.path.join(JOBS, base), "r", encoding="utf-8") as fh:
+        text = fh.read()
+    assert old in text
+    job = tmp_path / base
+    job.write_text(text.replace(old, new, 1))
+    return str(job)
+
+
+def test_unknown_factor_key_is_rejected(tmp_path, capsys):
+    """A factor line takes only d, w0, w1 and h: another key exits 2
+    naming its line, and is not ignored."""
+    job = _job_with(tmp_path, "cubing.job", "h=h1\n", "h=h1 colour=red\n")
+    code, out, err = run_cli(["push", job], capsys)
+    assert (code, out, err) == (2, "", "error: line 8: unknown factor key 'colour'\n")
+
+
+def test_push_job_rejects_degree_bound(tmp_path, capsys):
+    """A push job has no degree bound: the option exits 2 as unknown, as
+    the oracle options do in a square file."""
+    job = _job_with(tmp_path, "cubing.job", "seed = 7\n", "seed = 7\ndegree_bound = 8\n")
+    code, out, err = run_cli(["push", job], capsys)
+    assert (code, out, err) == (2, "", "error: line 17: unknown option 'degree_bound'\n")
+
+
+def test_hom_image_of_a_non_generator_is_rejected(tmp_path, capsys):
+    """An image for a name that is not a generator of the source ring exits
+    2, and is not ignored."""
+    job = _job_with(tmp_path, "patch_square.job", "e = d1*x\n", "e = d1*x\ntypo = x\n")
+    code, out, err = run_cli(["fiber-check", job], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: image given for 'typo', not a source generator\n"
 
 
 def test_parser_is_built_once(capsys):

@@ -239,6 +239,15 @@ def test_cartesian_trivial_square(fixtures):
     assert verify_cartesian(square, 4).passed
 
 
+def test_hom_rejects_image_of_a_non_generator(fixtures):
+    """An image for a name the source does not have is an error, not an
+    entry to ignore."""
+    ring = fixtures.open_part
+    t = ring.table
+    with pytest.raises(WellDefinednessError, match="'d1', not a source generator"):
+        RingHom(ring, ring, {"l1": v(t, "l1"), "l2": v(t, "l2"), "d1": v(t, "l1")})
+
+
 def test_cartesian_rejects_non_commuting_square(fixtures):
     ring = fixtures.open_part
     t = ring.table
