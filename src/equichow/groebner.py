@@ -474,8 +474,9 @@ def ideal_equal(
 
     Complete `gens_b` first, unless it is a strong basis already (then an
     `order` other than its own raises PolyError).  A generator of a
-    outside I_b decides False, and a's generators holding the whole
-    reduced basis of b decide True.
+    outside I_b decides False (an element of b's reduced basis is taken
+    with no normal form), and a's generators holding the whole reduced
+    basis of b decide True.
     Otherwise compare the reduced strong bases, which are unique for the
     ideal and the order.  Both bases have the minimal terms of the
     leading-term ideal as their leading terms.  Two elements with the same
@@ -501,9 +502,10 @@ def ideal_equal(
         order = MonomialOrder.grevlex(table)
     if basis_b is None:
         basis_b = strong_groebner(gens_b, order)
-    if any(not normal_form(g, basis_b).is_zero() for g in live_a):
+    reduced_b = set(basis_b.polys)
+    if any(g not in reduced_b and not normal_form(g, basis_b).is_zero() for g in live_a):
         return False
-    if set(basis_b.polys) <= set(live_a):
+    if reduced_b <= set(live_a):
         return True
     return strong_groebner(gens_a, order).polys == basis_b.polys
 

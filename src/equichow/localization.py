@@ -187,6 +187,11 @@ def euler_constant(space: SpaceDescriptor, fp: FixedPoint) -> int:
     """Integer part of the equivariant Euler class of the tangent space at
     the fixed point: per factor (-1)^i * i! * (d-i)!."""
     _check_point(space, fp)
+    return _euler_constant(space, fp)
+
+
+def _euler_constant(space: SpaceDescriptor, fp: FixedPoint) -> int:
+    """`euler_constant` of a point of `enumerate_fixed_points`."""
     const = 1
     for i, f in zip(fp, space.factors):
         const *= (-1) ** i * math.factorial(i) * math.factorial(f.d - i)
@@ -279,6 +284,11 @@ class MapDescriptor:
 def map_image_fixed_point(mapping: MapDescriptor, fp: FixedPoint) -> FixedPoint:
     """Image index per block: sum of a_j * i_j over the block's factors."""
     _check_point(mapping.source, fp)
+    return _image(mapping, fp)
+
+
+def _image(mapping: MapDescriptor, fp: FixedPoint) -> FixedPoint:
+    """`map_image_fixed_point` of a point of `enumerate_fixed_points`."""
     return tuple(
         sum(a * fp[idx] for idx, a in zip(block.indices, block.exponents))
         for block in mapping.blocks
@@ -318,7 +328,7 @@ def pushforward(mapping: MapDescriptor, cls: Poly) -> Poly:
     _check_class_variables(mapping, cls)
     source, target = mapping.source, mapping.target
     points = enumerate_fixed_points(source)
-    consts = [euler_constant(source, fp) for fp in points]
+    consts = [_euler_constant(source, fp) for fp in points]
     common = math.lcm(*consts)
     packing = _Packing(cls.table, max(map(sum, cls.terms), default=0) + target.dimension)
     slots = [cls.table.index(h) for h in source.hvars]
@@ -334,7 +344,7 @@ def pushforward(mapping: MapDescriptor, cls: Poly) -> Poly:
     powers: Dict[Tuple[int, int], List[Dict[int, int]]] = {}
     sums: Dict[FixedPoint, Dict[int, int]] = {}
     for fp, const in zip(points, consts):
-        acc = sums.setdefault(map_image_fixed_point(mapping, fp), {})
+        acc = sums.setdefault(_image(mapping, fp), {})
         for exps, rest in groups.items():
             term = rest
             for j, (i, e) in enumerate(zip(fp, exps)):
@@ -390,7 +400,7 @@ def specialize_oracle(
     target fixed point, sets the target hyperplane values there, and
     compares the localization sum with the symbolic result evaluated at
     the same point.  The sum is evaluated in integers from the descriptor
-    alone, not through the `_point_classes`, `euler_constant` and
+    alone, not through the `_point_classes`, `_euler_constant` and
     `euler_forms` that `pushforward` uses.  Each target h is then
     i*w0 + (d-i)*w1, so the form with j = i vanishes and the class of
     every image but the drawn point is 0: only the fibre over that point
@@ -421,7 +431,7 @@ def specialize_oracle(
         const = 1
         for i, f in zip(fp, source.factors):
             const *= (-1) ** i * math.factorial(i) * math.factorial(f.d - i)
-        fibres.setdefault(map_image_fixed_point(mapping, fp), []).append((fp, const))
+        fibres.setdefault(_image(mapping, fp), []).append((fp, const))
     values: List[Optional[int]] = [None] * len(names)
     for _ in range(trials):
         while True:

@@ -19,7 +19,7 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import repeat
 from operator import add, and_, mul, rshift
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 Monomial = Tuple[int, ...]
 
@@ -331,18 +331,23 @@ class Poly:
         Every variable actually used must map (via `rename`, default: same
         name) to a variable of `new_table` with the same degree.
         """
-        rename = dict(rename or {})
-        images: Dict[int, Poly] = {}
+        rename = rename or {}
+        slots: Dict[int, int] = {}
         for name in self.variables_used():
-            target = rename.get(name, name)
-            j = new_table.index(target)
-            i = self.table.index(name)
+            j, i = new_table.index(rename.get(name, name)), self.table.index(name)
             if new_table.degrees[j] != self.table.degrees[i]:
-                raise GradeMismatch(
-                    f"variable {name!r} changes degree under table move"
-                )
-            images[i] = Poly.var(new_table, target)
-        return _map_terms(self, new_table, images)
+                raise GradeMismatch(f"variable {name!r} changes degree under table move")
+            slots[i] = j
+        # nothing but slot moves; two variables renamed alike multiply
+        acc: Dict[Monomial, int] = {}
+        for mono, coeff in self.terms.items():
+            moved = [0] * len(new_table)
+            for i, e in enumerate(mono):
+                if e:
+                    moved[slots[i]] += e
+            key = tuple(moved)
+            acc[key] = acc.get(key, 0) + coeff
+        return Poly._canonical(new_table, {m: c for m, c in acc.items() if c})
 
     # -- rendering -------------------------------------------------------------
 
@@ -384,31 +389,36 @@ class Poly:
 
 def _map_terms(p: Poly, table: VarTable, images: Mapping[int, Poly]) -> Poly:
     """The image over `table` of p under the ring map sending the variable in
-    slot i to images[i], each power of an image built once per call.  A
-    variable without an image keeps its slot, which `table` must share."""
-    unit = (0,) * len(table)
-    powers: Dict[Tuple[int, int], Poly] = {}
-    acc: Dict[Monomial, int] = {}
-    get = acc.get
+    slot i to images[i]; a variable without an image keeps its slot, which
+    `table` must share.  It runs on packed terms, on one `_Packing` whose
+    fields hold the plain degree of p times that of the widest image.  A
+    one-term image moves the exponent to its monomial's slots; the others
+    are multiplied out, each power once per call."""
+    spread = max((sum(m) for img in images.values() for m in img.terms), default=1)
+    packing = _Packing(table, max(map(sum, p.terms), default=0) * max(spread, 1))
+    packed = {i: packing.terms(img) for i, img in images.items()}
+    powers: Dict[int, List[Dict[int, int]]] = {}
+    acc: Dict[int, int] = {}
     for mono, coeff in p.terms.items():
-        kept = list(unit)
-        image = None
+        key, product = 0, {0: 1}
         for i, e in enumerate(mono):
             if not e:
                 continue
-            if i not in images:
-                kept[i] = e
-                continue
-            power = powers.get((i, e))
-            if power is None:
-                power = powers[i, e] = images[i] ** e
-            image = power if image is None else image * power
-        terms = image.terms.items() if image is not None else ((unit, 1),)
-        if any(kept):
-            terms = [(tuple(map(add, m, kept)), c) for m, c in terms]
-        for m, c in terms:
-            acc[m] = get(m, 0) + c * coeff
-    return Poly._canonical(table, {m: c for m, c in acc.items() if c})
+            terms = packed.get(i)
+            if terms is None:
+                key += e * packing.units[i]
+            elif len(terms) == 1:
+                ((k, c),) = terms.items()
+                key, coeff = key + e * k, coeff * c**e
+            elif not terms:
+                break
+            else:
+                for _ in range(len(powers.setdefault(i, [{0: 1}])), e + 1):
+                    powers[i].append(_add_product({}, powers[i][-1], terms))
+                product = _add_product({}, product, powers[i][e])
+        else:
+            _add_product(acc, product, {key: coeff})
+    return packing.poly(acc)
 
 
 # -- packed monomials -----------------------------------------------------------
@@ -580,8 +590,10 @@ def to_elementary_symmetric(
     `targets` are the table variables receiving the elementary symmetric
     functions of the pair (degrees 1 and 2).  All other variables are
     treated as scalars.  Raises NotSymmetric if swapping the pair changes p.
-    The rewrite is the classical elimination: repeatedly kill the lex-top
-    pair-exponent (a, b) with the matching e1^(a-b) * e2^b product.
+    A term x^a*y^b with a > b and its mirror image make (x*y)^b times the
+    power sum x^(a-b) + y^(a-b), and the power sums follow Newton's
+    identity p_k = e1*p_(k-1) - e2*p_(k-2), with p_0 = 2 and p_1 = e1; a
+    term with a = b is e2^a.
     """
     table = p.table
     i1, i2 = table.index(pair[0]), table.index(pair[1])
@@ -599,29 +611,18 @@ def to_elementary_symmetric(
     if swapped != p.terms:
         raise NotSymmetric(f"not symmetric under {pair[0]} <-> {pair[1]}")
 
-    e1 = Poly.var(table, pair[0]) + Poly.var(table, pair[1])
-    e2 = Poly.var(table, pair[0]) * Poly.var(table, pair[1])
-    s1 = Poly.var(table, targets[0])
-    s2 = Poly.var(table, targets[1])
-
-    work = p
-    out = Poly.zero(table)
-    while True:
-        top = None
-        for mono in work.terms:
-            ab = (mono[i1], mono[i2])
-            if ab == (0, 0):
-                continue
-            if top is None or (ab > top[0]):
-                top = (ab, mono)
-        if top is None:
-            return out + work
-        (a, b), mono = top
+    s1, s2 = Poly.var(table, targets[0]), Poly.var(table, targets[1])
+    sums = [Poly.const(table, 2), s1]
+    acc: Dict[Monomial, int] = {}
+    for mono, coeff in p.terms.items():
+        a, b = mono[i1], mono[i2]
         if a < b:
-            raise NotSymmetric("symmetry lost during elimination")
-        coeff = work.terms[mono]
+            continue  # the mirror image of a term taken
+        while len(sums) <= a - b:
+            sums.append(s1 * sums[-1] - s2 * sums[-2])
         rest = list(mono)
-        rest[i1] = rest[i2] = 0
-        rest_poly = Poly(table, {tuple(rest): coeff})
-        work = work - rest_poly * e1 ** (a - b) * e2**b
-        out = out + rest_poly * s1 ** (a - b) * s2**b
+        rest[i1], rest[i2], rest[j2] = 0, 0, rest[j2] + b
+        for m, c in (sums[a - b].terms.items() if a > b else [((0,) * len(table), 1)]):
+            m = tuple(map(add, m, rest))
+            acc[m] = acc.get(m, 0) + c * coeff
+    return Poly(table, acc)

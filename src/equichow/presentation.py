@@ -18,7 +18,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .groebner import IdealBasis, Lead, MonomialOrder, ideal_intersection, normal_form
 from .groebner import _reduce, strong_groebner
-from .intlinalg import Sparse, coordinates, echelon, quotient_invariants
+from .intlinalg import Sparse, _add_multiple, coordinates, echelon, quotient_invariants
 from .poly import GradeMismatch, Monomial, Poly, PolyError, VarTable, _map_terms, _Packing
 from .poly import exact_divide
 
@@ -77,7 +77,9 @@ class GradedPiece:
     (m / LM g) * g for the element g attaining c_m: a member of the ideal in
     the span of N has a leading coefficient that c_m divides, so subtracting
     a multiple of that column lowers its lead (Adams & Loustaunau, ch. 4).
-    The columns form a triangular matrix with pivot c_m in row m.
+    The columns form a triangular matrix with pivot c_m in row m; they span
+    the reductions of the ideal elements, so `image_columns` may build any
+    vector of a class.
 
     `RingPresentation.piece` memoizes the pieces of its presentation, one
     per degree, so each is built once however many checks read it.  A
@@ -87,89 +89,93 @@ class GradedPiece:
     """
 
     def __init__(self, pres: RingPresentation, n: int):
-        self.table = pres.table
-        self.degree = n
+        self.table, self.degree = pres.table, n
         basis = pres.groebner()
-        if basis.polys:
-            packing, leads = basis._division(n)
-        else:
-            packing, leads = _Packing(pres.table, n, pres.order), ()
+        packing, leads = basis._division(n) if basis.polys else (_Packing(pres.table, n, pres.order), ())
         self._packing = packing
         self._monic = [lead for lead in leads if lead[1] == 1]
         self._pivots: Dict[int, Lead] = {}
         sign, guards = packing.sign, packing.guards
+        ranked = sorted(leads, key=lambda lead: lead[1])  # stable: a tie keeps the first lead
         monomials, packed = [], []
-        for m in pres.table.monomials_of_grade(n):
-            key = packing.pack(m)
+        every = pres.table.monomials_of_grade(n)
+        for m, key in zip(every, map(packing.pack, every)):
             probe = sign * key
-            best = None
-            for lead in leads:
-                # lead divides m iff no field of m / lead goes negative
-                if (best is None or lead[1] < best[1]) and not (probe - lead[3]) & guards:
-                    best = lead
+            for best in ranked:
+                # best divides m iff no field of m / best goes negative
+                if not (probe - best[3]) & guards:
+                    break
+            else:
+                best = None
             if best is None or best[1] > 1:
                 monomials.append(m)
                 packed.append(key)
                 if best is not None:
                     self._pivots[key] = best
         self.monomials = tuple(monomials)
-        self._index = {m: i for i, m in enumerate(self.monomials)}
-        self._packed_index = {k: i for i, k in enumerate(packed)}
+        self._packed_index = dict(zip(packed, range(len(packed))))
 
     @cached_property
     def relations(self) -> List[Sparse]:
         """Columns spanning the ideal in degree n: one per monomial with
         c_m > 1, triangular with pivot c_m."""
-        columns = []
-        for m, (gm, gc, tail, _, _) in self._pivots.items():
-            shift = m - gm
-            terms = {shift + k: c for k, c in tail.items()}
-            terms[m] = gc
-            columns.append(self._vector(terms))
-        return columns
-
-    def vector(self, p: Poly) -> Sparse:
-        """Sparse coordinates on N of p reduced by the monic leads, each
-        monomial always by the same lead, so the map is linear."""
-        index = self._index
-        # A degree-n staircase monomial has no monic lead dividing it, so p
-        # needs a reduction only when a term is off the staircase.
-        if all(mono in index for mono in p.terms):
-            return {index[mono]: coeff for mono, coeff in p.terms.items()}
-        grade = self.table.grade
-        if any(grade(mono) != self.degree for mono in p.terms):
-            raise GradeMismatch(f"vectorizing a term outside degree {self.degree}")
-        return self._vector(self._packing.terms(p))
+        return [
+            self._vector({m: gc, **{m - gm + k: c for k, c in tail.items()}})
+            for m, (gm, gc, tail, _, _) in self._pivots.items()
+        ]
 
     def _vector(self, terms: Dict[int, int]) -> Sparse:
-        """`vector` of packed degree-n terms, which it consumes."""
+        """Sparse coordinates on N of packed degree-n terms, which it
+        consumes, reduced by the monic leads, each monomial always by the
+        same lead, so the map is linear."""
         index = self._packed_index
-        if not all(k in index for k in terms):
+        if not terms.keys() <= index.keys():
             # the divisor memo lives for one reduction, so a memoized piece
             # holds no table of monomials
             terms = _reduce(terms, self._monic, self._packing, {})
         return {index[k]: c for k, c in terms.items()}
 
     def image_columns(
-        self, source: GradedPiece, hom: RingHom, memo: Dict[int, Dict[Monomial, Poly]]
+        self, source: GradedPiece, hom: RingHom, memo: Dict[int, Tuple[GradedPiece, Dict]]
     ) -> List[Sparse]:
-        """The columns vector(hom(m)) for the monomials m of `source`.  `memo`
-        maps degree to {monomial: image} for one caller that asks for degrees
-        0, 1, ... in turn.  The image of m is that of m / x_i, x_i the first
-        variable of m, times the image of x_i; m / x_i is on the staircase,
-        since a monic lead dividing it would divide m.  Degrees that degree
-        n + 1 cannot read are then dropped."""
+        """The columns of hom on the monomials m of `source`.  `memo` maps
+        degree k to (the target piece, {monomial: column}) of degree k for
+        one caller that asks for degrees 0, 1, ... in turn; degrees that
+        degree n + 1 cannot read are dropped.  The column of m is that of
+        m / x_i, x_i the first variable of m, through the multiplication
+        map s -> vector of s * hom(x_i) on the staircase of the lower target
+        piece, each s once per call (FGLM's multiplication matrices:
+        Faugere, Gianni, Lazard & Mora, J. Symb. Comp. 16, 1993).  m / x_i
+        is on the staircase, as a monic lead dividing it would divide m.
+        The column reduces what differs from hom(m) by an ideal element, so
+        it agrees with the vector of hom(m) modulo the relation columns."""
         n, grades, gens = source.degree, source.table.degrees, hom._images
-        built = memo[n] = {}
+        built: Dict[Monomial, Sparse] = {}
+        memo[n] = (self, built)
+        maps: Dict[int, Tuple[Dict[int, int], List[int], Dict[int, Sparse], Dict]] = {}
         for m in source.monomials:
             if not n:
-                built[m] = Poly.const(self.table, 1)
+                built[m] = self._vector({0: 1})
                 continue
-            i = next(i for i, e in enumerate(m) if e)
-            built[m] = memo[n - grades[i]][m[:i] + (m[i] - 1,) + m[i + 1 :]] * gens[i]
+            i = m.index(next(filter(None, m)))  # the first non-zero exponent's slot
+            if i not in maps:
+                lower, columns = memo[n - grades[i]]
+                keys = lower._packed_index if lower._packing is self._packing else map(
+                    self._packing.pack, lower.monomials)
+                maps[i] = (self._packing.terms(gens[i]), list(keys), {}, columns)
+            factor, keys, products, columns = maps[i]
+            column: Sparse = {}
+            for s, c in columns[m[:i] + (m[i] - 1,) + m[i + 1 :]].items():
+                if s not in products:
+                    products[s] = self._vector({keys[s] + k: x for k, x in factor.items()})
+                if column or c != 1:
+                    _add_multiple(column, products[s], c)
+                else:
+                    column = dict(products[s])
+            built[m] = column
         for k in [k for k in memo if k <= n - max(grades)]:
             del memo[k]
-        return [self.vector(built[m]) for m in source.monomials]
+        return list(built.values())
 
     def invariants(self) -> Tuple[int, Tuple[int, ...]]:
         """Free rank and torsion of the piece."""
@@ -310,7 +316,7 @@ def verify_cartesian(square: CartesianSquareSpec, degree_bound: int) -> Cartesia
     finitely generated abelian groups is injective (they are Hopfian).
     Each of bd, cd, ab and ac has its own image memo, for this call only.
     """
-    memo: Tuple[Dict[int, Dict[Monomial, Poly]], ...] = ({}, {}, {}, {})
+    memo: Tuple[Dict[int, Tuple[GradedPiece, Dict]], ...] = ({}, {}, {}, {})
     return CartesianReport([_check_degree(square, n, memo) for n in range(degree_bound + 1)])
 
 

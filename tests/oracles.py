@@ -6,8 +6,10 @@ preimage generators that the sparse Smith form and echelon form are
 checked against, the cartesian check of one degree by five
 dense Smith forms, the defining check of a strong Groebner basis, the
 relation-times-monomial graded pieces that the Groebner-staircase pieces
-are checked against, ring-map columns with each image built from
-scratch, vectors always taken through the reduction, the
+are checked against, vectors of polynomials on a piece, ring-map columns
+with each image built from scratch or as a Poly product of a lower
+image, equality of columns modulo relations, ring maps by Poly products,
+vectors always taken through the reduction, the
 non-zero-divisor check degree by degree up to a bound, order keys,
 leads, S- and G-polynomials and reduced bases on exponent tuples, shared
 with no kernel of the engine's packed path, division with a full scan of
@@ -27,7 +29,7 @@ from typing import Dict, Optional
 
 from equichow import MonomialOrder, Poly, normal_form, strong_groebner
 from equichow.groebner import IdealBasis
-from equichow.intlinalg import quotient_invariants
+from equichow.intlinalg import coordinates, echelon, quotient_invariants
 from equichow.localization import (
     DescriptorError,
     MapDescriptor,
@@ -310,20 +312,93 @@ def monomial_piece_invariants(pres, n):
     return quotient_invariants(len(piece.monomials), [sparse(c) for c in piece.relations])
 
 
+def vector(piece, p):
+    """Sparse coordinates on the piece's staircase of the Poly p reduced by
+    the monic leads, each monomial always by the same lead, so the map is
+    linear; GradeMismatch for a term outside the piece's degree."""
+    if any(piece.table.grade(mono) != piece.degree for mono in p.terms):
+        raise GradeMismatch(f"vectorizing a term outside degree {piece.degree}")
+    return piece._vector(piece._packing.terms(p))
+
+
 def naive_image_columns(target, source, fn):
-    """The columns target.vector(fn(m)) for the monomials m of `source`,
+    """The columns vector(target, fn(m)) for the monomials m of `source`,
     each image built from scratch."""
     table = source.table
-    return [target.vector(fn(Poly(table, {m: 1}))) for m in source.monomials]
+    return [vector(target, fn(Poly(table, {m: 1}))) for m in source.monomials]
+
+
+def image_columns(target, source, hom, memo):
+    """The columns vector(target, hom(m)) for the monomials m of `source`,
+    each image a Poly product: memo maps degree to {monomial: image} for
+    one caller that asks for degrees 0, 1, ... in turn, and the image of m
+    is that of m / x_i, x_i the first variable of m, times the image of
+    x_i.  This is the build that the engine's multiplication maps replaced;
+    its columns are exact, where the engine's agree modulo the relations."""
+    n, grades, gens = source.degree, source.table.degrees, hom._images
+    built = memo[n] = {}
+    for m in source.monomials:
+        if not n:
+            built[m] = Poly.const(target.table, 1)
+            continue
+        i = next(i for i, e in enumerate(m) if e)
+        built[m] = memo[n - grades[i]][m[:i] + (m[i] - 1,) + m[i + 1 :]] * gens[i]
+    return [vector(target, built[m]) for m in source.monomials]
+
+
+def same_classes(columns, reference, relations):
+    """Whether two lists of columns agree modulo the relation columns, read
+    as lattices: each list with the relations spans one lattice, and the
+    relations among [columns; relations], cut to the columns' coordinates,
+    form one lattice."""
+
+    def read(cols):
+        span, kernel = echelon(list(cols) + list(relations))
+        cut = [{k: x for k, x in rel.items() if k < len(cols)} for rel in kernel]
+        return span, echelon(cut)[0]
+
+    def within(pivots, vectors):
+        return all(coordinates(pivots, v) is not None for v in vectors)
+
+    (span_a, kernel_a), (span_b, kernel_b) = read(columns), read(reference)
+    return (
+        len(columns) == len(reference)
+        and within(span_a, span_b.values())
+        and within(span_b, span_a.values())
+        and within(kernel_a, kernel_b.values())
+        and within(kernel_b, kernel_a.values())
+    )
+
+
+def poly_map_terms(p, table, images):
+    """The image over `table` of p under the ring map sending the variable
+    in slot i to images[i], by Poly products: the engine's `_map_terms`
+    before it ran on packed terms.  A variable without an image keeps its
+    slot."""
+    unit = (0,) * len(table)
+    acc = {}
+    for mono, coeff in p.terms.items():
+        kept = list(unit)
+        image = Poly.const(table, coeff)
+        for i, e in enumerate(mono):
+            if e and i in images:
+                image = image * images[i] ** e
+            elif e:
+                kept[i] = e
+        for m, c in image.terms.items():
+            m = tuple(map(add, m, kept))
+            acc[m] = acc.get(m, 0) + c
+    return Poly(table, acc)
 
 
 def reduced_vector(pres, piece, p):
-    """piece.vector(p), always through the reduction by the monic leads of
+    """vector(piece, p), always through the reduction by the monic leads of
     the presentation's basis, taken in the basis's order."""
     key = cached_key(pres.order, pres.table)
     leads = [plain_lead(g, key) for g in pres.groebner().polys]
     reduced = plain_reduce(p, [lead for lead in leads if lead[1] == 1], key)
-    return {piece._index[mono]: c for mono, c in reduced.terms.items()}
+    index = {m: i for i, m in enumerate(piece.monomials)}
+    return {index[mono]: c for mono, c in reduced.terms.items()}
 
 
 def dense_quotient_invariants(rank, columns):

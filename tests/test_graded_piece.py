@@ -4,6 +4,7 @@ monomial builder of `oracles`."""
 import gc
 import weakref
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,21 +19,26 @@ from equichow import (
     is_nonzerodivisor,
     verify_cartesian,
 )
+from equichow.jobfile import parse_square_job
 from equichow.pipeline import Fixtures
 from equichow.presentation import CartesianSquareSpec, GradedPiece
 from conftest import doubling_square
 from oracles import (
     dense,
+    image_columns,
     monomial_nonzerodivisor_up_to,
     monomial_piece_invariants,
     naive_image_columns,
     nonzerodivisor_up_to,
     order_key,
     reduced_vector,
+    same_classes,
     smith_check_degree,
+    vector,
 )
 
 FX = Fixtures.default()
+JOBS = Path(__file__).resolve().parents[1] / "jobs"
 RINGS = {
     "total": FX.total,
     "boundary": FX.boundary,
@@ -63,11 +69,11 @@ def test_boundary_piece_in_degree_one():
     piece = pres.piece(1)
     l1, d1, x = (Poly.var(pres.table, n) for n in ("l1", "d1", "x"))
     assert len(piece.monomials) == 3
-    assert piece.relations == [piece.vector(2 * x)]
+    assert piece.relations == [vector(piece, 2 * x)]
     assert sorted(dense(piece.relations[0], 3)) == [0, 0, 2]
-    assert sorted(dense(piece.vector(l1 + 3 * d1 - 5 * x), 3)) == [-5, 1, 3]
+    assert sorted(dense(vector(piece, l1 + 3 * d1 - 5 * x), 3)) == [-5, 1, 3]
     with pytest.raises(GradeMismatch):
-        piece.vector(x * x)
+        vector(piece, x * x)
 
 
 def test_vector_reduces_by_monic_leads():
@@ -75,7 +81,7 @@ def test_vector_reduces_by_monic_leads():
     pres = FX.boundary
     l1, x = Poly.var(pres.table, "l1"), Poly.var(pres.table, "x")
     piece = pres.piece(2)
-    assert piece.vector(x * x) == piece.vector(-x * l1)
+    assert vector(piece, x * x) == vector(piece, -x * l1)
 
 
 def _pivot_coefficients(pres, n):
@@ -153,23 +159,29 @@ def test_vector_skips_only_reductions_that_change_nothing(pres, data):
         m = data.draw(st.sampled_from(off))
         polys.append(on + Poly(table, {m: data.draw(st.sampled_from([-3, -1, 1, 2]))}))
     for p in polys:
-        assert piece.vector(p) == reduced_vector(pres, piece, p)
+        assert vector(piece, p) == reduced_vector(pres, piece, p)
     outside = table.monomials_of_grade(n + 1)
     if outside:
         with pytest.raises(GradeMismatch):
-            piece.vector(on + Poly(table, {outside[0]: 1}))
+            vector(piece, on + Poly(table, {outside[0]: 1}))
 
 
 def _columns_during(square, degree_bound):
     """verify_cartesian(square, degree_bound) with every image_columns call
-    checked against the columns built from scratch; returns the source
-    degrees of the calls."""
+    checked against the columns built from scratch, and so is the
+    Poly-product build of `oracles`, with a memo of its own per map.
+    Returns the source degrees of the calls."""
     build = GradedPiece.image_columns
     degrees = []
+    products = {}
 
     def checked(target, source, hom, memo):
         columns = build(target, source, hom, memo)
-        assert columns == naive_image_columns(target, source, hom._raw_apply)
+        naive = naive_image_columns(target, source, hom._raw_apply)
+        assert image_columns(target, source, hom, products.setdefault(id(memo), {})) == naive
+        # Exact on these squares; `test_columns_differ_but_agree_modulo_
+        # relations` has a ring where the reductions are not.
+        assert columns == naive
         degrees.append(source.degree)
         return columns
 
@@ -186,6 +198,75 @@ def _columns_during(square, degree_bound):
 )
 def test_memoized_columns_of_fixed_squares(square):
     assert _columns_during(square(), 12) == [n for n in range(13) for _ in range(4)]
+
+
+def _job_square():
+    return parse_square_job((JOBS / "patch_square.job").read_text()).square
+
+
+def _classes_during(square, degree_bound, corrupt=None):
+    """verify_cartesian(square, degree_bound) with the columns of every
+    image_columns call compared with the Poly-product build of `oracles`
+    modulo the target's relations; `corrupt(columns)` may perturb the
+    engine's columns first.  Returns the verdict of each call."""
+    build = GradedPiece.image_columns
+    verdicts = []
+    products = {}
+
+    def checked(target, source, hom, memo):
+        columns = build(target, source, hom, memo)
+        reference = image_columns(target, source, hom, products.setdefault(id(memo), {}))
+        if corrupt is not None:
+            columns = corrupt([dict(c) for c in columns])
+        verdicts.append(same_classes(columns, reference, target.relations))
+        return columns
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(GradedPiece, "image_columns", checked)
+        verify_cartesian(square, degree_bound)
+    return verdicts
+
+
+@pytest.mark.parametrize(
+    "square", [lambda: Fixtures.default().patch_square(), _job_square], ids=["default", "job"]
+)
+def test_map_columns_agree_with_poly_products_to_degree_20(square):
+    assert _classes_during(square(), 20) == [True] * 84
+
+
+def test_perturbed_column_fails_the_class_check():
+    """Doubling the last column of every call is caught in every degree:
+    the last source monomial is a power of l1, which every map sends to a
+    power of l1, free of torsion."""
+
+    def double_last(columns):
+        columns[-1] = {k: 2 * x for k, x in columns[-1].items()}
+        return columns
+
+    verdicts = _classes_during(Fixtures.default().patch_square(), 6, double_last)
+    assert verdicts == [False] * 28
+
+
+def test_columns_differ_but_agree_modulo_relations():
+    """In Z[a,b,c]/(3a + 3b + 2c, 3b, b^2 + c^2 - ac) the degree-3 columns
+    of s -> a + b, u -> c - a reduce a product of reduced vectors, not the
+    image itself, and differ from the columns built from scratch by
+    relation columns.  A column made twice itself is caught."""
+    table = VarTable([("a", 1), ("b", 1), ("c", 1)])
+    a, b, c = (Poly.var(table, n) for n in table.names)
+    target = RingPresentation(table, [3 * a + 3 * b + 2 * c, 3 * b, b * b + c * c - a * c])
+    free = RingPresentation(VarTable([("s", 1), ("u", 1)]))
+    hom = RingHom(free, target, {"s": a + b, "u": c - a})
+    memo = {}
+    for n in range(4):
+        columns = target.piece(n).image_columns(free.piece(n), hom, memo)
+    naive = naive_image_columns(target.piece(3), free.piece(3), hom._raw_apply)
+    relations = target.piece(3).relations
+    assert columns != naive
+    assert same_classes(columns, naive, relations)
+    k = next(k for k, col in enumerate(columns) if col)
+    doubled = columns[:k] + [{r: 2 * x for r, x in columns[k].items()}] + columns[k + 1 :]
+    assert not same_classes(doubled, naive, relations)
 
 
 @st.composite

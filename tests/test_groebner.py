@@ -539,6 +539,32 @@ def test_ideal_equal_completion_count(monkeypatch):
             assert ideal_equal(a, b) == want
 
 
+def test_ideal_equal_takes_no_normal_form_of_a_basis_element(monkeypatch, fixtures):
+    """When a's generators are b's reduced basis, no normal form is taken
+    and the verdict is True; with one more generator of a, only that one
+    is normal-formed.  The verdicts equal mutual containment's."""
+    reference = list(fixtures.final_ideal)
+    order = MonomialOrder.grevlex(fixtures.ambient)
+    reduced = list(strong_groebner(reference, order).polys)
+    d1 = v(fixtures.ambient, "d1")
+    true_normal_form = groebner.normal_form
+    taken = []
+
+    def counting_normal_form(p, basis):
+        taken.append(p)
+        return true_normal_form(p, basis)
+
+    monkeypatch.setattr(groebner, "normal_form", counting_normal_form)
+    for a, want, forms in [(reduced, True, 0), (reduced + [d1], False, 1)]:
+        taken.clear()
+        assert ideal_equal(a, reference, order) is want
+        assert len(taken) == forms
+        assert ideal_equal(a, strong_groebner(reference, order)) is want
+    monkeypatch.undo()
+    assert containment_ideal_equal(reduced, reference, order)
+    assert not containment_ideal_equal(reduced + [d1], reference, order)
+
+
 def test_ideal_equal_rejects_a_basis_in_another_order():
     x, y = v(XY, "x"), v(XY, "y")
     basis = strong_groebner([x * x + y * y, x * y], MonomialOrder.lex(("x", "y")))

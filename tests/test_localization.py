@@ -152,6 +152,28 @@ def test_fixed_point_consistency():
                 assert restricted.is_zero()
 
 
+def test_public_point_functions_reject_bad_points():
+    """A point from outside is checked: wrong slot count or index range."""
+    for bad in [(4,), (-1,), (1, 0)]:
+        with pytest.raises(DescriptorError):
+            euler_constant(single(3), bad)
+        with pytest.raises(DescriptorError):
+            map_image_fixed_point(cubing_map(), bad)
+
+
+def test_engine_checks_no_point_it_made(monkeypatch):
+    """`pushforward` and the oracle take their points from
+    enumerate_fixed_points and check none of them again."""
+    checked = []
+    true_check = localization._check_point
+    monkeypatch.setattr(localization, "_check_point", lambda *a: checked.append(a) or true_check(*a))
+    value = pushforward(mixed_map(), H1 * H1)
+    assert specialize_oracle(mixed_map(), H1 * H1, trials=5, seed=0, symbolic=value)
+    assert checked == []
+    assert euler_constant(single(3), (1,)) == -2
+    assert len(checked) == 1
+
+
 def test_map_image_indices():
     assert map_image_fixed_point(cubing_map(), (1,)) == (3,)
     rho1 = mixed_map()
@@ -337,7 +359,7 @@ def test_oracle_is_independent_of_pushforward(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle used the engine it checks")
 
-    kernels = ("pushforward", "_point_classes", "euler_constant", "euler_forms")
+    kernels = ("pushforward", "_point_classes", "euler_constant", "_euler_constant", "euler_forms")
     packed = ("_Packing", "_add_product", "exact_divide")
     for name in kernels + packed:
         monkeypatch.setattr(localization, name, forbidden)

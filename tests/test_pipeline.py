@@ -261,6 +261,49 @@ def test_run_all_small_bound():
     ]
 
 
+def test_run_all_derives_each_relation_once(monkeypatch):
+    """One run pushes the double-triple product map forward once and
+    eliminates the node ideal once, though two steps read each; a replace()d
+    fixture derives both again, and a derivation that raises is not kept."""
+    true_pushforward, true_substitute = pipeline.pushforward, Poly.substitute
+    products, eliminations = [], []
+
+    def counting_pushforward(mapping, cls):
+        if len(mapping.blocks) == 2:
+            products.append(mapping)
+        return true_pushforward(mapping, cls)
+
+    def counting_substitute(p, assignment):
+        if "e" in assignment:
+            eliminations.append(p)
+        return true_substitute(p, assignment)
+
+    monkeypatch.setattr(pipeline, "pushforward", counting_pushforward)
+    monkeypatch.setattr(Poly, "substitute", counting_substitute)
+    fixtures = Fixtures.default()
+    assert run_all(degree_bound=2, oracle_trials=2, seed=0, fixtures=fixtures).overall == "match"
+    assert len(products) == 1
+    assert len(eliminations) == len(fixtures.total.relations) + 1
+    value, ideal = double_triple_value(fixtures), eliminated_node_ideal(fixtures)
+    assert len(products) == 1
+    copy = replace(fixtures, triple_root_class=fixtures.triple_root_class)
+    assert copy == fixtures
+    assert double_triple_value(copy) == value and eliminated_node_ideal(copy) == ideal
+    assert len(products) == 2
+    assert len(eliminations) == 2 * (len(fixtures.total.relations) + 1)
+
+    def failing(mapping, cls):
+        raise ArithmeticError("no pushforward")
+
+    fresh = Fixtures.default()
+    monkeypatch.setattr(pipeline, "pushforward", failing)
+    with pytest.raises(ArithmeticError):
+        double_triple_value(fresh)
+    monkeypatch.setattr(pipeline, "pushforward", counting_pushforward)
+    assert double_triple_value(fresh) == value
+    assert len(products) == 3
+
+
 CERTIFY_D10 = Path(__file__).resolve().parents[1] / "bench" / "golden" / "certify-d10.tsv"
 
 

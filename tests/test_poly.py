@@ -16,10 +16,10 @@ from equichow import (
     parse_poly,
     to_elementary_symmetric,
 )
-from equichow.poly import _Packing
+from equichow.poly import _map_terms, _Packing
 from equichow.textio import MAX_EXPONENT
 from conftest import random_poly
-from oracles import evaluate, plain_exact_divide
+from oracles import evaluate, plain_exact_divide, poly_map_terms
 
 
 def v(table, name):
@@ -180,6 +180,54 @@ def test_change_table_roundtrip(ambient_table):
     assert moved == 24 * v(ambient_table, "l1") ** 2 - 48 * v(ambient_table, "l2")
     with pytest.raises(PolyError):
         (v(src, "t1")).change_table(ambient_table)
+
+
+@st.composite
+def ring_maps(draw):
+    """A polynomial over a table of weighted variables, a wider table that
+    shares its slots, and images over it for some of the variables: zero,
+    one term or several, each homogeneous of its variable's degree.  The
+    other variables keep their slots."""
+    degrees = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    source = VarTable([(f"v{i}", d) for i, d in enumerate(degrees)])
+    extra = draw(st.lists(st.integers(1, 2), max_size=2))
+    target = VarTable(list(zip(source.names, degrees)) + [(f"w{i}", d) for i, d in enumerate(extra)])
+    images = {}
+    for i, d in enumerate(degrees):
+        kind = draw(st.sampled_from(["kept", "zero", "one term", "terms"]))
+        monos = target.monomials_of_grade(d)
+        if kind == "zero":
+            images[i] = Poly.zero(target)
+        elif kind == "one term":
+            images[i] = Poly(target, {draw(st.sampled_from(monos)): draw(st.sampled_from([-2, 1, 3]))})
+        elif kind == "terms":
+            coefficients = st.lists(st.integers(-3, 3), min_size=len(monos), max_size=len(monos))
+            images[i] = Poly(target, dict(zip(monos, draw(coefficients))))
+    exponents = st.tuples(*[st.integers(0, 3) for _ in degrees])
+    terms = draw(st.dictionaries(exponents, st.integers(-5, 5), max_size=5))
+    return Poly(source, terms), target, images
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=ring_maps())
+def test_map_terms_agrees_with_poly_products(case):
+    p, target, images = case
+    assert _map_terms(p, target, images) == poly_map_terms(p, target, images)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=ring_maps(), data=st.data())
+def test_change_table_round_trips(case, data):
+    """Moving onto a table with the variables in a drawn order and back
+    gives p again; the move is the Poly-product map onto the new slots."""
+    p = case[0]
+    table = p.table
+    order = data.draw(st.permutations(range(len(table))))
+    moved_table = VarTable([(table.names[i], table.degrees[i]) for i in order])
+    moved = p.change_table(moved_table)
+    names = {i: Poly.var(moved_table, name) for i, name in enumerate(table.names)}
+    assert moved == poly_map_terms(p, moved_table, names)
+    assert moved.change_table(table) == p
 
 
 def test_evaluate():
