@@ -17,7 +17,6 @@ from .localization import (
     SpaceFactor,
     enumerate_fixed_points,
     euler_constant,
-    euler_forms,
     map_image_fixed_point,
     pushforward,
     specialize_oracle,
@@ -61,7 +60,6 @@ __all__ = [
     "VarTable",
     "enumerate_fixed_points",
     "euler_constant",
-    "euler_forms",
     "exact_divide",
     "ideal_contains",
     "ideal_equal",

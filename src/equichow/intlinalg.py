@@ -70,9 +70,13 @@ def smith_normal_form(m: Sequence[Sparse]) -> Tuple[int, ...]:
     Last the sorted diagonal is repaired into a divisibility chain, as
     diag(a, b) has the invariant factors of diag(gcd(a, b), lcm(a, b)).
     """
-    rows = m
+    return _echelon_factors(echelon(m)[0])
+
+
+def _echelon_factors(span: Dict[int, Sparse]) -> Tuple[int, ...]:
+    """`smith_normal_form` of rows with the `echelon` pivots `span`, reduced in place."""
     while True:
-        pivots = list(echelon(rows)[0].items())
+        pivots = list(span.items())
         for i in range(len(pivots) - 1, -1, -1):
             row = pivots[i][1]
             for j, pivot in pivots[i + 1:] if len(row) > 1 else ():
@@ -86,7 +90,7 @@ def smith_normal_form(m: Sequence[Sparse]) -> Tuple[int, ...]:
         for i, (_, row) in enumerate(pivots):
             for j, x in row.items():
                 columns.setdefault(j, {})[i] = x
-        rows = [columns[j] for j in sorted(columns)]
+        span = echelon([columns[j] for j in sorted(columns)])[0]
     factors: List[int] = []
     for a in sorted(abs(row[j]) for j, row in pivots):
         if factors and a % factors[-1]:

@@ -78,8 +78,8 @@ class PushJob:
         return "\n".join(lines) + "\n"
 
 
-def _sections(text: str) -> List[Tuple[str, List[Tuple[int, str]]]]:
-    sections: List[Tuple[str, List[Tuple[int, str]]]] = []
+def _sections(text: str) -> List[Tuple[int, str, List[Tuple[int, str]]]]:
+    sections: List[Tuple[int, str, List[Tuple[int, str]]]] = []
     current: Optional[List[Tuple[int, str]]] = None
     seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -93,12 +93,26 @@ def _sections(text: str) -> List[Tuple[str, List[Tuple[int, str]]]]:
                 raise ParseError(f"line {lineno}: repeated section [{name}]")
             seen.add(key)
             current = []
-            sections.append((name, current))
+            sections.append((lineno, name, current))
             continue
         if current is None:
             raise ParseError(f"line {lineno}: content before any section header")
         current.append((lineno, line))
     return sections
+
+
+def _parse_lines(lines: Sequence[Tuple[int, str]], table: VarTable, header: int = 0) -> Poly:
+    """parse_poly of the lines joined by spaces; an error names the line
+    that holds its column, counted on that line."""
+    try:
+        return parse_poly(" ".join(text for _, text in lines), table)
+    except ParseError as exc:
+        lineno, start = header, 0
+        for lineno, text in lines:
+            if exc.position <= start + len(text):
+                break
+            start += len(text) + 1
+        raise ParseError(f"line {lineno}: {exc.reason}", exc.position - start) from None
 
 
 def _parse_vars(entries: Sequence[Tuple[int, str]]) -> VarTable:
@@ -158,7 +172,7 @@ def parse_push_job(text: str) -> PushJob:
     cls: Optional[Poly] = None
     options = JobOptions()
 
-    for name, entries in _sections(text):
+    for header, name, entries in _sections(text):
         if name == "vars":
             table = _parse_vars(entries)
         elif name == "space":
@@ -184,8 +198,8 @@ def parse_push_job(text: str) -> PushJob:
                 try:
                     factor = SpaceFactor(
                         int(fields["d"]),
-                        parse_poly(fields["w0"], table),
-                        parse_poly(fields["w1"], table),
+                        _parse_lines([(lineno, fields["w0"])], table),
+                        _parse_lines([(lineno, fields["w1"])], table),
                         fields["h"],
                     )
                 except (PolyError, ValueError) as exc:
@@ -207,8 +221,7 @@ def parse_push_job(text: str) -> PushJob:
         elif name == "class":
             if table is None:
                 raise ParseError("[class] must come after [vars]")
-            body = " ".join(line for _, line in entries)
-            cls = parse_poly(body, table)
+            cls = _parse_lines(entries, table, header)
         elif name == "options":
             options = JobOptions(**_parse_options(entries, ("oracle_trials", "seed")))
         else:
@@ -262,7 +275,7 @@ class IdealJob:
 def parse_ideal_job(text: str) -> IdealJob:
     table: Optional[VarTable] = None
     gens: List[Poly] = []
-    for name, entries in _sections(text):
+    for _, name, entries in _sections(text):
         if name == "vars":
             table = _parse_vars(entries)
         elif name == "ideal":
@@ -271,7 +284,7 @@ def parse_ideal_job(text: str) -> IdealJob:
             for lineno, key, value in _keyvals(entries, name, ("gen",)):
                 if key != "gen":
                     raise ParseError(f"line {lineno}: expected 'gen = <poly>'")
-                gens.append(parse_poly(value, table))
+                gens.append(_parse_lines([(lineno, value)], table))
         else:
             raise ParseError(f"unknown section [{name}]")
     if table is None:
@@ -292,10 +305,10 @@ class SquareJob:
 def parse_square_job(text: str) -> SquareJob:
     table: Optional[VarTable] = None
     ring_specs: Dict[str, Tuple[VarTable, List[Poly]]] = {}
-    hom_specs: Dict[Tuple[str, str], Dict[str, str]] = {}
+    hom_specs: Dict[Tuple[str, str], Tuple[int, Dict[str, Tuple[int, str]]]] = {}
     degree_bound = 8
 
-    for name, entries in _sections(text):
+    for header, name, entries in _sections(text):
         if name == "vars":
             table = _parse_vars(entries)
         elif name.startswith("ring "):
@@ -305,18 +318,18 @@ def parse_square_job(text: str) -> SquareJob:
             if table is None:
                 raise ParseError("[ring ...] must come after [vars]")
             var_names: List[str] = []
-            rel_texts: List[str] = []
+            rel_texts: List[Tuple[int, str]] = []
             for lineno, key, value in _keyvals(entries, name, ("relation",)):
                 if key == "vars":
                     var_names = value.split()
                 elif key == "relation":
-                    rel_texts.append(value)
+                    rel_texts.append((lineno, value))
                 else:
                     raise ParseError(f"line {lineno}: unknown ring entry {key!r}")
             if not var_names:
                 raise ParseError(f"ring {corner} needs a 'vars =' line")
             sub = VarTable([(v, table.degrees[table.index(v)]) for v in var_names])
-            ring_specs[corner] = (sub, [parse_poly(t, sub) for t in rel_texts])
+            ring_specs[corner] = (sub, [_parse_lines([r], sub) for r in rel_texts])
         elif name.startswith("hom "):
             arrow = name[4:].replace(" ", "")
             if "->" not in arrow:
@@ -324,8 +337,7 @@ def parse_square_job(text: str) -> SquareJob:
             src, dst = arrow.split("->", 1)
             if (src, dst) not in _HOMS:
                 raise ParseError(f"unexpected hom {src}->{dst}")
-            images = {key: value for _, key, value in _keyvals(entries, name)}
-            hom_specs[(src, dst)] = images
+            hom_specs[(src, dst)] = header, {k: (n, v) for n, k, v in _keyvals(entries, name)}
         elif name == "options":
             # fiber-check has no oracle and no randomness
             opts = _parse_options(entries, ("degree_bound",))
@@ -346,11 +358,12 @@ def parse_square_job(text: str) -> SquareJob:
         rings = {c: RingPresentation(*ring_specs[c]) for c in _CORNERS}
         homs = {}
         for src, dst in _HOMS:
-            images = {
-                gen: parse_poly(text, rings[dst].table)
-                for gen, text in hom_specs[(src, dst)].items()
-            }
-            homs[(src, dst)] = RingHom(rings[src], rings[dst], images)
+            header, specs = hom_specs[(src, dst)]
+            images = {gen: _parse_lines([spec], rings[dst].table) for gen, spec in specs.items()}
+            try:
+                homs[(src, dst)] = RingHom(rings[src], rings[dst], images)
+            except PolyError as exc:
+                raise ParseError(f"line {header}: {exc}") from None
         square = CartesianSquareSpec(
             rings["A"],
             rings["B"],
@@ -372,14 +385,14 @@ def parse_fixture_overrides(text: str) -> Fixtures:
     base = Fixtures.default()
     polys: Dict[str, List[Poly]] = {"final": [], "candidate": []}
     fields = {"final": ("gen", base.ambient), "candidate": ("relation", base.total.table)}
-    for name, entries in _sections(text):
+    for _, name, entries in _sections(text):
         if name not in fields:
             raise ParseError(f"unknown fixture section [{name}]")
         want, table = fields[name]
         for lineno, key, value in _keyvals(entries, name, (want,)):
             if key != want:
                 raise ParseError(f"line {lineno}: expected '{want} = <poly>'")
-            polys[name].append(parse_poly(value, table))
+            polys[name].append(_parse_lines([(lineno, value)], table))
     return Fixtures.default(
         candidate_relations=polys["candidate"] or None, final_ideal=polys["final"] or None
     )

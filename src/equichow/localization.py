@@ -14,20 +14,20 @@ fixed point is an integer c times the same product F of the forms
 (w1 - w0)^d, so the sum is one numerator over lcm(c) * F, cleared by a
 single exact division at the end.
 
-The class of a target point is a product of one small class per target
-factor, and many source points share an image.  So the numerator first
-sums the restricted classes over the source points with the same image,
-then contracts the target factors one at a time, last first: each factor
-multiplies every partial sum by one of its one-factor point classes once
-per prefix of the image index vector, not once per source point.  All
-one-factor classes of a factor are integer combinations of the same few
-products, built once (`_point_classes`).
+The class of a target point is a product of one class per target factor,
+and many source points share an image.  So the numerator first sums the
+restricted classes over the source points with the same image, then
+contracts the target factors one at a time, last first.  The class of
+index i on P(Sym^d) is sum_k c(i, k) X^(d-k) Y^k with X = h - d*w1 and
+Y = w0 - w1, so a contraction combines the partial sums into one
+coefficient per monomial and k, then multiplies by each X^(d-k) Y^k.
 
-All of it runs on packed monomials (`poly._Packing`), one integer each,
-so a product of monomials is one addition.  The exponent bound is the
-class's plain degree (sum of exponents) plus the target dimension, as the
-weights are linear and a one-factor class has the degree of its factor;
-the numerator is unpacked once, before the division.
+All of it, the hyperplane values, the denominator and the exact division
+(`poly._divide_packed`) too, runs on packed monomials (`poly._Packing`),
+one integer each, so a product of monomials is one addition.  The
+exponent bound is the class's plain degree (sum of exponents) plus the
+target dimension, as the weights are linear and a one-factor class has
+the degree of its factor.
 
 The specialization oracle checks a pushforward at random integer weights
 without these classes: at the drawn target point only the fibre over it
@@ -50,8 +50,8 @@ from .poly import (
     TableMismatch,
     VarTable,
     _add_product,
+    _divide_packed,
     _Packing,
-    exact_divide,
 )
 
 FixedPoint = Tuple[int, ...]
@@ -92,10 +92,6 @@ class SpaceFactor:
 
     def hyperplane(self) -> Poly:
         return Poly.var(self.table, self.hvar)
-
-    def hyperplane_value(self, i: int) -> Poly:
-        """The hyperplane class at the fixed point with index i."""
-        return self.w0 * i + self.w1 * (self.d - i)
 
 
 def _check_weight_variables(factors: Sequence[SpaceFactor], hvars: Iterable[str]):
@@ -151,36 +147,60 @@ def _check_point(space: SpaceDescriptor, fp: FixedPoint):
             raise DescriptorError(f"index {i} out of range for degree {f.d}")
 
 
-def _point_classes(factor: SpaceFactor, indices: Iterable[int], packing: _Packing) -> Dict:
-    """The packed class of the fixed point with index i on the one-factor
-    space, the product of the forms h - j*w0 - (d-j)*w1 over j != i, for
-    each index i.  With X = h - d*w1 and Y = w0 - w1 each form is X - j*Y,
-    so the class is sum_k (-1)^k e_k(S) X^(d-k) Y^k, S = {0..d} minus i:
-    the products are made once, and e_k(S) = e_k({0..d}) - i * e_(k-1)(S)."""
-    d = factor.d
-    x = packing.terms(factor.hyperplane() - factor.w1 * d)
-    y = packing.terms(factor.w0 - factor.w1)
-    x_powers = [{0: 1}]
-    for _ in range(d):
-        x_powers.append(_add_product({}, x_powers[-1], x))
-    products, y_power = [x_powers[d]], x_powers[0]
-    for k in range(1, d + 1):
-        y_power = _add_product({}, y_power, y)
-        products.append(_add_product({}, x_powers[d - k], y_power))
+def _coefficients(d: int, indices: Iterable[int]) -> Dict[int, List[int]]:
+    """Per index i, the list over k = 0..d of (-1)^k e_k(S), S = {0..d}
+    minus i: the class of index i on P(Sym^d), the product over j != i of
+    h - j*w0 - (d-j)*w1 = X - j*Y (X = h - d*w1, Y = w0 - w1), is the sum
+    of these times X^(d-k) Y^k.  e_k(S) = e_k({0..d}) - i * e_(k-1)(S)."""
     full = [1] + [0] * d  # e_k of {0..d}
     for j in range(1, d + 1):
         for k in range(j, 0, -1):
             full[k] += j * full[k - 1]
-    classes: Dict[int, Dict[int, int]] = {}
+    table: Dict[int, List[int]] = {}
     for i in indices:
-        acc: Dict[int, int] = {}
-        e = 0
-        for k, product in enumerate(products):
+        row, e = table.setdefault(i, []), 0
+        for k in range(d + 1):
             e = full[k] - i * e
-            if e:
-                _add_product(acc, product, {0: -e if k & 1 else e})
-        classes[i] = {m: c for m, c in acc.items() if c}
-    return classes
+            row.append(-e if k & 1 else e)
+    return table
+
+
+def _linear(packing: _Packing, *parts: Tuple[int, Poly]) -> Dict[int, int]:
+    """The packed terms of the sum of c * w over the parts (c, w)."""
+    acc: Dict[int, int] = {}
+    for c, w in parts:
+        _add_product(acc, packing.terms(w), {0: c})
+    return {m: c for m, c in acc.items() if c}
+
+
+def _contract(factor: SpaceFactor, sums: Dict, packing: _Packing) -> Dict:
+    """The sums keyed by image prefixes one slot shorter: sum over q[-1] of
+    S_q times the class of q[-1], as sum_k X^(d-k) Y^k T_k, T_k the sum of
+    S_q times the `_coefficients` of q[-1] at k, tabled by prefix and monomial."""
+    d = factor.d
+    coefficients, zeros = _coefficients(d, {q[-1] for q in sums}), [0] * (d + 1)
+    tables: Dict[FixedPoint, Dict[int, List[int]]] = {}
+    for q, partial in sums.items():
+        t, row = tables.setdefault(q[:-1], {}), coefficients[q[-1]]
+        for m, a in partial.items():
+            t[m] = [x + c * a for x, c in zip(t.get(m, zeros), row)]
+    x = _linear(packing, (1, factor.hyperplane()), (-d, factor.w1))
+    y = _linear(packing, (1, factor.w0), (-1, factor.w1))
+    x_powers, y_powers = [{0: 1}], [{0: 1}]
+    for _ in range(d):
+        x_powers.append(_add_product({}, x_powers[-1], x))
+        y_powers.append(_add_product({}, y_powers[-1], y))
+    products = [tuple(_add_product({}, x_powers[d - k], y_powers[k]).items()) for k in range(d + 1)]
+    contracted: Dict[FixedPoint, Dict[int, int]] = {}
+    for prefix, t in tables.items():
+        acc = contracted[prefix] = {}
+        get = acc.get
+        for m, column in t.items():
+            for c, product in zip(column, products):
+                if c:
+                    for m2, c2 in product:
+                        acc[m + m2] = get(m + m2, 0) + c * c2
+    return contracted
 
 
 def euler_constant(space: SpaceDescriptor, fp: FixedPoint) -> int:
@@ -196,15 +216,6 @@ def _euler_constant(space: SpaceDescriptor, fp: FixedPoint) -> int:
     for i, f in zip(fp, space.factors):
         const *= (-1) ** i * math.factorial(i) * math.factorial(f.d - i)
     return const
-
-
-def euler_forms(space: SpaceDescriptor) -> Poly:
-    """Form part of the tangent Euler class, prod (w1 - w0)^d over the
-    factors; it is the same at every fixed point."""
-    out = Poly.const(space.table, 1)
-    for f in space.factors:
-        out = out * (f.w1 - f.w0) ** f.d
-    return out
 
 
 @dataclass(frozen=True)
@@ -296,29 +307,22 @@ def _image(mapping: MapDescriptor, fp: FixedPoint) -> FixedPoint:
 
 
 def _check_class_variables(mapping: MapDescriptor, cls: Poly):
-    allowed = set(mapping.source.table.names) - {
-        b.target.hvar for b in mapping.blocks
-    }
     for name in cls.variables_used():
-        if name not in allowed:
-            raise DescriptorError(
-                f"class may not involve the target variable {name!r}"
-            )
+        if name in mapping.target.hvars:
+            raise DescriptorError(f"class may not involve the target variable {name!r}")
 
 
 def pushforward(mapping: MapDescriptor, cls: Poly) -> Poly:
     """Equivariant pushforward of cls by the explicit fixed-point formula.
 
     The numerator is sum over source points p of
-    restricted(p) * (C // c_p) * [image point of p], C = lcm(c_p).  The
-    image class is a product of one-factor classes, one per target factor,
-    so the sum is contracted one factor at a time: the terms are first
-    summed over the source points with the same image q, and then, last
-    factor first, each partial sum keyed by a prefix of q is multiplied by
-    the one-factor class of its last index and added into the sum of the
-    shorter prefix.  Each power of a source hyperplane value and each
-    factor's one-factor classes are built once per call, on monomials
-    packed with the exponent bound: plain degree of cls + target dimension.
+    restricted(p) * (C // c_p) * [image point of p], C = lcm(c_p), over
+    the denominator C * prod (w1 - w0)^d.  The terms are summed over the
+    source points with the same image q, and then, last target factor
+    first, the partial sums keyed by prefixes of q are contracted with
+    the factor's classes (`_contract`).  Each power of a source hyperplane
+    value is built once per call, on monomials packed with the exponent
+    bound: plain degree of cls + target dimension.
 
     Raises DenominatorResidue if the sum fails to clear its denominators,
     which signals an inconsistent descriptor.
@@ -337,9 +341,10 @@ def pushforward(mapping: MapDescriptor, cls: Poly) -> Poly:
     for mono, coeff in cls.terms.items():
         rest = packing.pack(0 if s in slots else e for s, e in enumerate(mono))
         groups.setdefault(tuple(mono[s] for s in slots), {})[rest] = coeff
-    values = [
-        [packing.terms(f.hyperplane_value(i)) for i in range(f.d + 1)]
-        for f in source.factors
+    values = [  # the hyperplane values of the factors the class involves
+        [_linear(packing, (i, f.w0), (f.d - i, f.w1)) for i in range(f.d + 1)]
+        if any(exps[j] for exps in groups) else []
+        for j, f in enumerate(source.factors)
     ]
     powers: Dict[Tuple[int, int], List[Dict[int, int]]] = {}
     sums: Dict[FixedPoint, Dict[int, int]] = {}
@@ -355,14 +360,14 @@ def pushforward(mapping: MapDescriptor, cls: Poly) -> Poly:
                     term = _add_product({}, term, power[e])
             _add_product(acc, term, {0: common // const})
     for factor in reversed(target.factors):
-        classes = _point_classes(factor, {q[-1] for q in sums}, packing)
-        contracted: Dict[FixedPoint, Dict[int, int]] = {}
-        for q, partial in sums.items():
-            _add_product(contracted.setdefault(q[:-1], {}), partial, classes[q[-1]])
-        sums = contracted
-    numerator = packing.poly(sums[()])
+        sums = _contract(factor, sums, packing)
+    numerator, denominator = sums[()], {0: common}
+    for f in source.factors:
+        form = _linear(packing, (1, f.w1), (-1, f.w0))
+        for _ in range(f.d):
+            denominator = _add_product({}, denominator, form)
     try:
-        return exact_divide(numerator, euler_forms(source) * common)
+        return packing.poly(_divide_packed(numerator, denominator, packing))
     except NotDivisible as exc:
         raise DenominatorResidue(str(exc)) from None
 
@@ -400,13 +405,14 @@ def specialize_oracle(
     target fixed point, sets the target hyperplane values there, and
     compares the localization sum with the symbolic result evaluated at
     the same point.  The sum is evaluated in integers from the descriptor
-    alone, not through the `_point_classes`, `_euler_constant` and
-    `euler_forms` that `pushforward` uses.  Each target h is then
-    i*w0 + (d-i)*w1, so the form with j = i vanishes and the class of
-    every image but the drawn point is 0: only the fibre over that point
-    is summed.  With its point value P, its Euler constants c_p and
-    C = lcm(c_p) (1 for an empty fibre), and F = prod (w1 - w0)^d, the
-    trial passes iff P * sum cls(p) * (C // c_p) == symbolic * C * F.
+    alone, through none of the kernels of `pushforward`: the Euler
+    constants and image indices come from per-factor tables built once
+    per call.  Each target h is then i*w0 + (d-i)*w1, so the form with
+    j = i vanishes and the class of every image but the drawn point is 0:
+    only the fibre over that point is summed.  With its point value P,
+    its Euler constants c_p and C = lcm(c_p) (1 for an empty fibre), and
+    F = prod (w1 - w0)^d, the trial passes iff
+    P * sum cls(p) * (C // c_p) == symbolic * C * F.
     """
     if symbolic is None:
         symbolic = pushforward(mapping, cls)
@@ -424,14 +430,20 @@ def specialize_oracle(
         for side in (source, target)
     )
     cls_terms, symbolic_terms = _compiled(cls), _compiled(symbolic)
-    # The source points by image, each with the sign-and-factorial constant
-    # of its Euler class, prod (-1)^i * i! * (d-i)!.
+    # Per source factor: its block, its exponent there and the constant
+    # (-1)^i * i! * (d-i)! of its Euler class at each index i.
+    blocks = {j: (b, a) for b, bl in enumerate(mapping.blocks) for j, a in zip(bl.indices, bl.exponents)}
+    tables = [
+        (*blocks[j], [(-1) ** i * math.factorial(i) * math.factorial(f.d - i) for i in range(f.d + 1)])
+        for j, f in enumerate(source.factors)
+    ]
     fibres: Dict[FixedPoint, List[Tuple[FixedPoint, int]]] = {}
     for fp in enumerate_fixed_points(source):
-        const = 1
-        for i, f in zip(fp, source.factors):
-            const *= (-1) ** i * math.factorial(i) * math.factorial(f.d - i)
-        fibres.setdefault(_image(mapping, fp), []).append((fp, const))
+        image, const = [0] * len(tgt), 1
+        for (b, a, consts), i in zip(tables, fp):
+            image[b] += a * i
+            const *= consts[i]
+        fibres.setdefault(tuple(image), []).append((fp, const))
     values: List[Optional[int]] = [None] * len(names)
     for _ in range(trials):
         while True:

@@ -528,11 +528,9 @@ def _add_product(acc: Dict[int, int], a: Mapping, b: Mapping) -> Dict[int, int]:
 def exact_divide(p: Poly, q: Poly) -> Poly:
     """Return r with r*q == p over the integers, or raise NotDivisible.
 
-    Greedy leading-term division under the canonical term order on packed
-    monomials whose exponent bound is the largest plain degree (sum of
-    exponents) of p: every term of an exact quotient times q stays within
-    it, so a difference or product that sets a guard bit, like any
-    coefficient non-divisibility, means no such r exists.
+    `_divide_packed` on monomials packed with the largest plain degree
+    (sum of exponents) of p and q as the exponent bound: every term of an
+    exact quotient times q stays within that of p.
     """
     if q.table != p.table:
         raise TableMismatch("operands use different variable tables")
@@ -540,17 +538,24 @@ def exact_divide(p: Poly, q: Poly) -> Poly:
         raise PolyError("division by the zero polynomial")
     if p.is_zero():
         return p
+    packing = _Packing(p.table, max(map(sum, [*p.terms, *q.terms])))
+    return packing.poly(_divide_packed(packing.terms(p), packing.terms(q), packing))
+
+
+def _divide_packed(p: Dict[int, int], q: Dict[int, int], packing: _Packing) -> Dict[int, int]:
+    """The packed terms r with r*q == p, for p and a non-zero q packed with
+    no order under a bound that holds every term of an exact quotient
+    times q; NotDivisible if there is none.  Greedy leading-term division:
+    a difference or product that sets a guard bit, like any coefficient
+    non-divisibility, means there is none."""
 
     def not_divisible() -> NotDivisible:
-        return NotDivisible(f"{p.render()} is not divisible by {q.render()}")
+        p_text, q_text = packing.poly(p).render(), packing.poly(q).render()
+        return NotDivisible(f"{p_text} is not divisible by {q_text}")
 
-    bound = max(map(sum, p.terms))
-    if max(map(sum, q.terms)) > bound:
-        raise not_divisible()
-    packing = _Packing(p.table, bound)
     guards = packing.guards
-    rest = packing.terms(p)
-    q_terms = sorted(packing.terms(q).items(), reverse=True)
+    rest = {key: c for key, c in p.items() if c}
+    q_terms = sorted(q.items(), reverse=True)
     q_lead, q_coeff = q_terms[0]
     # The leading term of `rest` is the largest popped key still in it.
     heap = [-key for key in rest]
@@ -576,7 +581,7 @@ def exact_divide(p: Poly, q: Poly) -> Poly:
                 rest[key] = val
             else:
                 rest.pop(key, None)
-    return packing.poly(out)
+    return out
 
 
 # -- symmetric rewriting ---------------------------------------------------------

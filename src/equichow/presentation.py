@@ -19,6 +19,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from .groebner import IdealBasis, Lead, MonomialOrder, ideal_intersection, normal_form
 from .groebner import _reduce, strong_groebner
 from .intlinalg import Sparse, _add_multiple, coordinates, echelon, quotient_invariants
+from .intlinalg import _echelon_factors
 from .poly import GradeMismatch, Monomial, Poly, PolyError, VarTable, _map_terms, _Packing
 from .poly import exact_divide
 
@@ -357,7 +358,8 @@ def _check_degree(square: CartesianSquareSpec, n: int, memo: Tuple[dict, ...]) -
         for rel in relations_a
     )
 
-    corner = pa.invariants()
+    factors = _echelon_factors(corner_span)  # the corner's Smith form
+    corner = mon_a - len(factors), tuple(f for f in factors if f != 1)
     if injective and surjective:
         return DegreeCheck(n, True, corner, corner, True)
     # The fiber product is F_n modulo the relations of B_n + C_n, read in a

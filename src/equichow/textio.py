@@ -6,15 +6,17 @@ The grammar is the mirror image of Poly.render():
     term   := factor ('*' factor)*
     factor := INT | NAME ['^' INT]
 
-so parse(render(p)) == p for every polynomial.  No variable may carry an
-exponent above MAX_EXPONENT in any term, which bounds the work a parsed
-polynomial can ask of the engine.
+so parse(render(p)) == p for every polynomial.  A term is read into one
+coefficient and one exponent list and added into one mapping from
+exponent tuples to coefficients; no Poly is multiplied.  No variable may
+carry an exponent above MAX_EXPONENT in any term, which bounds the work a
+parsed polynomial can ask of the engine.
 """
 
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .poly import Poly, VarTable
 
@@ -25,6 +27,7 @@ class ParseError(Exception):
     """Bad polynomial or job-file input, with the column when one applies."""
 
     def __init__(self, message: str, position: Optional[int] = None):
+        self.reason = message
         if position is not None:
             message = f"{message} (column {position + 1})"
         super().__init__(message)
@@ -67,62 +70,55 @@ def _integer(digits: str, position: int) -> int:
 
 
 def parse_poly(text: str, table: VarTable) -> Poly:
+    """The polynomial of `text` over `table`, or the ParseError of its input."""
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty polynomial", 0)
     pos = 0
+    width = len(table)
+    terms: Dict[Tuple[int, ...], int] = {}
 
     def peek():
         return tokens[pos] if pos < len(tokens) else ("end", "", len(text))
 
-    def factor() -> Poly:
-        nonlocal pos
-        kind, value, where = peek()
-        if kind == "int":
-            pos += 1
-            return Poly.const(table, _integer(value, where))
-        if kind == "name":
-            if value not in table.names:
-                raise ParseError(f"unknown variable {value!r}", where)
-            pos += 1
-            exp = 1
-            if peek()[0] == "pow":
-                pos += 1
-                k, v, w = peek()
-                if k != "int":
-                    raise ParseError("expected an integer exponent", w)
-                exp = _integer(v, w)
-                pos += 1
-            return Poly.var(table, value, exp)
-        raise ParseError("expected a coefficient or variable", where)
-
-    def term() -> Poly:
+    def term(sign: int):
         nonlocal pos
         where = peek()[2]
-        out = factor()
-        while peek()[0] == "mul":
+        coeff, exps = sign, [0] * width
+        while True:
+            kind, value, at = peek()
+            if kind == "int":
+                pos += 1
+                coeff *= _integer(value, at)
+            elif kind == "name":
+                if value not in table.names:
+                    raise ParseError(f"unknown variable {value!r}", at)
+                pos += 1
+                exp = 1
+                if peek()[0] == "pow":
+                    pos += 1
+                    k, v, w = peek()
+                    if k != "int":
+                        raise ParseError("expected an integer exponent", w)
+                    exp = _integer(v, w)
+                    pos += 1
+                exps[table.index(value)] += exp
+            else:
+                raise ParseError("expected a coefficient or variable", at)
+            if peek()[0] != "mul":
+                break
             pos += 1
-            out = out * factor()
-        if any(e > MAX_EXPONENT for mono in out.terms for e in mono):
-            raise ParseError(f"exponent above {MAX_EXPONENT}", where)
-        return out
+        if coeff:
+            if max(exps, default=0) > MAX_EXPONENT:
+                raise ParseError(f"exponent above {MAX_EXPONENT}", where)
+            mono = tuple(exps)
+            terms[mono] = terms.get(mono, 0) + coeff
 
-    total = Poly.zero(table)
-    sign = 1
-    if peek()[0] == "minus":
-        sign = -1
-        pos += 1
-    elif peek()[0] == "plus":
-        pos += 1
-    total = total + term() * sign
-    while pos < len(tokens):
+    while pos < len(tokens) or not pos:  # the first term, then one per sign
         kind, _, where = peek()
-        if kind == "plus":
-            sign = 1
-        elif kind == "minus":
-            sign = -1
-        else:
+        if kind in ("plus", "minus"):
+            pos += 1
+        elif pos:
             raise ParseError("expected '+' or '-' between terms", where)
-        pos += 1
-        total = total + term() * sign
-    return total
+        term(-1 if kind == "minus" else 1)
+    return Poly(table, terms)

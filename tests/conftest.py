@@ -65,23 +65,24 @@ def rng():
 
 @pytest.fixture
 def corrupt_point_class(monkeypatch):
-    """Add 1 to the packed index-0 class that `pushforward` builds for each
-    target factor (the unit monomial packs to the key 0).  On the
-    one-factor target of the cubing map that is the class of the all-zero
-    target point (the image of the all-zero source point), and the
-    fixed-point sum no longer clears the denominators.  The fixture fails
-    the test if the corrupted function was never called, so the control
-    cannot pass against code that no longer uses it."""
-    true_classes = localization._point_classes
+    """Add 1 to the coefficient of X^d in the index-0 row of the
+    coefficient table that `pushforward` contracts each target factor
+    with, which adds X^d to the class of index 0.  On the one-factor
+    target of the cubing map that is the class of the all-zero target
+    point (the image of the all-zero source point), and the fixed-point
+    sum no longer clears the denominators.  The fixture fails the test if
+    the corrupted function was never called, so the control cannot pass
+    against code that no longer uses it."""
+    true_coefficients = localization._coefficients
     calls = []
 
-    def corrupted(factor, indices, packing):
-        calls.append(factor)
-        classes = true_classes(factor, indices, packing)
-        if 0 in classes:
-            classes[0] = {**classes[0], 0: classes[0].get(0, 0) + 1}
-        return classes
+    def corrupted(d, indices):
+        calls.append(d)
+        table = true_coefficients(d, indices)
+        if 0 in table:
+            table[0][0] += 1
+        return table
 
-    monkeypatch.setattr(localization, "_point_classes", corrupted)
+    monkeypatch.setattr(localization, "_coefficients", corrupted)
     yield
-    assert calls, "pushforward no longer calls localization._point_classes"
+    assert calls, "pushforward no longer calls localization._coefficients"

@@ -15,9 +15,11 @@ leads, S- and G-polynomials and reduced bases on exponent tuples, shared
 with no kernel of the engine's packed path, division with a full scan of
 the leads for every term, completion without pair criteria, ideal
 equality by mutual containment, the hyperplane value and the point class
-at a fixed point, the fixed-point sum taken one source point at a time,
-and the specialization oracle that visits every source point with a
-rational running sum."""
+at a fixed point, the Euler forms as a Poly product, the fixed-point sum
+taken one source point at a time
+with Poly products of whole point classes, the specialization oracle
+that visits every source point with a rational running sum, and the
+polynomial parser that multiplies one Poly per factor."""
 
 import functools
 import math
@@ -36,12 +38,12 @@ from equichow.localization import (
     _check_point,
     enumerate_fixed_points,
     euler_constant,
-    euler_forms,
     map_image_fixed_point,
     pushforward,
 )
 from equichow.poly import GradeMismatch, NotDivisible, PolyError, TableMismatch
 from equichow.presentation import DegreeCheck
+from equichow.textio import MAX_EXPONENT, ParseError, _integer, _tokenize
 
 
 def sparse(v):
@@ -757,7 +759,8 @@ def restrict_hyperplane(space, fp, factor):
     _check_point(space, fp)
     if not 0 <= factor < len(space.factors):
         raise DescriptorError("factor index out of range")
-    return space.factors[factor].hyperplane_value(fp[factor])
+    f, i = space.factors[factor], fp[factor]
+    return f.w0 * i + f.w1 * (f.d - i)
 
 
 def point_class(space, fp):
@@ -779,6 +782,15 @@ def fixed_point_substitution(space, fp):
         f.hvar: restrict_hyperplane(space, fp, k)
         for k, f in enumerate(space.factors)
     }
+
+
+def euler_forms(space):
+    """Form part of the tangent Euler class, prod (w1 - w0)^d over the
+    factors; it is the same at every fixed point."""
+    out = Poly.const(space.table, 1)
+    for f in space.factors:
+        out = out * (f.w1 - f.w0) ** f.d
+    return out
 
 
 def plain_pushforward(mapping, cls):
@@ -874,3 +886,66 @@ def plain_specialize_oracle(
         if lhs != rhs:
             return False
     return True
+
+
+def plain_parse_poly(text, table):
+    """The polynomial of `text` with a Poly per factor, multiplied into its
+    term and added into the sum, raising the ParseError of `parse_poly`."""
+    tokens = _tokenize(text)
+    if not tokens:
+        raise ParseError("empty polynomial", 0)
+    pos = 0
+
+    def peek():
+        return tokens[pos] if pos < len(tokens) else ("end", "", len(text))
+
+    def factor():
+        nonlocal pos
+        kind, value, where = peek()
+        if kind == "int":
+            pos += 1
+            return Poly.const(table, _integer(value, where))
+        if kind == "name":
+            if value not in table.names:
+                raise ParseError(f"unknown variable {value!r}", where)
+            pos += 1
+            exp = 1
+            if peek()[0] == "pow":
+                pos += 1
+                k, v, w = peek()
+                if k != "int":
+                    raise ParseError("expected an integer exponent", w)
+                exp = _integer(v, w)
+                pos += 1
+            return Poly.var(table, value, exp)
+        raise ParseError("expected a coefficient or variable", where)
+
+    def term():
+        nonlocal pos
+        where = peek()[2]
+        out = factor()
+        while peek()[0] == "mul":
+            pos += 1
+            out = out * factor()
+        if any(e > MAX_EXPONENT for mono in out.terms for e in mono):
+            raise ParseError(f"exponent above {MAX_EXPONENT}", where)
+        return out
+
+    sign = 1
+    if peek()[0] == "minus":
+        sign = -1
+        pos += 1
+    elif peek()[0] == "plus":
+        pos += 1
+    total = term() * sign
+    while pos < len(tokens):
+        kind, _, where = peek()
+        if kind == "plus":
+            sign = 1
+        elif kind == "minus":
+            sign = -1
+        else:
+            raise ParseError("expected '+' or '-' between terms", where)
+        pos += 1
+        total = total + term() * sign
+    return total

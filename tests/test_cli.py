@@ -328,7 +328,7 @@ def test_degree_bound_flag_is_capped(capsys, args):
         (
             "[ring C]\nvars = l1 l2\n",
             "[ring C]\nvars = l1 l2\nrelation = x\n",
-            "unknown variable 'x' (column 1)",
+            "line 18: unknown variable 'x' (column 1)",
         ),
         ("relation = 2*e\n", "relation = 2*e + l1\n", "relation 2*e + l1 is not homogeneous"),
     ],
@@ -462,11 +462,11 @@ def test_push_job_rejects_degree_bound(tmp_path, capsys):
 
 def test_hom_image_of_a_non_generator_is_rejected(tmp_path, capsys):
     """An image for a name that is not a generator of the source ring exits
-    2, and is not ignored."""
+    2, is not ignored, and the error names the line of the hom's header."""
     job = _job_with(tmp_path, "patch_square.job", "e = d1*x\n", "e = d1*x\ntypo = x\n")
     code, out, err = run_cli(["fiber-check", job], capsys)
     assert (code, out) == (2, "")
-    assert err == "error: image given for 'typo', not a source generator\n"
+    assert err == "error: line 22: image given for 'typo', not a source generator\n"
 
 
 def test_parser_is_built_once(capsys):

@@ -11,7 +11,6 @@ from equichow import (
     VarTable,
     enumerate_fixed_points,
     euler_constant,
-    euler_forms,
     localization,
     map_image_fixed_point,
     parse_poly,
@@ -19,9 +18,9 @@ from equichow import (
     specialize_oracle,
 )
 from equichow.jobfile import MAX_TARGET_DIMENSION
-from equichow.localization import DescriptorError, _point_classes
-from equichow.poly import _Packing
+from equichow.localization import DescriptorError, _coefficients
 from oracles import (
+    euler_forms,
     plain_pushforward,
     plain_specialize_oracle,
     point_class,
@@ -95,17 +94,18 @@ CLASS_WEIGHT_PAIRS = st.one_of(
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(CLASS_WEIGHT_PAIRS)
 def test_shared_product_classes_equal_point_class(pair):
-    """The classes built from shared products X^(d-k) * Y^k are the
-    products of linear forms that `point_class` defines, at every index
-    of every degree up to the target-dimension cap."""
+    """The classes sum_k c_k X^(d-k) * Y^k over the coefficient table that
+    the contraction uses are the products of linear forms that
+    `point_class` defines, at every index of every degree up to the
+    target-dimension cap."""
     for d in range(1, MAX_TARGET_DIMENSION + 1):
         factor = SpaceFactor(d, pair[0], pair[1], "h")
         one = SpaceDescriptor([factor])
-        packing = _Packing(CLASS_TABLE, d)
-        classes = _point_classes(factor, range(d + 1), packing)
-        assert {i: packing.poly(c) for i, c in classes.items()} == {
-            i: point_class(one, (i,)) for i in range(d + 1)
-        }
+        x, y = factor.hyperplane() - pair[1] * d, pair[0] - pair[1]
+        products = [x ** (d - k) * y**k for k in range(d + 1)]
+        for i, row in _coefficients(d, range(d + 1)).items():
+            cls = sum((c * p for c, p in zip(row, products)), CZERO)
+            assert cls == point_class(one, (i,))
 
 
 def test_point_class_rejects_bad_index():
@@ -359,8 +359,8 @@ def test_oracle_is_independent_of_pushforward(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle used the engine it checks")
 
-    kernels = ("pushforward", "_point_classes", "euler_constant", "_euler_constant", "euler_forms")
-    packed = ("_Packing", "_add_product", "exact_divide")
+    kernels = ("pushforward", "_contract", "_coefficients", "euler_constant", "_euler_constant")
+    packed = ("_Packing", "_add_product", "_divide_packed", "_linear")
     for name in kernels + packed:
         monkeypatch.setattr(localization, name, forbidden)
     for (mapping, cls), good in zip(cases, values):
@@ -460,14 +460,24 @@ def test_oracle_verdicts_match_the_plain_oracle(push, seed):
 
 
 @pytest.mark.parametrize("product", [False, True])
-@settings(max_examples=20, deadline=None, derandomize=True)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_pushforward_agrees_with_the_plain_sum(product, data):
-    """The per-factor contraction over grouped images equals the sum that
-    multiplies each source point's term by its whole image class, on 2-3
-    factors or blocks and classes of several terms."""
-    mapping, cls = data.draw(random_push(2, product, max_terms=3))
+    """The packed sum, contraction and division equal the sum that
+    multiplies each source point's term by its whole image class, on 1-3
+    factors or blocks (a product's blocks draw their weight pairs apart)
+    and classes of up to four terms in weight and h-variables."""
+    mapping, cls = data.draw(random_push(1, product, max_terms=4))
     assert pushforward(mapping, cls) == plain_pushforward(mapping, cls)
+
+
+def test_pushforward_matches_the_plain_sum_on_blocks_with_other_weights():
+    """Product blocks with three different weight pairs, one a zero weight,
+    and a class of several terms in weight and h-variables."""
+    t, product = three_factor_product()
+    cls = parse_poly("3*u1*u2^2 - g1*g3*u3 + 2*g2^2*u2 + u1*u2*u3 - 5", t)
+    assert len({(f.w0, f.w1) for f in product.target.factors}) == 3
+    assert pushforward(product, cls) == plain_pushforward(product, cls)
 
 
 def degree_fifteen_multiplication(table=RANDOM_TABLE):

@@ -16,7 +16,7 @@ from equichow import (
     parse_poly,
     to_elementary_symmetric,
 )
-from equichow.poly import _map_terms, _Packing
+from equichow.poly import _divide_packed, _map_terms, _Packing
 from equichow.textio import MAX_EXPONENT
 from conftest import random_poly
 from oracles import evaluate, plain_exact_divide, poly_map_terms
@@ -291,6 +291,13 @@ capped_polys = st.dictionaries(
 ).map(lambda terms: Poly(WT, terms))
 
 
+def division_text(divide, p, q):
+    try:
+        return divide(p, q)
+    except NotDivisible as exc:
+        return str(exc)
+
+
 def division_outcome(divide, p, q):
     try:
         return divide(p, q)
@@ -310,6 +317,24 @@ def test_exact_divide_matches_the_plain_division(p, q, small, c):
         assert division_outcome(exact_divide, dividend, q) == division_outcome(
             plain_exact_divide, dividend, q
         )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(capped_polys, capped_polys.filter(bool), polys, st.integers(-3, 3), st.integers(0, 8))
+def test_packed_division_matches_the_plain_division(p, q, small, c, spare):
+    """The packed kernel, on a packing whose bound passes the plain degrees
+    of dividend and divisor by `spare` as the fixed-point sum's packing
+    does, gives the quotient of the division on exponent tuples on exact
+    products, and its NotDivisible text where that division raises."""
+
+    def packed(dividend, q):
+        degrees = [sum(m) for m in dividend.terms] + [sum(m) for m in q.terms]
+        packing = _Packing(WT, max(degrees) + spare)
+        return packing.poly(_divide_packed(packing.terms(dividend), packing.terms(q), packing))
+
+    top = max(q.terms)
+    for dividend in (p * q, p * q + small, p * q + Poly(WT, {top: c}), p):
+        assert division_text(packed, dividend, q) == division_text(plain_exact_divide, dividend, q)
 
 
 def test_exact_divide_rejects_before_a_field_overflows():

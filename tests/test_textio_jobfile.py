@@ -1,6 +1,9 @@
+import os
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from equichow import ParseError, Poly, VarTable, parse_poly
 from equichow.jobfile import (
@@ -12,6 +15,9 @@ from equichow.jobfile import (
 from equichow.pipeline import Fixtures
 from equichow.textio import MAX_EXPONENT
 from conftest import random_poly
+from oracles import plain_parse_poly
+
+JOBS = os.path.join(os.path.dirname(__file__), "..", "jobs")
 
 TABLE = VarTable([("l1", 1), ("l2", 2), ("d1", 1)])
 
@@ -49,6 +55,44 @@ def test_parse_errors_are_positional():
     with pytest.raises(ParseError) as info:
         parse_poly("l1 + q", TABLE)
     assert (str(info.value), info.value.position) == ("unknown variable 'q' (column 6)", 5)
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text, TABLE)
+    except ParseError as exc:
+        return str(exc), exc.position
+
+
+FACTORS = st.one_of(
+    st.sampled_from(["0", "1", "l1^0", f"d1^{MAX_EXPONENT}", f"l2^{MAX_EXPONENT + 1}"]),
+    st.integers(0, 40).map(str),
+    st.tuples(st.sampled_from(TABLE.names), st.integers(0, MAX_EXPONENT + 2)).map(
+        lambda f: f"{f[0]}^{f[1]}"
+    ),
+    st.sampled_from(TABLE.names),
+)
+TERMS = st.lists(FACTORS, min_size=1, max_size=4).map("*".join)
+WELL_FORMED = st.builds(
+    lambda lead, terms: lead + "".join(f" {sign} {term}" for sign, term in terms)[3:],
+    st.sampled_from(["", "-", "+"]),
+    st.lists(st.tuples(st.sampled_from("+-"), TERMS), min_size=1, max_size=4),
+)
+MALFORMED = st.lists(
+    st.sampled_from(["l1", "l2", "d1", "q", "^", "*", "+", "-", " ", "0", "2", "33", "@", "9" * 5000]),
+    max_size=8,
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(WELL_FORMED, MALFORMED))
+@example(f"0*l2^{MAX_EXPONENT + 1} - l1")  # a zero term is not checked for its exponents
+@example(f"l1^{MAX_EXPONENT}*l1^0 + 2*l1 - 2*l1")
+def test_parse_matches_the_poly_product_parser(text):
+    """The parser that adds exponent tuples into one terms mapping gives
+    the polynomial, or the ParseError text and column, of the parser that
+    multiplies one Poly per factor."""
+    assert parse_outcome(parse_poly, text) == parse_outcome(plain_parse_poly, text)
 
 
 def test_parse_error_without_position_names_no_column():
@@ -94,6 +138,36 @@ def test_push_job_round_trip():
     again = parse_push_job(job.render())
     assert again.render() == job.render()
     assert again.cls == job.cls
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("[class]\n1\n", "[class]\nh1 +\n", "line 13: expected a coefficient or variable (column 5)"),
+        ("w0=g1", "w0=", "line 8: empty polynomial (column 1)"),
+        ("[class]\n1\n", "[class]\nh1 +\n2*g1 -\n# note\nq\n", "line 16: unknown variable 'q' (column 1)"),
+        ("[class]\n1\n", "[class]\n", "line 12: empty polynomial (column 1)"),
+    ],
+    ids=["class-body", "factor-weight", "class-on-three-lines", "empty-class"],
+)
+def test_push_job_polynomial_errors_name_their_line(old, new, message):
+    """A polynomial error names the job file's line and the column on it;
+    a class spread over lines names the line that holds the column."""
+    with open(os.path.join(JOBS, "cubing.job"), "r", encoding="utf-8") as fh:
+        text = fh.read().replace(old, new, 1)
+    with pytest.raises(ParseError) as info:
+        parse_push_job(text)
+    assert str(info.value) == message
+
+
+def test_hom_error_names_the_header_line():
+    """An image for a name that is not a source generator is an error of
+    the [hom A->B] section, named by its header line."""
+    with open(os.path.join(JOBS, "patch_square.job"), "r", encoding="utf-8") as fh:
+        text = fh.read().replace("e = d1*x\n", "e = d1*x\ntypo = x\n", 1)
+    with pytest.raises(ParseError) as info:
+        parse_square_job(text)
+    assert str(info.value) == "line 22: image given for 'typo', not a source generator"
 
 
 def test_push_job_rejects_equal_weights():
