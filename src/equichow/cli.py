@@ -20,8 +20,7 @@ from typing import Optional, Sequence
 
 from .groebner import MonomialOrder, normal_form, strong_groebner
 from .jobfile import (
-    MAX_DEGREE_BOUND,
-    MAX_ORACLE_TRIALS,
+    CAPS,
     parse_fixture_overrides,
     parse_ideal_job,
     parse_push_job,
@@ -38,26 +37,18 @@ EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 
 
-def _nonnegative(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return value
+def _capped(option: str):
+    """The argparse type of an integer between 0 and CAPS[option]."""
 
+    def integer(text: str) -> int:
+        number = int(text)
+        if number < 0:
+            raise argparse.ArgumentTypeError("must be >= 0")
+        if number > CAPS[option]:
+            raise argparse.ArgumentTypeError(f"must be <= {CAPS[option]}")
+        return number
 
-def _at_most(text: str, cap: int) -> int:
-    value = _nonnegative(text)
-    if value > cap:
-        raise argparse.ArgumentTypeError(f"must be <= {cap}")
-    return value
-
-
-def _trials(text: str) -> int:
-    return _at_most(text, MAX_ORACLE_TRIALS)
-
-
-def _degree_bound(text: str) -> int:
-    return _at_most(text, MAX_DEGREE_BOUND)
+    return integer
 
 
 @functools.cache
@@ -70,8 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pipeline", help="run the full derivation")
-    p.add_argument("--degree-bound", type=_degree_bound, default=8)
-    p.add_argument("--oracle-trials", type=_trials, default=20)
+    p.add_argument("--degree-bound", type=_capped("degree_bound"), default=8)
+    p.add_argument("--oracle-trials", type=_capped("oracle_trials"), default=20)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--report", help="write the text report to this path")
     p.add_argument("--machine-report", help="write the machine report to this path")
@@ -79,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("push", help="localization pushforward from a job file")
     p.add_argument("job", help="path to the job file")
-    p.add_argument("--oracle-trials", type=_trials, default=None)
+    p.add_argument("--oracle-trials", type=_capped("oracle_trials"), default=None)
     p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("nf", help="normal form modulo an ideal file")
@@ -88,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fiber-check", help="verify a cartesian square job")
     p.add_argument("job", help="path to the square file")
-    p.add_argument("--degree-bound", type=_degree_bound, default=None)
+    p.add_argument("--degree-bound", type=_capped("degree_bound"), default=None)
     return parser
 
 
@@ -174,9 +165,8 @@ def cmd_nf(args) -> int:
 
 
 def cmd_fiber_check(args) -> int:
-    job = parse_square_job(_read(args.job))
-    bound = args.degree_bound if args.degree_bound is not None else job.degree_bound
-    report = verify_cartesian(job.square, bound)
+    job = parse_square_job(_read(args.job), args.degree_bound)
+    report = verify_cartesian(job.square, job.degree_bound)
     for check in report.checks:
         print(check.describe())
     print(f"cartesian: {'pass' if report.passed else 'FAIL'}")

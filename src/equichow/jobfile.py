@@ -1,6 +1,7 @@
 """Line-oriented job files for the command line tools.
 
-Four small section-based formats share one scanner:
+Four small section-based formats share one reader, each described by a
+table below:
 
   push jobs      [vars] [space] [map] [class] [options]
   ideal files    [vars] [ideal]
@@ -9,38 +10,84 @@ Four small section-based formats share one scanner:
 
 Blank lines and '#' comments are ignored.  A section may appear once;
 headers that differ only in whitespace, such as [hom A->B] and
-[hom A -> B], name the same section.  A key may appear once in its
-section, except the list entries `relation` and `gen`.  Parsing either
-succeeds or raises ParseError with the offending line number;
-parse -> render -> parse is the identity on the parsed values.
+[hom A -> B], name the same section.  A table gives, for each section
+(for [ring X] and [hom X->Y], for the header's first word), the keys its
+`key = value` lines take, the keys that may repeat, the error for any
+other key, and whether it must follow [vars]; [vars], [space] and
+[class] are read as plain lines.  A [vars] line is `<name> <degree>`,
+with a name of the polynomial grammar.  Parsing either succeeds or
+raises ParseError with the offending line number; parse -> render ->
+parse is the identity on the parsed values.
 
 A push job's work grows with the target dimension, the number of fixed
 points of the source and of the target, and the oracle trials, and a
-square job's with its degree bound, so each has a fixed cap below.
+square job's with its degree bound and the monomials of its rings' graded
+pieces, so each has a fixed cap below.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .localization import MapDescriptor, SpaceDescriptor, SpaceFactor
 from .pipeline import Fixtures
 from .poly import Poly, PolyError, VarTable
 from .presentation import CartesianSquareSpec, RingHom, RingPresentation
-from .textio import ParseError, parse_poly
+from .textio import NAME, ParseError, parse_poly
 
 MAX_TARGET_DIMENSION = 16
 MAX_FIXED_POINTS = 64
+MAX_PIECE_MONOMIALS = 5000
 MAX_ORACLE_TRIALS = 1000
 MAX_DEGREE_BOUND = 20
+
+# The integer options with a cap, in job files and on the command line:
+# a value lies between 0 and its cap.
+CAPS = {"oracle_trials": MAX_ORACLE_TRIALS, "degree_bound": MAX_DEGREE_BOUND}
+
+# Per format, one entry per section, or per first header word as
+# "ring ..." for [ring X]: (keys, repeatable, error, after_vars).  `keys`
+# are the keys of its `key = value` lines (None: any key), `repeatable`
+# those that may appear more than once, and `error` the message for any
+# other key (None: the section is read as plain lines).
+PUSH_JOB = {
+    "vars": (None, (), None, False),
+    "space": (None, (), None, True),
+    "map": (("product", "exponents", "target_h"), (), "unknown map entry {key!r}", False),
+    "class": (None, (), None, True),
+    "options": (("oracle_trials", "seed"), (), "unknown option {key!r}", False),
+}
+FACTOR = (("d", "w0", "w1", "h"), (), "unknown factor key {key!r}", False)
+IDEAL_JOB = {
+    "vars": (None, (), None, False),
+    "ideal": (("gen",), ("gen",), "expected 'gen = <poly>'", True),
+}
+SQUARE_JOB = {
+    "vars": (None, (), None, False),
+    "ring ...": (("vars", "relation"), ("relation",), "unknown ring entry {key!r}", True),
+    "hom ...": (None, (), "", False),
+    # fiber-check has no oracle and no randomness
+    "options": (("degree_bound",), (), "unknown option {key!r}", False),
+}
+FIXTURE_FILE = {
+    "final": (("gen",), ("gen",), "expected 'gen = <poly>'", False),
+    "candidate": (("relation",), ("relation",), "expected 'relation = <poly>'", False),
+}
+
+_ABSENT = (0, "", ())
 
 
 @dataclass
 class JobOptions:
     oracle_trials: int = 0
     seed: Optional[int] = None
+
+
+def _render_vars(table: VarTable) -> List[str]:
+    return ["[vars]"] + [f"{name} {deg}" for name, deg in zip(table.names, table.degrees)]
 
 
 @dataclass
@@ -55,50 +102,68 @@ class PushJob:
     target_h: Optional[str]
 
     def render(self) -> str:
-        lines = ["[vars]"]
-        for name, deg in zip(self.table.names, self.table.degrees):
-            lines.append(f"{name} {deg}")
-        lines.append("[space]")
+        lines = _render_vars(self.table) + ["[space]"]
         for f in self.space.factors:
-            lines.append(
-                f"factor d={f.d} w0={f.w0.render()} w1={f.w1.render()} h={f.hvar}"
-            )
+            lines.append(f"factor d={f.d} w0={f.w0.render()} w1={f.w1.render()} h={f.hvar}")
         lines.append("[map]")
         if self.product:
             lines.append("product")
         lines.append("exponents = " + " ".join(str(a) for a in self.exponents))
         if self.target_h:
             lines.append(f"target_h = {self.target_h}")
-        lines.append("[class]")
-        lines.append(self.cls.render())
-        lines.append("[options]")
+        lines += ["[class]", self.cls.render(), "[options]"]
         lines.append(f"oracle_trials = {self.options.oracle_trials}")
         if self.options.seed is not None:
             lines.append(f"seed = {self.options.seed}")
         return "\n".join(lines) + "\n"
 
 
-def _sections(text: str) -> List[Tuple[int, str, List[Tuple[int, str]]]]:
-    sections: List[Tuple[int, str, List[Tuple[int, str]]]] = []
-    current: Optional[List[Tuple[int, str]]] = None
-    seen = set()
+def _check_key(lineno: int, key: str, seen, spec, section: str):
+    """Raise the ParseError of `key` on a line of `section`, if `spec`
+    refuses it or it repeats a key of `seen`."""
+    if spec[0] is not None and key not in spec[0]:
+        raise ParseError(f"line {lineno}: " + spec[2].format(key=key))
+    if key in seen and key not in spec[1]:
+        raise ParseError(f"line {lineno}: repeated key {key!r} in [{section}]")
+
+
+def _sections(text: str, schema: dict, unknown: str = "unknown section") -> Dict[str, tuple]:
+    """The sections of `text`, checked against the format table `schema`,
+    by header with whitespace removed: (header line, name, entries), an
+    entry (lineno, key, value) or, in a section of plain lines, (lineno, line)."""
+    found: Dict[str, tuple] = {}
+    entries = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("[") and line.endswith("]"):
+        if line[0] == "[" and line[-1] == "]":
             name = line[1:-1].strip()
-            key = "".join(name.split())
-            if key in seen:
+            head = "".join(name.split())
+            if head in found:
                 raise ParseError(f"line {lineno}: repeated section [{name}]")
-            seen.add(key)
-            current = []
-            sections.append((lineno, name, current))
-            continue
-        if current is None:
+            word, space, _ = name.partition(" ")
+            word = word + " ..." if space else word
+            spec = schema.get(word)
+            if spec is None:
+                raise ParseError(f"{unknown} [{name}]")
+            if spec[3] and "vars" not in found:
+                raise ParseError(f"[{word}] must come after [vars]")
+            entries, seen = [], set()
+            found[head] = (lineno, name, entries)
+        elif entries is None:
             raise ParseError(f"line {lineno}: content before any section header")
-        current.append((lineno, line))
-    return sections
+        elif spec[2] is None:
+            entries.append((lineno, line))
+        else:
+            key, _, value = line.partition("=")
+            key = key.strip()
+            _check_key(lineno, key, seen, spec, name)
+            seen.add(key)
+            entries.append((lineno, key, value.strip()))
+    if "vars" in schema and "vars" not in found:
+        raise ParseError("missing section [vars]")
+    return found
 
 
 def _parse_lines(lines: Sequence[Tuple[int, str]], table: VarTable, header: int = 0) -> Poly:
@@ -121,6 +186,8 @@ def _parse_vars(entries: Sequence[Tuple[int, str]]) -> VarTable:
         parts = line.split()
         if len(parts) != 2 or not parts[1].isdigit():
             raise ParseError(f"line {lineno}: expected '<name> <degree>'")
+        if not re.fullmatch(NAME, parts[0]):
+            raise ParseError(f"line {lineno}: bad variable name {parts[0]!r}")
         try:
             # isdigit() also accepts digits that int() refuses, such as
             # superscripts, and int() refuses over 4300 digits
@@ -134,101 +201,67 @@ def _parse_vars(entries: Sequence[Tuple[int, str]]) -> VarTable:
         raise ParseError(str(exc)) from None
 
 
-def _keyvals(entries: Sequence[Tuple[int, str]], section: str, repeatable=()) -> Iterator:
-    """(lineno, key, value) per line, value "" without '='; keys recur only if repeatable."""
-    seen = set()
-    for lineno, line in entries:
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key in seen and key not in repeatable:
-            raise ParseError(f"line {lineno}: repeated key {key!r} in [{section}]")
-        seen.add(key)
-        yield lineno, key, value.strip()
-
-
-def _parse_options(entries: Sequence[Tuple[int, str]], keys: Tuple[str, ...]) -> Dict[str, int]:
-    """The [options] of a job, each one of `keys`, as integers; a capped
-    option lies between 0 and its cap."""
-    caps = {"degree_bound": MAX_DEGREE_BOUND, "oracle_trials": MAX_ORACLE_TRIALS}
+def _parse_options(entries) -> Dict[str, int]:
+    """The [options] of a job as integers; a capped option lies between 0
+    and its cap."""
     opts: Dict[str, int] = {}
-    for lineno, key, value in _keyvals(entries, "options"):
-        if key not in keys:
-            raise ParseError(f"line {lineno}: unknown option {key!r}")
+    for lineno, key, value in entries:
         try:
             opts[key] = int(value)
-            if key in caps and not 0 <= opts[key] <= caps[key]:
+            if key in CAPS and not 0 <= opts[key] <= CAPS[key]:
                 raise ValueError
         except ValueError:
             raise ParseError(f"line {lineno}: bad value for {key!r}") from None
     return opts
 
 
+def _parse_factor(lineno: int, line: str, table: VarTable) -> SpaceFactor:
+    parts = line.split()
+    if parts[0] != "factor":
+        raise ParseError(f"line {lineno}: expected a 'factor ...' line")
+    fields: Dict[str, str] = {}
+    for part in parts[1:]:
+        key, eq, value = part.partition("=")
+        if not eq:
+            raise ParseError(f"line {lineno}: expected key=value, got {part!r}")
+        _check_key(lineno, key, fields, FACTOR, "space")
+        fields[key] = value
+    missing = set(FACTOR[0]) - set(fields)
+    if missing:
+        raise ParseError(f"line {lineno}: factor missing {sorted(missing)}")
+    try:
+        return SpaceFactor(
+            int(fields["d"]),
+            _parse_lines([(lineno, fields["w0"])], table),
+            _parse_lines([(lineno, fields["w1"])], table),
+            fields["h"],
+        )
+    except (PolyError, ValueError) as exc:
+        raise ParseError(f"line {lineno}: {exc}") from None
+
+
 def parse_push_job(text: str) -> PushJob:
-    table: Optional[VarTable] = None
-    factors: List[SpaceFactor] = []
-    product = False
-    exponents: Optional[Tuple[int, ...]] = None
-    target_h: Optional[str] = None
-    cls: Optional[Poly] = None
-    options = JobOptions()
-
-    for header, name, entries in _sections(text):
-        if name == "vars":
-            table = _parse_vars(entries)
-        elif name == "space":
-            if table is None:
-                raise ParseError("[space] must come after [vars]")
-            for lineno, line in entries:
-                parts = line.split()
-                if not parts or parts[0] != "factor":
-                    raise ParseError(f"line {lineno}: expected a 'factor ...' line")
-                fields: Dict[str, str] = {}
-                for part in parts[1:]:
-                    if "=" not in part:
-                        raise ParseError(f"line {lineno}: expected key=value, got {part!r}")
-                    k, v = part.split("=", 1)
-                    if k in fields:
-                        raise ParseError(f"line {lineno}: repeated key {k!r} in [space]")
-                    if k not in ("d", "w0", "w1", "h"):
-                        raise ParseError(f"line {lineno}: unknown factor key {k!r}")
-                    fields[k] = v
-                missing = {"d", "w0", "w1", "h"} - set(fields)
-                if missing:
-                    raise ParseError(f"line {lineno}: factor missing {sorted(missing)}")
-                try:
-                    factor = SpaceFactor(
-                        int(fields["d"]),
-                        _parse_lines([(lineno, fields["w0"])], table),
-                        _parse_lines([(lineno, fields["w1"])], table),
-                        fields["h"],
-                    )
-                except (PolyError, ValueError) as exc:
-                    raise ParseError(f"line {lineno}: {exc}") from None
-                factors.append(factor)
-        elif name == "map":
-            for lineno, key, value in _keyvals(entries, name):
-                if key == "product" and not value:
-                    product = True
-                elif key == "exponents":
-                    try:
-                        exponents = tuple(int(p) for p in value.split())
-                    except ValueError:
-                        raise ParseError(f"line {lineno}: bad exponent list") from None
-                elif key == "target_h":
-                    target_h = value
-                else:
-                    raise ParseError(f"line {lineno}: unknown map entry {key!r}")
-        elif name == "class":
-            if table is None:
-                raise ParseError("[class] must come after [vars]")
-            cls = _parse_lines(entries, table, header)
-        elif name == "options":
-            options = JobOptions(**_parse_options(entries, ("oracle_trials", "seed")))
+    found = _sections(text, PUSH_JOB)
+    table = _parse_vars(found["vars"][2])
+    factors = [_parse_factor(n, line, table) for n, line in found.get("space", _ABSENT)[2]]
+    product, exponents, target_h = False, None, None
+    for lineno, key, value in found.get("map", _ABSENT)[2]:
+        if key == "product":
+            if value:
+                raise ParseError(f"line {lineno}: 'product' takes no value")
+            product = True
+        elif key == "exponents":
+            try:
+                exponents = tuple(int(p) for p in value.split())
+            except ValueError:
+                raise ParseError(f"line {lineno}: bad exponent list") from None
         else:
-            raise ParseError(f"unknown section [{name}]")
-
-    if table is None or not factors or exponents is None or cls is None:
+            target_h = value
+    if not factors or exponents is None or "class" not in found:
         raise ParseError("job needs [vars], [space], [map] exponents and [class]")
+    header, _, lines = found["class"]
+    cls = _parse_lines(lines, table, header)
+    options = JobOptions(**_parse_options(found.get("options", _ABSENT)[2]))
     try:
         space = SpaceDescriptor(factors)
         if product:
@@ -263,33 +296,15 @@ class IdealJob:
     generators: Tuple[Poly, ...]
 
     def render(self) -> str:
-        lines = ["[vars]"]
-        for name, deg in zip(self.table.names, self.table.degrees):
-            lines.append(f"{name} {deg}")
-        lines.append("[ideal]")
-        for g in self.generators:
-            lines.append(f"gen = {g.render()}")
-        return "\n".join(lines) + "\n"
+        gens = [f"gen = {g.render()}" for g in self.generators]
+        return "\n".join(_render_vars(self.table) + ["[ideal]"] + gens) + "\n"
 
 
 def parse_ideal_job(text: str) -> IdealJob:
-    table: Optional[VarTable] = None
-    gens: List[Poly] = []
-    for _, name, entries in _sections(text):
-        if name == "vars":
-            table = _parse_vars(entries)
-        elif name == "ideal":
-            if table is None:
-                raise ParseError("[ideal] must come after [vars]")
-            for lineno, key, value in _keyvals(entries, name, ("gen",)):
-                if key != "gen":
-                    raise ParseError(f"line {lineno}: expected 'gen = <poly>'")
-                gens.append(_parse_lines([(lineno, value)], table))
-        else:
-            raise ParseError(f"unknown section [{name}]")
-    if table is None:
-        raise ParseError("ideal file needs a [vars] section")
-    return IdealJob(table, tuple(gens))
+    found = _sections(text, IDEAL_JOB)
+    table = _parse_vars(found["vars"][2])
+    entries = found.get("ideal", _ABSENT)[2]
+    return IdealJob(table, tuple(_parse_lines([(n, v)], table) for n, _, v in entries))
 
 
 _CORNERS = ("A", "B", "C", "D")
@@ -302,57 +317,51 @@ class SquareJob:
     degree_bound: int
 
 
-def parse_square_job(text: str) -> SquareJob:
-    table: Optional[VarTable] = None
+def parse_square_job(text: str, degree_bound: Optional[int] = None) -> SquareJob:
+    """The square of `text`, checked at `degree_bound`, else at the file's
+    own bound (8 when it sets none)."""
+    found = _sections(text, SQUARE_JOB)
+    table = _parse_vars(found["vars"][2])
     ring_specs: Dict[str, Tuple[VarTable, List[Poly]]] = {}
     hom_specs: Dict[Tuple[str, str], Tuple[int, Dict[str, Tuple[int, str]]]] = {}
-    degree_bound = 8
-
-    for header, name, entries in _sections(text):
-        if name == "vars":
-            table = _parse_vars(entries)
-        elif name.startswith("ring "):
+    for key, (header, name, entries) in found.items():
+        if key.startswith("ring"):
             corner = name[5:].strip()
             if corner not in _CORNERS:
                 raise ParseError(f"unknown ring corner {corner!r}")
-            if table is None:
-                raise ParseError("[ring ...] must come after [vars]")
-            var_names: List[str] = []
-            rel_texts: List[Tuple[int, str]] = []
-            for lineno, key, value in _keyvals(entries, name, ("relation",)):
-                if key == "vars":
-                    var_names = value.split()
-                elif key == "relation":
-                    rel_texts.append((lineno, value))
-                else:
-                    raise ParseError(f"line {lineno}: unknown ring entry {key!r}")
+            var_names = [v for _, k, value in entries if k == "vars" for v in value.split()]
             if not var_names:
                 raise ParseError(f"ring {corner} needs a 'vars =' line")
             sub = VarTable([(v, table.degrees[table.index(v)]) for v in var_names])
-            ring_specs[corner] = (sub, [_parse_lines([r], sub) for r in rel_texts])
-        elif name.startswith("hom "):
+            relations = [(n, v) for n, k, v in entries if k == "relation"]
+            ring_specs[corner] = (sub, [_parse_lines([r], sub) for r in relations])
+        elif key.startswith("hom"):
             arrow = name[4:].replace(" ", "")
             if "->" not in arrow:
                 raise ParseError(f"bad hom header [{name}]")
             src, dst = arrow.split("->", 1)
             if (src, dst) not in _HOMS:
                 raise ParseError(f"unexpected hom {src}->{dst}")
-            hom_specs[(src, dst)] = header, {k: (n, v) for n, k, v in _keyvals(entries, name)}
-        elif name == "options":
-            # fiber-check has no oracle and no randomness
-            opts = _parse_options(entries, ("degree_bound",))
-            degree_bound = opts.get("degree_bound", degree_bound)
-        else:
-            raise ParseError(f"unknown section [{name}]")
+            hom_specs[(src, dst)] = header, {k: (n, v) for n, k, v in entries}
 
-    if table is None:
-        raise ParseError("square file needs a [vars] section")
-    missing = [c for c in _CORNERS if c not in ring_specs]
+    missing = [f"[ring {c}]" for c in _CORNERS if c not in ring_specs]
+    missing += [f"[hom {s}->{d}]" for s, d in _HOMS if (s, d) not in hom_specs]
     if missing:
-        raise ParseError(f"missing ring sections: {missing}")
-    missing_homs = [f"{s}->{d}" for s, d in _HOMS if (s, d) not in hom_specs]
-    if missing_homs:
-        raise ParseError(f"missing hom sections: {missing_homs}")
+        raise ParseError("missing sections " + ", ".join(missing))
+    options = _parse_options(found.get("options", _ABSENT)[2])
+    if degree_bound is None:
+        degree_bound = options.get("degree_bound", 8)
+    for corner in _CORNERS:  # count each ring's monomials per degree, listing none
+        counts = [1] + [0] * degree_bound
+        for d in ring_specs[corner][0].degrees:
+            for n in range(d, degree_bound + 1):
+                counts[n] += counts[n - d]
+        n = counts.index(max(counts))
+        if counts[n] > MAX_PIECE_MONOMIALS:
+            raise ParseError(
+                f"ring {corner} has {counts[n]} monomials in degree {n},"
+                f" more than {MAX_PIECE_MONOMIALS}"
+            )
 
     try:
         rings = {c: RingPresentation(*ring_specs[c]) for c in _CORNERS}
@@ -364,16 +373,7 @@ def parse_square_job(text: str) -> SquareJob:
                 homs[(src, dst)] = RingHom(rings[src], rings[dst], images)
             except PolyError as exc:
                 raise ParseError(f"line {header}: {exc}") from None
-        square = CartesianSquareSpec(
-            rings["A"],
-            rings["B"],
-            rings["C"],
-            rings["D"],
-            homs[("A", "B")],
-            homs[("A", "C")],
-            homs[("B", "D")],
-            homs[("C", "D")],
-        )
+        square = CartesianSquareSpec(*(rings[c] for c in _CORNERS), *(homs[h] for h in _HOMS))
     except PolyError as exc:
         raise ParseError(str(exc)) from None
     return SquareJob(square, degree_bound)
@@ -383,16 +383,11 @@ def parse_fixture_overrides(text: str) -> Fixtures:
     """Fixture overrides: [final] gen lines (the reference ideal) and/or
     [candidate] relation lines (the patched-ring candidate)."""
     base = Fixtures.default()
-    polys: Dict[str, List[Poly]] = {"final": [], "candidate": []}
-    fields = {"final": ("gen", base.ambient), "candidate": ("relation", base.total.table)}
-    for _, name, entries in _sections(text):
-        if name not in fields:
-            raise ParseError(f"unknown fixture section [{name}]")
-        want, table = fields[name]
-        for lineno, key, value in _keyvals(entries, name, (want,)):
-            if key != want:
-                raise ParseError(f"line {lineno}: expected '{want} = <poly>'")
-            polys[name].append(_parse_lines([(lineno, value)], table))
+    found = _sections(text, FIXTURE_FILE, "unknown fixture section")
+    polys: Dict[str, List[Poly]] = {}
+    for name, table in (("final", base.ambient), ("candidate", base.total.table)):
+        entries = found.get(name, _ABSENT)[2]
+        polys[name] = [_parse_lines([(lineno, value)], table) for lineno, _, value in entries]
     return Fixtures.default(
         candidate_relations=polys["candidate"] or None, final_ideal=polys["final"] or None
     )

@@ -34,7 +34,9 @@ class ParseError(Exception):
         self.position = position
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|(\^)|(\*)|(\+)|(-))")
+# A variable name; job files declare only names that match it in full.
+NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_TOKEN = re.compile(rf"\s*(?:(\d+)|({NAME})|(\^)|(\*)|(\+)|(-))")
 
 
 def _tokenize(text: str) -> List[Tuple[str, str, int]]:

@@ -1,11 +1,13 @@
+import hashlib
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 from equichow.cli import build_parser, main
-from equichow.jobfile import MAX_DEGREE_BOUND, MAX_ORACLE_TRIALS
+from equichow.jobfile import MAX_DEGREE_BOUND, MAX_ORACLE_TRIALS, MAX_PIECE_MONOMIALS
 
 JOBS = os.path.join(os.path.dirname(__file__), "..", "jobs")
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -253,6 +255,14 @@ def test_nf_rejects_degree_int_refuses(tmp_path, capsys, degree):
     assert "error" in err
 
 
+@pytest.mark.parametrize("name", ["2", "x*y", "h^2"])
+def test_nf_rejects_a_variable_name_the_grammar_cannot_read(tmp_path, capsys, name):
+    gens = tmp_path / "bad.gens"
+    gens.write_text(f"[vars]\nx 1\n{name} 1\n[ideal]\ngen = x^2\n", encoding="utf-8")
+    code, out, err = run_cli(["nf", "--gens", str(gens), "x"], capsys)
+    assert (code, out, err) == (2, "", f"error: line 3: bad variable name {name!r}\n")
+
+
 def test_nf_finishes_on_inhomogeneous_ideal(tmp_path):
     """Completing this ideal in pair-arrival order grew a basis of hundreds
     of elements with coefficients of thousands of bits; taking pairs by
@@ -274,6 +284,56 @@ def test_fiber_check_passes(capsys):
     code, out, _ = run_cli(["fiber-check", job, "--degree-bound", "3"], capsys)
     assert code == 0
     assert "cartesian: pass" in out
+
+
+def test_fiber_check_output_is_pinned(capsys):
+    """The whole report of the checked-in square at its own bound, byte for
+    byte (sha1 of stdout)."""
+    code, out, _ = run_cli(["fiber-check", os.path.join(JOBS, "patch_square.job")], capsys)
+    assert code == 0
+    assert out.splitlines()[-2:] == [
+        "deg 8: ok corner=(free 25, torsion [2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2])"
+        " fiber=(free 25, torsion [2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2]) surjective=True",
+        "cartesian: pass",
+    ]
+    assert hashlib.sha1(out.encode()).hexdigest() == "4173ab1eb86b907938c75a3a23c78b3472312104"
+
+
+def free_square_job(tmp_path, n, bound):
+    """Four rings free on n degree-1 variables, identity maps between them."""
+    names = [f"v{i}" for i in range(n)]
+    lines = ["[vars]", *(f"{v} 1" for v in names)]
+    for corner in "ABCD":
+        lines += [f"[ring {corner}]", "vars = " + " ".join(names)]
+    for hom in ("A->B", "A->C", "B->D", "C->D"):
+        lines += [f"[hom {hom}]", *(f"{v} = {v}" for v in names)]
+    job = tmp_path / f"free{n}.job"
+    job.write_text("\n".join([*lines, "[options]", f"degree_bound = {bound}", ""]))
+    return str(job)
+
+
+def test_square_job_above_the_monomial_cap_exits_at_once(tmp_path, capsys):
+    """Nine free variables at bound 20 give 3 108 105 degree-20 monomials:
+    the job is refused before any work, in well under a second."""
+    job = free_square_job(tmp_path, 9, 20)
+    start = time.perf_counter()
+    code, out, err = run_cli(["fiber-check", job], capsys)
+    assert time.perf_counter() - start < 1.0
+    message = f"ring A has 3108105 monomials in degree 20, more than {MAX_PIECE_MONOMIALS}"
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_square_cap_reads_the_bound_that_runs(tmp_path, capsys):
+    """The cap counts up to --degree-bound when it is given, else up to the
+    file's bound: five free variables have 4845 monomials in degree 16 and
+    10 626 in degree 20."""
+    job = free_square_job(tmp_path, 5, 2)
+    code, out, err = run_cli(["fiber-check", job, "--degree-bound", "20"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ring A has 10626 monomials in degree 20")
+    job = free_square_job(tmp_path, 5, 20)
+    code, out, _ = run_cli(["fiber-check", job, "--degree-bound", "3"], capsys)
+    assert (code, out.splitlines()[-1]) == (0, "cartesian: pass")
 
 
 def patch_square_job(tmp_path, bound):

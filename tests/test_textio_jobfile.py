@@ -231,6 +231,15 @@ def test_ideal_job_rejects_degree_int_refuses(degree):
         parse_ideal_job(f"[vars]\nx {degree}\n[ideal]\ngen = x\n")
 
 
+@pytest.mark.parametrize("name", ["2", "x*y", "h^2"])
+def test_vars_reject_names_the_grammar_cannot_read(name):
+    """A [vars] name must be one token of the polynomial grammar, or
+    render -> parse would read another polynomial back."""
+    with pytest.raises(ParseError) as info:
+        parse_ideal_job(f"[vars]\nx 1\n{name} 1\n[ideal]\ngen = x^2\n")
+    assert str(info.value) == f"line 3: bad variable name {name!r}"
+
+
 def test_square_job(tmp_path):
     with open("jobs/patch_square.job", "r", encoding="utf-8") as fh:
         job = parse_square_job(fh.read())
