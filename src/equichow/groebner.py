@@ -38,16 +38,15 @@ The integer is the order's key, a linear form in the exponents (see
 `MonomialOrder`), so the leading term is `max(terms)`, a product is one
 addition, a lead L divides M iff the fields of M - L set no guard bit, and
 an lcm is the fieldwise maximum.  No comparison may read an overflowed
-field:
-
-- under grevlex a reduction never raises the grade, so fields that hold
-  the inputs' top grade and each popped pair's lcm grade hold every
-  exponent; a pair whose lcm grade passes them first moves the basis to
-  wider fields;
-- under lex and elim a reduction can raise exponents without bound, so
-  each shift of a polynomial is checked against the fieldwise maximum of
-  its terms before a term is formed; on overflow the basis moves to wider
-  fields and the pair, or the normal form, is treated again.
+field, and one rule sees to it: no reduction raises a term's grade.
+Under grevlex that holds for any generators.  Lex and elim take only
+generators that are all homogeneous, either all with the order's first
+variable at its degree, or all with it at degree 0; in the second case
+the first variable's exponent never grows either, since both orders lead
+with its largest exponent, so the full grade does not grow.  Fields that
+hold the inputs' top grade and each popped pair's lcm grade therefore
+hold every exponent; a pair whose lcm grade passes them first moves the
+basis to wider fields.
 
 Pairs are kept as (lcm grade, j, i) and the lcm is formed when the pair is
 popped, so moving to wider fields touches only the basis and the divisor
@@ -81,10 +80,9 @@ class MonomialOrder:
     - lex: the exponents, the highest-priority variable most significant;
     - elim: the first variable's exponent above the grevlex key.
 
-    Only grevlex is graded: no reduction raises a grade, so fields sized
-    to the largest grade in play hold every exponent.  Under lex and elim
-    each shift is checked against the fields, which are widened on
-    overflow (module docstring).
+    Under grevlex, and under lex and elim on the generators they take, no
+    reduction raises a grade, so fields sized to the largest grade in play
+    hold every exponent (module docstring).
     """
 
     kind: str
@@ -108,16 +106,10 @@ class MonomialOrder:
 Terms = Dict[int, int]
 """Packed monomial -> non-zero coefficient."""
 
-Lead = Tuple[int, int, Terms, int, int]
+Lead = Tuple[int, int, Terms, int]
 """A polynomial on a packing as (leading monomial, leading coefficient,
-the other terms, the fields of the leading monomial, its ceiling: the
-fieldwise maximum of all its terms' fields), negated where needed so that
-the leading coefficient is positive.  The ceiling is 0 under a graded
-order, where no term is checked."""
-
-
-class _Overflow(Exception):
-    """A new term's exponent left its field; the caller repacks wider."""
+the other terms, the fields of the leading monomial), negated where needed
+so that the leading coefficient is positive."""
 
 
 def _lead(terms: Terms, packing: _Packing) -> Lead:
@@ -125,21 +117,32 @@ def _lead(terms: Terms, packing: _Packing) -> Lead:
     coeff = terms[key]
     sign = 1 if coeff > 0 else -1
     tail = {k: sign * c for k, c in terms.items() if k != key}
-    ceiling = 0
-    if not packing.graded:
-        for k in terms:
-            ceiling = packing.fields_max(ceiling, packing.sign * k & packing.low)
-    return key, sign * coeff, tail, packing.sign * key & packing.low, ceiling
+    return key, sign * coeff, tail, packing.sign * key & packing.low
+
+
+def _check_fields_rule(polys: Sequence[Poly], order: MonomialOrder) -> None:
+    """Refuse generators of lex or elim that are not all homogeneous, with
+    the order's first variable either at its degree in all or at 0 in all
+    (module docstring): on others a reduction could overflow a field."""
+    if order.kind == "grevlex":
+        return
+    table = polys[0].table
+    first = table.index(order.priority[0])
+    for drop in (0, table.degrees[first]):
+        if all(len({table.grade(m) - drop * m[first] for m in g.terms}) == 1 for g in polys):
+            return
+    raise PolyError(
+        f"{order.kind} takes only generators that are all homogeneous, with"
+        f" {order.priority[0]} at its degree in all or at degree 0 in all"
+    )
 
 
 def _combination(f: Lead, a: int, g: Lead, b: int, m: int, packing: _Packing) -> Terms:
     """a*(m/LM f)*f + b*(m/LM g)*g for the packed monomial m = lcm(LM f, LM g)."""
     c = a * f[1] + b * g[1]
     terms = {m: c} if c else {}
-    for (lm, _, tail, _, ceiling), coef in ((f, a), (g, b)):
+    for (lm, _, tail, _), coef in ((f, a), (g, b)):
         shift = m - lm
-        if ceiling and (packing.sign * shift + ceiling) & packing.guards:
-            raise _Overflow
         for mono, coeff in tail.items():
             k = shift + mono
             val = terms.get(k, 0) + coef * coeff
@@ -185,11 +188,10 @@ def _reduce(
     divided by the dividing lead of smallest coefficient, the first one on
     a tie.  `divisors` memoizes {monomial: (leads scanned, index of the
     best lead or -1)} for callers that only ever append to `leads`, so a
-    later call scans only the leads added since.  Under an order that is
-    not graded, a product that overflows a field raises _Overflow."""
+    later call scans only the leads added since."""
     out: Terms = {}
     n = len(leads)
-    sign, guards, checked = packing.sign, packing.guards, not packing.graded
+    sign, guards = packing.sign, packing.guards
     while work:
         mono = max(work)
         coeff = work.pop(mono)
@@ -206,12 +208,10 @@ def _reduce(
         if best < 0:
             out[mono] = coeff
             continue
-        gm, gc, tail, _, ceiling = leads[best]
+        gm, gc, tail, _ = leads[best]
         q, r = divmod(coeff, gc)
         if q:
             shift = mono - gm
-            if checked and (sign * shift + ceiling) & guards:
-                raise _Overflow
             for m2, c2 in tail.items():
                 k = shift + m2
                 val = work.get(k, 0) - q * c2
@@ -245,6 +245,7 @@ class IdealBasis:
         if packed is None or packed[0].capacity < bound:
             top = max(max(map(self.table.grade, g.terms)) for g in self.polys)
             packing = _Packing(self.table, max(bound, top), self.order)
+            _check_fields_rule(self.polys, self.order)
             leads = tuple(_lead(packing.terms(g), packing) for g in self.polys)
             packed = self._keep(packing, leads)
         return packed
@@ -271,8 +272,10 @@ def strong_groebner(gens: Sequence[Poly], order: MonomialOrder) -> IdealBasis:
     on the ideal and the order, not on the order of `gens`.  The empty
     input yields the zero ideal (an empty basis).
 
-    The work runs on packed monomials; the module docstring has the rule
-    that keeps every exponent inside its field.
+    The work runs on packed monomials.  Under lex or elim, generators that
+    break the module docstring's rule for the fields (all homogeneous, with
+    the first variable at its degree in all or at 0 in all) raise
+    PolyError.
     """
     polys = [g for g in gens if not g.is_zero()]
     if not polys:
@@ -283,6 +286,7 @@ def strong_groebner(gens: Sequence[Poly], order: MonomialOrder) -> IdealBasis:
             raise TableMismatch("generators use different variable tables")
     top = max(max(map(table.grade, g.terms)) for g in polys)
     packing = _Packing(table, 2 * top, order)
+    _check_fields_rule(polys, order)
 
     basis: List[Lead] = []
     for g in polys:
@@ -297,7 +301,7 @@ def strong_groebner(gens: Sequence[Poly], order: MonomialOrder) -> IdealBasis:
         """Move the basis onto a packing whose fields hold `bound`."""
         nonlocal packing
         old, packing = packing, _Packing(table, bound, order)
-        for idx, (key, coeff, tail, _, _) in enumerate(basis):
+        for idx, (key, coeff, tail, _) in enumerate(basis):
             terms = {packing.pack(old.exponents(old.sign * k)): c for k, c in tail.items()}
             terms[packing.pack(old.exponents(old.sign * key))] = coeff
             basis[idx] = _lead(terms, packing)
@@ -337,9 +341,8 @@ def strong_groebner(gens: Sequence[Poly], order: MonomialOrder) -> IdealBasis:
             partners[k].add(new)
 
     while pairs:
-        item = heappop(pairs)
-        lcm_grade, j, i = item
-        if packing.graded and lcm_grade > packing.capacity:
+        lcm_grade, j, i = heappop(pairs)
+        if lcm_grade > packing.capacity:
             # every term the pair makes has at most this grade
             repack(2 * lcm_grade)
         f, g = basis[i], basis[j]
@@ -350,39 +353,30 @@ def strong_groebner(gens: Sequence[Poly], order: MonomialOrder) -> IdealBasis:
         d = gcd(fc, gc)
         guards, half = packing.guards, packing.half
         fields = packing.fields_max(f[3], g[3])
-        try:
-            # else the product criterion: coprime monomials and coefficients
-            if d > 1 or (f[3] + half) & (g[3] + half) & guards:
-                lc = fc // d * gc
-                for k, (_, kc, _, km, _) in enumerate(basis):
-                    if (
-                        lc % kc == 0
-                        and k != i
-                        and k != j
-                        and k not in waiting_i
-                        and k not in waiting_j
-                        and not (fields - km) & guards
-                    ):
-                        break  # the chain criterion
-                else:
-                    extend(spolynomial(f, g, packing.key(fields), packing))
-            # f or g itself divides the G-polynomial's lead when fc | gc or gc | fc
-            if (
-                fc % gc
-                and gc % fc
-                and not any(d % kc == 0 and not (fields - km) & guards for _, kc, _, km, _ in basis)
-            ):
-                extend(gpolynomial(f, g, packing.key(fields), packing))
-        except _Overflow:  # treat the pair again on wider fields
-            heappush(pairs, item)
-            repack((packing.capacity + 1) ** 2)
+        # else the product criterion: coprime monomials and coefficients
+        if d > 1 or (f[3] + half) & (g[3] + half) & guards:
+            lc = fc // d * gc
+            for k, (_, kc, _, km) in enumerate(basis):
+                if (
+                    lc % kc == 0
+                    and k != i
+                    and k != j
+                    and k not in waiting_i
+                    and k not in waiting_j
+                    and not (fields - km) & guards
+                ):
+                    break  # the chain criterion
+            else:
+                extend(spolynomial(f, g, packing.key(fields), packing))
+        # f or g itself divides the G-polynomial's lead when fc | gc or gc | fc
+        if (
+            fc % gc
+            and gc % fc
+            and not any(d % kc == 0 and not (fields - km) & guards for _, kc, _, km in basis)
+        ):
+            extend(gpolynomial(f, g, packing.key(fields), packing))
 
-    while True:
-        try:
-            reduced = _minimize(basis, packing)
-            break
-        except _Overflow:
-            repack((packing.capacity + 1) ** 2)
+    reduced = _minimize(basis, packing)
     reduced.sort(key=lambda lead: (lead[0], lead[1]))
     result = IdealBasis(
         tuple(packing.poly({**lead[2], lead[0]: lead[1]}) for lead in reduced), order, True
@@ -399,9 +393,9 @@ def _minimize(basis: List[Lead], packing: _Packing) -> List[Lead]:
     guards = packing.guards
     kept: List[Lead] = []
     for idx, lead in enumerate(basis):
-        gm, gc, _, gf, _ = lead
+        gm, gc, _, gf = lead
         redundant = False
-        for jdx, (hm, hc, _, hf, _) in enumerate(basis):
+        for jdx, (hm, hc, _, hf) in enumerate(basis):
             if jdx == idx:
                 continue
             if gc % hc == 0 and not (gf - hf) & guards:
@@ -427,7 +421,7 @@ def _is_remainder(mono: int, coeff: int, leads: Sequence[Lead], packing: _Packin
     """True iff `_reduce` keeps the term coeff*mono as it is: no lead
     divides mono, or 0 <= coeff < the smallest dividing lead's coefficient."""
     probe, guards = packing.sign * mono, packing.guards
-    dividing = (lc for _, lc, _, lf, _ in leads if not (probe - lf) & guards)
+    dividing = (lc for _, lc, _, lf in leads if not (probe - lf) & guards)
     if coeff < 0:
         return next(dividing, None) is None
     return all(coeff < lc for lc in dividing)
@@ -444,13 +438,8 @@ def normal_form(p: Poly, basis: IdealBasis) -> Poly:
         return p
     if p.table != basis.table:
         raise TableMismatch("polynomial and basis use different tables")
-    bound = max(map(p.table.grade, p.terms))
-    while True:
-        packing, leads = basis._division(bound)
-        try:
-            return packing.poly(_reduce(packing.terms(p), leads, packing, {}))
-        except _Overflow:
-            bound = (packing.capacity + 1) ** 2
+    packing, leads = basis._division(max(map(p.table.grade, p.terms)))
+    return packing.poly(_reduce(packing.terms(p), leads, packing, {}))
 
 
 def ideal_contains(
@@ -517,10 +506,15 @@ def ideal_intersection(gens_a: Sequence[Poly], gens_b: Sequence[Poly]) -> Tuple[
     then t = 0; and h = t*h + (1 - t)*h.  Under an order that puts t first,
     the t-free elements of a strong basis form a strong basis of the t-free
     part (Adams & Loustaunau, ch. 4).  Grevlex on the other variables keeps
-    the coefficients far smaller than lex does over Z.
+    the coefficients far smaller than lex does over Z.  Both generating sets
+    must be homogeneous, or PolyError is raised: that makes the generators
+    above homogeneous with t at degree 0, which the elimination order takes
+    (module docstring).
     """
     a = [g for g in gens_a if g]
     b = [g for g in gens_b if g]
+    if any(g.homogeneous_grade() is None for g in a + b):
+        raise PolyError("ideal_intersection needs homogeneous generators")
     if not a or not b:
         return ()
     table = a[0].table

@@ -466,9 +466,6 @@ class _Packing:
         # (guards - half) has the lowest bit of each field; adding half to
         # in-range fields sets the guard bit of each non-zero one.
         self.half = self.guards - (self.guards >> width - 1)
-        # A graded order never raises the grade by a reduction; lex and elim
-        # can raise exponents without bound, so their new terms are checked.
-        self.graded = kind in (None, "grevlex")
         units = [(1 << s) * self.sign for s in self.shifts]
         if kind != "lex":
             units = [u + (d << top) for u, d in zip(units, table.degrees)]

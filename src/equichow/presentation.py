@@ -13,7 +13,6 @@ whether an element is a non-zero-divisor, by a colon ideal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .groebner import IdealBasis, Lead, MonomialOrder, ideal_intersection, normal_form
@@ -44,7 +43,6 @@ class RingPresentation:
         self.relations = tuple(rels)
         self.order = MonomialOrder.grevlex(table)
         self._basis: Optional[IdealBasis] = None
-        self._pieces: Dict[int, GradedPiece] = {}
 
     def __repr__(self) -> str:
         rels = ", ".join(r.render() for r in self.relations)
@@ -62,9 +60,7 @@ class RingPresentation:
         return self.normal_form(p).is_zero()
 
     def piece(self, n: int) -> GradedPiece:
-        if n not in self._pieces:
-            self._pieces[n] = GradedPiece(self, n)
-        return self._pieces[n]
+        return GradedPiece(self, n)
 
 
 class GradedPiece:
@@ -81,12 +77,6 @@ class GradedPiece:
     The columns form a triangular matrix with pivot c_m in row m; they span
     the reductions of the ideal elements, so `image_columns` may build any
     vector of a class.
-
-    `RingPresentation.piece` memoizes the pieces of its presentation, one
-    per degree, so each is built once however many checks read it.  A
-    piece keeps the table and the leads it needs, not the presentation: a
-    back-reference would make every memoized piece part of a reference
-    cycle that only the cyclic garbage collector frees.
     """
 
     def __init__(self, pres: RingPresentation, n: int):
@@ -95,7 +85,7 @@ class GradedPiece:
         packing, leads = basis._division(n) if basis.polys else (_Packing(pres.table, n, pres.order), ())
         self._packing = packing
         self._monic = [lead for lead in leads if lead[1] == 1]
-        self._pivots: Dict[int, Lead] = {}
+        pivots: Dict[int, Lead] = {}
         sign, guards = packing.sign, packing.guards
         ranked = sorted(leads, key=lambda lead: lead[1])  # stable: a tie keeps the first lead
         monomials, packed = [], []
@@ -112,17 +102,14 @@ class GradedPiece:
                 monomials.append(m)
                 packed.append(key)
                 if best is not None:
-                    self._pivots[key] = best
+                    pivots[key] = best
         self.monomials = tuple(monomials)
         self._packed_index = dict(zip(packed, range(len(packed))))
-
-    @cached_property
-    def relations(self) -> List[Sparse]:
-        """Columns spanning the ideal in degree n: one per monomial with
-        c_m > 1, triangular with pivot c_m."""
-        return [
+        # columns spanning the ideal in degree n: one per monomial with
+        # c_m > 1, triangular with pivot c_m
+        self.relations: List[Sparse] = [
             self._vector({m: gc, **{m - gm + k: c for k, c in tail.items()}})
-            for m, (gm, gc, tail, _, _) in self._pivots.items()
+            for m, (gm, gc, tail, _) in pivots.items()
         ]
 
     def _vector(self, terms: Dict[int, int]) -> Sparse:
@@ -131,8 +118,6 @@ class GradedPiece:
         same lead, so the map is linear."""
         index = self._packed_index
         if not terms.keys() <= index.keys():
-            # the divisor memo lives for one reduction, so a memoized piece
-            # holds no table of monomials
             terms = _reduce(terms, self._monic, self._packing, {})
         return {index[k]: c for k, c in terms.items()}
 

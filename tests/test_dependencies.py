@@ -1,6 +1,7 @@
 """The runtime stays free of dependencies: every absolute import in the
 package names a standard-library module.  It also holds only code that it
-runs: every import is read and every definition is referenced."""
+runs: every import is read, every definition is referenced and every
+attribute stored on an instance is read."""
 
 import ast
 import sys
@@ -97,3 +98,33 @@ def test_runtime_definitions_are_referenced():
             if used[node.name] == inside:
                 unreferenced[qualname] = f"{path.name}:{node.lineno}"
     assert sorted(unreferenced) == sorted(UNREFERENCED_ALLOWED), unreferenced
+
+
+def test_runtime_instance_attributes_are_read():
+    """Every attribute that a method stores on `self`, by assignment or by
+    `object.__setattr__`, is read somewhere in `src/`: as an attribute, or
+    by its name as a string argument of a call other than a store (as in
+    `self.__dict__.get("_packed")`).  A store that nothing reads is a
+    leftover cache or memo."""
+    files = sorted(PACKAGE.glob("*.py"))
+    assert files
+    stored, read = {}, set()
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                if isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+                elif isinstance(node.value, ast.Name) and node.value.id == "self":
+                    stored.setdefault(node.attr, f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Call):
+                names = [a.value for a in node.args if isinstance(a, ast.Constant)]
+                names = [name for name in names if isinstance(name, str)]
+                func = node.func
+                if isinstance(func, ast.Attribute) and func.attr == "__setattr__":
+                    for name in names:
+                        stored.setdefault(name, f"{path.name}:{node.lineno}")
+                else:
+                    read.update(names)
+    assert stored
+    assert {name: at for name, at in stored.items() if name not in read} == {}

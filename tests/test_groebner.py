@@ -1,10 +1,11 @@
 import itertools
 import math
 import random
+import time
 from operator import add
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from equichow import (
@@ -291,6 +292,27 @@ xy_polys = st.lists(coefficients, min_size=len(XY_MONOS), max_size=len(XY_MONOS)
 )
 
 
+def forms(table, grades, values=coefficients):
+    """Homogeneous polynomials on `table` of a grade drawn from `grades`."""
+    return st.sampled_from(grades).flatmap(
+        lambda n: st.lists(
+            values,
+            min_size=len(table.monomials_of_grade(n)),
+            max_size=len(table.monomials_of_grade(n)),
+        ).map(lambda cs: Poly(table, dict(zip(table.monomials_of_grade(n), cs))))
+    )
+
+
+xy_forms = forms(XY, (1, 2, 3))
+# the shape `ideal_intersection` completes: t*f or (1 - t)*f for forms f
+# free of t, homogeneous once t counts as degree 0
+TXY = VarTable([("t", 1), ("x", 1), ("y", 1)])
+TXY_T = Poly.var(TXY, "t")
+txy_polys = st.tuples(st.booleans(), forms(XY, (1, 2))).map(
+    lambda pair: (TXY_T if pair[0] else 1 - TXY_T) * pair[1].change_table(TXY)
+)
+
+
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(
     gens=st.lists(xy_polys, min_size=1, max_size=3),
@@ -315,18 +337,15 @@ def test_random_ideal_properties(gens, p, multipliers):
 # degree of the generators, so these draws stay cheap and reproducible.
 small = settings(max_examples=40, deadline=None, derandomize=True)
 W = VarTable([("a", 1), ("b", 1), ("c", 2)])
-W_GRADES = {n: W.monomials_of_grade(n) for n in (2, 3)}
-w_polys = st.sampled_from((2, 3)).flatmap(
-    lambda n: st.lists(
-        st.integers(-3, 3), min_size=len(W_GRADES[n]), max_size=len(W_GRADES[n])
-    ).map(lambda cs: Poly(W, dict(zip(W_GRADES[n], cs))))
-)
+w_polys = forms(W, (2, 3), st.integers(-3, 3))
+# grevlex takes any generators; lex and elim take homogeneous ones
 ORDERS = {
     "xy-grevlex": (xy_polys, MonomialOrder.grevlex(XY)),
     "xy-grevlex-x-first": (xy_polys, MonomialOrder("grevlex", ("x", "y"))),
-    "xy-lex": (xy_polys, MonomialOrder.lex(("x", "y"))),
+    "xy-lex": (xy_forms, MonomialOrder.lex(("x", "y"))),
     # the order of `ideal_intersection`: one variable, then grevlex
-    "xy-elim": (xy_polys, MonomialOrder("elim", ("y", "x"))),
+    "xy-elim": (xy_forms, MonomialOrder("elim", ("y", "x"))),
+    "txy-elim-t-at-0": (txy_polys, MonomialOrder("elim", ("t", "y", "x"))),
     "weighted-grevlex": (w_polys, MonomialOrder.grevlex(W)),
     "weighted-elim": (w_polys, MonomialOrder("elim", ("c", "b", "a"))),
 }
@@ -359,27 +378,23 @@ def test_normal_form_matches_plain_reduce(name, data):
     multipliers = data.draw(st.lists(polys, min_size=len(gens), max_size=len(gens)))
     p = data.draw(polys)
     member = sum((m * g for m, g in zip(multipliers, gens)), Poly.zero(p.table))
-    for q in (p, member, p * p + member):
+    # p * p + p + 1 is inhomogeneous, which normal_form takes under every order
+    for q in (p, member, p * p + member, p * p + p + 1):
         assert normal_form(q, basis) == plain_reduce(q, leads, key)
     assert normal_form(member, basis).is_zero()
 
 
 EDGE = st.sampled_from((3, 4, 7, 8))
 EDGE_COEFFICIENTS = st.sampled_from((-2, -1, 1, 2))
-EDGE_ORDERS = (
-    MonomialOrder.grevlex(XY),
-    MonomialOrder.lex(("x", "y")),
-    MonomialOrder("elim", ("y", "x")),
-)
+LEX_AND_ELIM = (MonomialOrder.lex(("x", "y")), MonomialOrder("elim", ("y", "x")))
 
 
 @st.composite
 def edge_ideals(draw):
     """Inhomogeneous x + y^e (or its mirror image) next to x^a*y^b + y^f,
     with e and a + b at 2^k - 1 or 2^k, the largest grade that k-bit fields
-    hold and the smallest that needs one more bit.  Substituting the first
-    into the second raises the exponent of y to about a*e, past the fields
-    that completion starts with under lex and elim."""
+    hold and the smallest that needs one more bit.  Of the order kinds,
+    only grevlex takes them."""
     e, total = draw(EDGE), draw(EDGE)
     a = draw(st.integers(1, total))
     first = {(1, 0): draw(EDGE_COEFFICIENTS), (0, e): draw(EDGE_COEFFICIENTS)}
@@ -392,9 +407,36 @@ def edge_ideals(draw):
     return [Poly(XY, first), Poly(XY, second)]
 
 
+@st.composite
+def homogeneous_edge_ideals(draw, order):
+    """Two binomials, each homogeneous of a grade at 2^k - 1 or 2^k, or each
+    the other variable's power times a binomial in the order's first
+    variable at such a grade: the two shapes that lex and elim take."""
+    first = XY.index(order.priority[0])
+    at_zero = draw(st.booleans())
+    gens = []
+    for _ in range(2):
+        e = draw(EDGE)
+        if at_zero:
+            other = draw(st.integers(0, 3))
+            exponents = (e, draw(st.integers(0, e - 1)))
+            monos = [(k, other) if first == 0 else (other, k) for k in exponents]
+        else:
+            i, j = draw(st.lists(st.integers(0, e), min_size=2, max_size=2, unique=True))
+            monos = [(i, e - i), (j, e - j)]
+        gens.append(Poly(XY, {m: draw(EDGE_COEFFICIENTS) for m in monos}))
+    return gens
+
+
+edge_cases = st.tuples(edge_ideals(), st.just(MonomialOrder.grevlex(XY))) | st.sampled_from(
+    LEX_AND_ELIM
+).flatmap(lambda order: st.tuples(homogeneous_edge_ideals(order), st.just(order)))
+
+
 @settings(max_examples=90, deadline=None, derandomize=True)
-@given(gens=edge_ideals(), order=st.sampled_from(EDGE_ORDERS))
-def test_completion_near_the_field_width_matches_plain_completion(gens, order):
+@given(case=edge_cases)
+def test_completion_near_the_field_width_matches_plain_completion(case):
+    gens, order = case
     basis = strong_groebner(gens, order)
     assert basis.polys == plain_strong_groebner(gens, order).polys
     key = cached_key(order, XY)
@@ -406,11 +448,11 @@ T3 = VarTable([("a", 1), ("b", 1), ("c", 1)])
 
 
 def test_completion_that_must_widen_the_fields(monkeypatch):
-    """One ideal per order kind whose completion outgrows the fields it
-    starts with: under grevlex a pair's lcm grade passes them, under lex
-    and elim a reduction raises an exponent past them.  Each completion
-    builds a wider packing and still matches the completion on exponent
-    tuples, and so does a normal form that outgrows the basis's fields."""
+    """One homogeneous ideal whose completion outgrows the fields it starts
+    with under each order kind: a pair's lcm grade passes them.  Each
+    completion builds a wider packing and still matches the completion on
+    exponent tuples, and so does a normal form that outgrows the basis's
+    fields."""
     a, b, c = (v(T3, n) for n in ("a", "b", "c"))
     widths = []
 
@@ -420,14 +462,13 @@ def test_completion_that_must_widen_the_fields(monkeypatch):
             widths.append(self.capacity)
 
     monkeypatch.setattr(groebner, "_Packing", Recorded)
-    for gens, order, want in (
-        (
-            [b**3 - c**2 * a, b * c**2 - a**3],
-            MonomialOrder.grevlex(T3),
-            [b**3 - a * c**2, b * c**2 - a**3, a * c**4 - a**3 * b**2],
-        ),
-        ([b - c**3, a - b**3], MonomialOrder.lex(("a", "b", "c")), [b - c**3, a - c**9]),
-        ([a - b**3, a**3 - c], MonomialOrder("elim", ("a", "b", "c")), [b**9 - c, a - b**3]),
+    gens = [b**3 - c**2 * a, b * c**2 - a**3]
+    graded = [b**9 - b * c**8, a * c**2 - b**3, a * b**6 - b * c**6, a**2 * b**3 - b * c**4]
+    graded.append(a**3 - b * c**2)
+    for order, want in (
+        (MonomialOrder.grevlex(T3), [b**3 - a * c**2, b * c**2 - a**3, a * c**4 - a**3 * b**2]),
+        (MonomialOrder.lex(("a", "b", "c")), graded),
+        (MonomialOrder("elim", ("a", "b", "c")), graded),
     ):
         widths.clear()
         basis = strong_groebner(gens, order)
@@ -444,12 +485,13 @@ def test_completion_that_must_widen_the_fields(monkeypatch):
 
 def test_completing_a_reduced_basis_reduces_no_tail(monkeypatch):
     """`_minimize` keeps a tail that is already a canonical remainder, such
-    as 2*y^3 next to the lead 4*y^3 in the lex basis."""
+    as 4*y^2 next to the lead 8*y^2 in the lex basis 8*y^2, 2*x,
+    x*y + 4*y^2."""
     x, y = v(XY, "x"), v(XY, "y")
     a, b, c = (v(W, n) for n in ("a", "b", "c"))
     cases = [
         ([2 * x * y + y, 3 * x * x - y * y], MonomialOrder.grevlex(XY)),
-        ([2 * x * y + y, 3 * x * x - y * y], MonomialOrder.lex(("x", "y"))),
+        ([2 * x, x * y - 4 * y * y], MonomialOrder.lex(("x", "y"))),
         ([2 * a * b - c, 3 * a * a + b * b, 4 * c * a - b**3], MonomialOrder.grevlex(W)),
     ]
     true_reduce, true_minimize = groebner._reduce, groebner._minimize
@@ -607,12 +649,12 @@ def test_completion_calls_the_traced_kernels(monkeypatch):
 def test_reduce_terms_matches_plain_reduce(name, data):
     """One divisor memo serves a growing list of leads, as in completion."""
     polys, order = ORDERS[name]
-    table = XY if name.startswith("xy") else W
+    nonzero = polys.filter(lambda p: not p.is_zero())
+    pending = data.draw(st.lists(nonzero, min_size=2, max_size=4))
+    table = pending[0].table
     key = cached_key(order, table)
     # fields wide enough for every exponent these reductions reach
     packing = _Packing(table, 255, order)
-    nonzero = polys.filter(lambda p: not p.is_zero())
-    pending = data.draw(st.lists(nonzero, min_size=2, max_size=4))
     targets = data.draw(st.lists(polys, min_size=len(pending), max_size=len(pending)))
     leads, plain_leads, divisors = [], [], {}
     for g, p in zip(pending, targets):
@@ -717,10 +759,84 @@ def test_intersection_examples():
         ([2 * x, x * x + z], [3 * y], [6 * x * y, 3 * x * x * y + 3 * y * z]),
         ([x], [y], [x * y]),
         ([v(t, "t")], [v(t, "x")], [v(t, "t") * v(t, "x")]),
-        # inhomogeneous: a graded order in place of the elimination order
-        # finds no t-free element here
-        ([x - 1], [x - 2], [x * x - 3 * x + 2]),
-        ([2 * x + 1], [3 * x - 1], [6 * x * x + x - 1]),
     ):
         assert ideal_equal(ideal_intersection(a, b), want)
     assert ideal_intersection([x], []) == ideal_intersection([Poly.zero(XYZ)], [x]) == ()
+    # inhomogeneous ideals are refused, although their intersections exist
+    for a, b in (([x - 1], [x - 2]), ([2 * x + 1], [3 * x - 1])):
+        with pytest.raises(PolyError, match="^ideal_intersection needs homogeneous generators$"):
+            ideal_intersection(a, b)
+
+
+W_FORMS = forms(W, (1, 2), st.integers(-3, 3)).filter(lambda p: not p.is_zero())
+
+
+@example(
+    gens_a=[v(W, "a") * v(W, "b") + v(W, "c")], gens_b=[2 * v(W, "a"), v(W, "b") ** 2 - v(W, "c")]
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    gens_a=st.lists(W_FORMS, min_size=1, max_size=2),
+    gens_b=st.lists(W_FORMS, min_size=1, max_size=2),
+)
+def test_intersection_cross_checked_on_homogeneous_ideals(gens_a, gens_b):
+    """I ∩ J for homogeneous I, J on a table with a weighted variable: every
+    output lies in I and in J, every product of a generator of I and one of
+    J lies in the ideal of the outputs, and that ideal is the t-free part
+    of the completion of t*I + (1 - t)*J with no pair criteria, under the
+    same elimination order."""
+    got = ideal_intersection(gens_a, gens_b)
+    order = MonomialOrder.grevlex(W)
+    meet = strong_groebner(got, order)
+    for gens in (gens_a, gens_b):
+        basis = strong_groebner(gens, order)
+        assert all(normal_form(h, basis).is_zero() for h in got)
+    assert all(normal_form(f * g, meet).is_zero() for f in gens_a for g in gens_b)
+    t = "t" + "_" * max(map(len, W.names))
+    wide = VarTable([(t, 1), *zip(W.names, W.degrees)])
+    t_poly = Poly.var(wide, t)
+    lifted = [t_poly * f.change_table(wide) for f in gens_a]
+    lifted += [(1 - t_poly) * g.change_table(wide) for g in gens_b]
+    plain = plain_strong_groebner(lifted, MonomialOrder("elim", (t, *reversed(W.names))))
+    free = [g.change_table(W) for g in plain.polys if not any(m[0] for m in g.terms)]
+    assert ideal_equal(got, free)
+
+
+TX = VarTable([("t", 1), ("x", 1)])
+
+
+def test_lex_and_elim_refuse_generators_outside_the_field_rule():
+    """Lex and elim take only generators that are all homogeneous, with the
+    order's first variable at its degree in all or at degree 0 in all.  An
+    inhomogeneous pair is refused at once, and so is a set mixing the two
+    shapes: t - x is homogeneous only with t at its degree, t*x^2 + x^2
+    only with t at 0, and their S-polynomials keep neither grading.
+    Grevlex completes the same sets."""
+    x, y = v(XY, "x"), v(XY, "y")
+    t, tx = v(TX, "t"), v(TX, "x")
+    inhomogeneous = [x * x - y, x * y - 1]
+    text = "{} takes only generators that are all homogeneous, with {} at its degree in all or at degree 0 in all"
+    for gens, order, want in (
+        (inhomogeneous, MonomialOrder.lex(("x", "y")), text.format("lex", "x")),
+        (inhomogeneous, MonomialOrder("elim", ("y", "x")), text.format("elim", "y")),
+        ([t - tx, t * tx**2 + tx**2], MonomialOrder("elim", ("t", "x")), text.format("elim", "t")),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(PolyError) as refused:
+            strong_groebner(gens, order)
+        assert time.perf_counter() - start < 0.01
+        assert str(refused.value) == want
+        assert verify_strong(strong_groebner(gens, MonomialOrder.grevlex(gens[0].table)))
+    start = time.perf_counter()
+    with pytest.raises(PolyError) as refused:
+        ideal_equal(inhomogeneous, [x * x - y], MonomialOrder.lex(("x", "y")))
+    assert str(refused.value) == text.format("lex", "x")
+    # a basis marked strong by its caller meets the same rule in normal_form
+    with pytest.raises(PolyError) as refused:
+        normal_form(x, IdealBasis(tuple(inhomogeneous), MonomialOrder.lex(("x", "y")), True))
+    assert str(refused.value) == text.format("lex", "x")
+    with pytest.raises(PolyError) as refused:
+        ideal_intersection([x - 1], [x - 2])
+    assert str(refused.value) == "ideal_intersection needs homogeneous generators"
+    assert time.perf_counter() - start < 0.02
+    assert ideal_equal(inhomogeneous, inhomogeneous[::-1])
